@@ -14,21 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import elementary_symmetric
+from .polyalg import elementary_symmetric, require_distinct
 from .serialize import pair_list, pair_matrix
 
 
-def _check_positions(z, min_sep_rel: float = 1e-8):
+def _check_positions(z):
     z = np.asarray(z, dtype=complex).ravel()
-    n = len(z)
-    if n == 0:
+    if len(z) == 0:
         raise ValueError("need at least one position")
-    if n > 1:
-        diffs = np.abs(z[:, None] - z[None, :])[np.triu_indices(n, 1)]
-        scale = max(1.0, np.abs(z).max())
-        if diffs.min() < min_sep_rel * scale:
-            raise ValueError("coincident positions: min |z_a - z_b| below tolerance")
-    return z
+    return require_distinct(z, 1e-8, "positions z")
 
 
 def cm_matrix(z, p) -> np.ndarray:

@@ -71,7 +71,6 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         seed=args.seed,
         suites=suites,
-        jobs=args.jobs,
     )
     report = run_suite(config)
     payload = {"command": "verify", **report.as_dict()}
@@ -130,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--n-max", type=int, default=4)
     vf.add_argument("--trials", type=int, default=20)
     vf.add_argument("--seed", type=int, default=2024)
-    vf.add_argument("--jobs", type=int, default=2)
     vf.add_argument("--json", default=None)
     vf.set_defaults(fn=_cmd_verify)
 

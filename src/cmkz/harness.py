@@ -2,7 +2,7 @@
 and the named verification checks behind the command line.
 
 Every check derives its generator from (master seed, check id), so replay
-with one config is bit-stable no matter how the pool schedules the work.
+with one config is bit-stable and no check's draws depend on another's.
 Reports carry no timestamps; bodies of identical runs compare equal.
 """
 
@@ -11,8 +11,8 @@ from __future__ import annotations
 import hashlib
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -64,7 +64,6 @@ class VerificationConfig:
     collision_cutoff_coeff: float = 10.0
     collision_cutoff_exponent: float = 0.5
     suites: tuple[str, ...] = SUITES
-    jobs: int = 2
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -721,6 +720,11 @@ def _fd_gradient(value_fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def _on_flat(value_fn, n: int, sizes):
+    """value_fn(z, t) as a function of the flat vector (z, t_1, t_2, ...)."""
+    return lambda v: value_fn(v[:n], mf._split(v[n:], sizes))
+
+
 def check_structural_invariants(config: VerificationConfig) -> CheckRecord:
     """Rank-one lift, Hamiltonian identities, and gradient consistency."""
     seed = check_seed(config.seed, "structural-invariants")
@@ -757,19 +761,7 @@ def check_structural_invariants(config: VerificationConfig) -> CheckRecord:
             for s in sizes
         ]
         flat = np.concatenate([z] + tvars)
-
-        def split(v):
-            zz = v[:n]
-            tl, pos = [], n
-            for s in sizes:
-                tl.append(v[pos : pos + s])
-                pos += s
-            return zz, tl
-
-        def val(v):
-            zz, tl = split(v)
-            return mf.master_value(lam, zz, tl)
-
+        val = _on_flat(partial(mf.master_value, lam), n, sizes)
         try:
             analytic = np.concatenate(
                 [mf.grad_z(lam, z, tvars), mf.grad_t(lam, z, tvars)]
@@ -787,19 +779,7 @@ def check_structural_invariants(config: VerificationConfig) -> CheckRecord:
             for s in qsizes
         ]
         flatq = np.concatenate([z] + tq)
-
-        def splitq(v):
-            zz = v[:n]
-            tl, pos = [], n
-            for s in qsizes:
-                tl.append(v[pos : pos + s])
-                pos += s
-            return zz, tl
-
-        def valq(v):
-            zz, tl = splitq(v)
-            return mf.master_value_q(q, zz, tl)
-
+        valq = _on_flat(partial(mf.master_value_q, q), n, qsizes)
         try:
             analytic_q = np.concatenate(
                 [mf.grad_z_q(q, z, tq), mf.grad_t_q(q, z, tq)]
@@ -865,36 +845,29 @@ class Report:
 def run_suite(config: VerificationConfig) -> Report:
     """Run the selected suites; deterministic given (config, seed).
 
-    Checks execute in a small thread pool and are merged in registry
-    order, so scheduling cannot influence the report body.  A check that
-    raises is recorded as failed, not fatal.
+    Checks run one after another in registry order.  A check that raises
+    is recorded as failed, not fatal.
     """
     for s in config.suites:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}; choose from {SUITES}")
-    selected = [
-        (cid, fn) for cid, (suite, fn) in CHECKS.items() if suite in config.suites
-    ]
-
-    def run_one(item):
-        cid, fn = item
+    records = []
+    for cid, (suite, fn) in CHECKS.items():
+        if suite not in config.suites:
+            continue
         try:
-            return fn(config)
+            records.append(fn(config))
         except Exception as exc:  # recorded, not fatal
-            return CheckRecord(
-                cid,
-                CHECKS[cid][0],
-                "check aborted",
-                check_seed(config.seed, cid),
-                False,
-                {},
-                {},
-                error=f"{type(exc).__name__}: {exc}",
+            records.append(
+                CheckRecord(
+                    cid,
+                    suite,
+                    "check aborted",
+                    check_seed(config.seed, cid),
+                    False,
+                    {},
+                    {},
+                    error=f"{type(exc).__name__}: {exc}",
+                )
             )
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(run_one, selected))
-    else:
-        records = [run_one(item) for item in selected]
     return Report(config, records)

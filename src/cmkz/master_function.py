@@ -23,10 +23,13 @@ not for branch-consistent evaluation along paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
+from .newton import damped_newton, multistart
 from .partitions import Partition, bethe_levels, irrep_dimension
+from .polyalg import require_distinct
 from .serialize import pair_list
 
 
@@ -106,8 +109,12 @@ def _config_scale(z, tlevels) -> float:
     return max(vals)
 
 
-def _check_domain(z, tlevels, min_sep_rel: float = 1e-8):
-    if _min_separation(z, tlevels) < min_sep_rel * _config_scale(z, tlevels):
+def _in_domain(z, tlevels) -> bool:
+    return _min_separation(z, tlevels) >= 1e-8 * _config_scale(z, tlevels)
+
+
+def _check_domain(z, tlevels):
+    if not _in_domain(z, tlevels):
         raise ValueError("argument collision inside the master function domain")
 
 
@@ -246,10 +253,7 @@ def _coerce_levels_q(q, z, t):
     n = len(z)
     if len(q) != n:
         raise ValueError("q must match the number of positions")
-    if n > 1:
-        dq = np.abs(q[:, None] - q[None, :])[np.triu_indices(n, 1)]
-        if dq.min() < 1e-12 * max(1.0, np.abs(q).max()):
-            raise ValueError("exponents q must be pairwise distinct")
+    require_distinct(q, 1e-12, "exponents q")
     sizes = q_level_sizes(n)
     tlevels = tuple(np.asarray(tk, dtype=complex).ravel() for tk in t)
     if tuple(len(tk) for tk in tlevels) != sizes:
@@ -284,62 +288,6 @@ def _canonical_levels(tlevels) -> tuple[np.ndarray, ...]:
         order = np.lexsort((tk.imag, tk.real))
         out.append(tk[order])
     return tuple(out)
-
-
-def _newton(z, sizes, t0, tol, linear, min_sep_rel=1e-8, max_iter=60):
-    # without linear terms the gradient decays like 1/t, so Newton has an
-    # escape ray t -> 2t; cut those iterates off early.  With linear terms
-    # the gradient tends to a nonzero constant instead, and genuine roots
-    # can sit far out when the q gaps are small, so no cutoff applies.
-    escape = 25.0 * (1.0 + np.abs(z).max()) if linear is None else np.inf
-    t = t0.copy()
-    tl = _split(t, sizes)
-    if _min_separation(z, tl) < min_sep_rel * _config_scale(z, tl):
-        return None
-    g = _grad_t_raw(z, tl, linear)
-    gn = np.abs(g).max()
-    for _ in range(max_iter):
-        if gn <= tol:
-            # quadratic tail: a couple of undamped steps push the root to
-            # machine precision rather than stopping at the loose tolerance
-            for _ in range(2):
-                try:
-                    extra = np.linalg.solve(_hess_t_raw(z, tl), g)
-                except np.linalg.LinAlgError:
-                    break
-                cand = t - extra
-                cl = _split(cand, sizes)
-                if _min_separation(z, cl) < min_sep_rel * _config_scale(z, cl):
-                    break
-                gc = _grad_t_raw(z, cl, linear)
-                if np.abs(gc).max() >= gn:
-                    break
-                t, tl, g = cand, cl, gc
-                gn = np.abs(g).max()
-            return t
-        if np.abs(t).max() > escape:
-            return None
-        H = _hess_t_raw(z, tl)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = 1.0
-        moved = False
-        while alpha > 1e-12:
-            cand = t - alpha * step
-            cl = _split(cand, sizes)
-            if _min_separation(z, cl) >= min_sep_rel * _config_scale(z, cl):
-                gc = _grad_t_raw(z, cl, linear)
-                gcn = np.abs(gc).max()
-                if gcn < gn * (1.0 - 0.25 * alpha) or gcn <= tol:
-                    t, tl, g, gn = cand, cl, gc, gcn
-                    moved = True
-                    break
-            alpha *= 0.5
-        if not moved:
-            return None
-    return t if gn <= tol else None
 
 
 def _random_start(rng, z, size, widen: float = 1.0):
@@ -412,52 +360,35 @@ def _poly_newton(z, sizes, t0, linear, rel_tol=1e-9, max_iter=45):
 
     The polynomial residual grows at infinity, so the escape ray of the
     rational system is repelling here.  The Jacobian is taken by central
-    differences; the returned point is only a candidate for polishing.
+    differences; the returned point is only a candidate for polishing, and
+    a stall below 1e-6 still counts as one.
     """
-    l = len(t0)
-    t = t0.copy()
 
-    def rel(F, S):
-        return np.abs(F / S).max()
+    def residual(t):
+        F, S = _poly_residual(z, sizes, t, linear)
+        return F, np.abs(F / S).max()
 
-    F, S = _poly_residual(z, sizes, t, linear)
-    fn = rel(F, S)
-    h = 1e-6
-    for _ in range(max_iter):
-        if fn <= rel_tol:
-            return t
+    def jacobian(t):
+        l = len(t)
         J = np.empty((l, l), dtype=complex)
-        step_h = h * max(1.0, np.abs(t).max())
+        step_h = 1e-6 * max(1.0, np.abs(t).max())
         for c in range(l):
             e = np.zeros(l, dtype=complex)
             e[c] = step_h
             Fp, _ = _poly_residual(z, sizes, t + e, linear)
             Fm, _ = _poly_residual(z, sizes, t - e, linear)
             J[:, c] = (Fp - Fm) / (2.0 * step_h)
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = 1.0
-        moved = False
-        while alpha > 1e-12:
-            cand = t - alpha * step
-            Fc, Sc = _poly_residual(z, sizes, cand, linear)
-            fcn = rel(Fc, Sc)
-            if fcn < fn * (1.0 - 0.25 * alpha) or fcn <= rel_tol:
-                t, F, S, fn = cand, Fc, Sc, fcn
-                moved = True
-                break
-            alpha *= 0.5
-        if not moved:
-            return t if fn <= 1e-6 else None
-    return t if fn <= 1e-6 else None
+        return J
+
+    return damped_newton(residual, jacobian, t0, rel_tol, max_iter, accept=1e-6)
 
 
-def _multistart(z, sizes, linear, starts, tol, seed, expected, max_rounds, dedup_tol):
+def _critical_points(z, sizes, linear, q1, starts, tol, seed, expected, max_rounds):
+    """Multistart two-stage Newton: cleared system, then dPhi/dt itself."""
+    if not sizes:
+        return [CriticalPoint(BetheConfiguration(z, ()), 0.0, _grad_z_raw(z, (), q1))]
     rng = np.random.default_rng(seed)
     total = sum(sizes)
-    found: list[tuple[np.ndarray, ...]] = []
 
     # deformed roots scale like charge / |q gap|, so cover wider shells too
     widths = [1.0]
@@ -465,43 +396,48 @@ def _multistart(z, sizes, linear, starts, tol, seed, expected, max_rounds, dedup
         gap = min(abs(d) for d in linear) if linear else 1.0
         wide = min(60.0, 1.0 + 2.0 * (len(z) + total) / max(gap, 1e-3))
         widths = [1.0, wide / 3.0, wide]
+    # without linear terms the gradient decays like 1/t, so Newton has an
+    # escape ray t -> 2t; cut those iterates off early.  With linear terms
+    # the gradient tends to a nonzero constant instead, and genuine roots
+    # can sit far out when the q gaps are small, so no cutoff applies.
+    escape = 25.0 * (1.0 + np.abs(z).max()) if linear is None else np.inf
 
-    def is_new(cand):
-        flat = np.concatenate(cand)
-        scale = max(1.0, np.abs(flat).max())
-        for prev in found:
-            if np.abs(np.concatenate(prev) - flat).max() <= dedup_tol * scale:
-                return False
-        return True
+    def grad(t):
+        tl = _split(t, sizes)
+        if not _in_domain(z, tl):
+            return None
+        g = _grad_t_raw(z, tl, linear)
+        return g, np.abs(g).max()
 
-    n_starts = starts
-    for round_idx in range(max_rounds):
-        for k in range(n_starts):
-            if linear is None and k % 2 == 0:
-                t0 = _hull_start(rng, z, total)
-            else:
-                t0 = _random_start(rng, z, total, widen=widths[k % len(widths)])
-            rough = _poly_newton(z, sizes, t0, linear)
-            if rough is None:
-                continue
-            tl = _split(rough, sizes)
-            if _min_separation(z, tl) < 1e-8 * _config_scale(z, tl):
-                continue  # cleared-system root on an excluded diagonal
-            if np.abs(_grad_t_raw(z, tl, linear)).max() > 1e-5:
-                continue
-            t = _newton(z, sizes, rough, tol, linear)
-            if t is None:
-                continue
-            cand = _canonical_levels(_split(t, sizes))
-            if is_new(cand):
-                found.append(cand)
-        if expected is not None and len(found) >= expected:
-            break
-        n_starts *= 4
-    found.sort(
-        key=lambda tl: tuple(x for tk in tl for v in tk for x in (v.real, v.imag))
-    )
-    return found
+    def hess(t):
+        return _hess_t_raw(z, _split(t, sizes))
+
+    def draw(k):
+        if linear is None and k % 2 == 0:
+            return _hull_start(rng, z, total)
+        return _random_start(rng, z, total, widen=widths[k % len(widths)])
+
+    def solve(t0):
+        rough = _poly_newton(z, sizes, t0, linear)
+        if rough is None:
+            return None
+        at_rough = grad(rough)
+        if at_rough is None or at_rough[1] > 1e-5:
+            return None  # cleared-system root on an excluded diagonal
+        # the two polish steps push the root from the loose tolerance to
+        # machine precision along the quadratic tail
+        t = damped_newton(grad, hess, rough, tol, 60, polish=2, escape=escape)
+        if t is None:
+            return None
+        return np.concatenate(_canonical_levels(_split(t, sizes)))
+
+    out = []
+    for t in multistart(draw, solve, starts, max_rounds, expected):
+        tl = _split(t, sizes)
+        gn = float(np.abs(_grad_t_raw(z, tl, linear)).max())
+        p = _grad_z_raw(z, tl, q1)
+        out.append(CriticalPoint(BetheConfiguration(z, tl), gn, p))
+    return out
 
 
 def solve_bethe(
@@ -521,20 +457,10 @@ def solve_bethe(
     z = np.asarray(z, dtype=complex).ravel()
     if len(z) != lam.n:
         raise ValueError(f"need {lam.n} positions for {lam!r}")
-    sizes = level_sizes(lam)
-    if not sizes:
-        cfg = BetheConfiguration(z, ())
-        return [CriticalPoint(cfg, 0.0, _grad_z_raw(z, ()))]
     expected = irrep_dimension(lam)
-    sols = _multistart(
-        z, sizes, None, starts, tol, seed, expected, max_rounds, dedup_tol=1e-6
+    return _critical_points(
+        z, level_sizes(lam), None, 0.0, starts, tol, seed, expected, max_rounds
     )
-    out = []
-    for tl in sols:
-        cfg = BetheConfiguration(z, tl)
-        gn = float(np.abs(_grad_t_raw(z, tl)).max())
-        out.append(CriticalPoint(cfg, gn, _grad_z_raw(z, tl)))
-    return out
 
 
 def solve_bethe_q(
@@ -555,19 +481,7 @@ def solve_bethe_q(
     n = len(z)
     if len(q) != n:
         raise ValueError("q must match the number of positions")
-    sizes = q_level_sizes(n)
     linear = tuple(q[k + 1] - q[k] for k in range(n - 1))
-    if not sizes:
-        cfg = BetheConfiguration(z, ())
-        return [CriticalPoint(cfg, 0.0, _grad_z_raw(z, (), q1=q[0]))]
-    import math
-
-    sols = _multistart(
-        z, sizes, linear, starts, tol, seed, math.factorial(n), max_rounds, 1e-6
+    return _critical_points(
+        z, q_level_sizes(n), linear, q[0], starts, tol, seed, factorial(n), max_rounds
     )
-    out = []
-    for tl in sols:
-        cfg = BetheConfiguration(z, tl)
-        gn = float(np.abs(_grad_t_raw(z, tl, linear)).max())
-        out.append(CriticalPoint(cfg, gn, _grad_z_raw(z, tl, q1=q[0])))
-    return out

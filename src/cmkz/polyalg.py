@@ -83,6 +83,21 @@ def lexsorted(values: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
 
 
+def require_distinct(values, min_sep_rel: float, what: str) -> np.ndarray:
+    """The values as a complex array, if pairwise separated.
+
+    Raises ValueError when two values lie closer than min_sep_rel times
+    max(1, largest modulus).
+    """
+    v = np.asarray(values, dtype=complex).ravel()
+    n = len(v)
+    if n > 1:
+        d = np.abs(v[:, None] - v[None, :])[np.triu_indices(n, 1)]
+        if d.min() < min_sep_rel * max(1.0, np.abs(v).max()):
+            raise ValueError(f"{what} must be pairwise distinct")
+    return v
+
+
 def cap_degree(c, degree: int, rel: float = 1e-10) -> np.ndarray:
     """Truncate to the stated degree, checking the tail is numerically zero.
 

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .partitions import Partition, irrep_dimension
+from .polyalg import require_distinct
 from .serialize import pair_list
 
 MAX_FULL_DIM = 4096
@@ -229,15 +230,11 @@ def singular_basis(lam: Partition, N: int | None = None) -> Subspace:
     return Subspace(basis, cols)
 
 
-def _check_z(z, n: int, min_sep_rel: float = 1e-8) -> np.ndarray:
+def _check_z(z, n: int) -> np.ndarray:
     z = np.asarray(z, dtype=complex).ravel()
     if len(z) != n:
         raise ValueError(f"need {n} points, got {len(z)}")
-    if n > 1:
-        diffs = np.abs(z[:, None] - z[None, :])[np.triu_indices(n, 1)]
-        if diffs.min() < min_sep_rel * max(1.0, np.abs(z).max()):
-            raise ValueError("coincident evaluation points z")
-    return z
+    return require_distinct(z, 1e-8, "evaluation points z")
 
 
 def _swap_interaction_matrix(a: int, z: np.ndarray, basis: WeightBasis) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import polyalg as pa
 from .calogero_moser import xi
+from .newton import damped_newton, multistart
 from .partitions import Partition, irrep_dimension, shifted
 from .polyalg import ExpPoly
 from .serialize import pair, pair_matrix
@@ -123,13 +124,9 @@ class QuasiExpTuple:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=complex).ravel()
         self.shifts = np.asarray(self.shifts, dtype=complex).ravel()
-        n = len(self.q)
-        if len(self.shifts) != n:
+        if len(self.shifts) != len(self.q):
             raise ValueError("need one shift per exponent")
-        if n > 1:
-            d = np.abs(self.q[:, None] - self.q[None, :])[np.triu_indices(n, 1)]
-            if d.min() < 1e-12 * max(1.0, np.abs(self.q).max()):
-                raise ValueError("exponents q must be pairwise distinct")
+        pa.require_distinct(self.q, 1e-12, "exponents q")
 
     @property
     def n(self) -> int:
@@ -335,13 +332,9 @@ def _momenta_from_operator(
 def _checked_roots(monic: MonicPoly, min_sep_rel: float = 1e-6) -> np.ndarray:
     # an exact double root splits by about sqrt(eps) under the companion
     # eigensolve, so the simplicity cutoff must sit well above that
-    z = pa.lexsorted(monic.roots())
-    n = len(z)
-    if n > 1:
-        diffs = np.abs(z[:, None] - z[None, :])[np.triu_indices(n, 1)]
-        if diffs.min() < min_sep_rel * max(1.0, np.abs(z).max()):
-            raise ValueError("Wronskian has (numerically) multiple roots")
-    return z
+    return pa.require_distinct(
+        pa.lexsorted(monic.roots()), min_sep_rel, "Wronskian roots"
+    )
 
 
 def psi(lam: Partition, x: PolyTuple) -> SpectralPoint:
@@ -388,20 +381,22 @@ def bivariate_identity_residual(
     return worst / scale
 
 
-def _wronskian_jacobian_rows(lam: Partition, x_vec: np.ndarray):
-    """Derivative tables for the tuple and for each coefficient direction."""
+def _tuple_rows(lam: Partition, x_vec: np.ndarray):
+    """Derivative table of the tuple with free coefficients x_vec."""
+    return _derivative_rows(poly_tuple_from_vector(lam, x_vec).polys(), lam.n)[1]
+
+
+def _direction_rows(lam: Partition):
+    """(row index, derivative table) of the monomial at each free slot."""
     entries = shifted(lam).entries
-    positions = free_positions(lam)
-    tup = poly_tuple_from_vector(lam, x_vec)
-    _, rows = _derivative_rows(tup.polys(), lam.n)
     direction_rows = []
-    for (i, j) in positions:
+    for (i, j) in free_positions(lam):
         d = entries[i - 1] - j
         mono = np.zeros(d + 1, dtype=complex)
         mono[d] = 1.0
         _, mrows = _derivative_rows([mono], lam.n)
         direction_rows.append((i - 1, mrows[0]))
-    return rows, direction_rows
+    return direction_rows
 
 
 def _w_values(lam: Partition, rows) -> np.ndarray:
@@ -426,63 +421,38 @@ def wronski_fiber(
     Jacobian (the Wronskian is multilinear in its rows).  Start counts
     escalate fourfold per round until the count reaches the Wronski-map
     degree or the rounds cap out; an undercount is the caller's signal.
+    Each distinct root then gets up to two undamped polish steps, which
+    take its W residual from the loose tolerance to roundoff.
     """
     n = lam.n
     sigma = np.asarray(sigma_target, dtype=complex).ravel()
     if len(sigma) != n:
         raise ValueError(f"need {n} target coordinates")
-    expected = irrep_dimension(lam)
     rng = np.random.default_rng(seed)
+    dir_rows = _direction_rows(lam)
 
-    def residual_map(vec):
-        rows, dir_rows = _wronskian_jacobian_rows(lam, vec)
-        F = _w_values(lam, rows) - sigma
+    def residual(vec):
+        F = _w_values(lam, _tuple_rows(lam, vec)) - sigma
+        return F, np.abs(F).max()
+
+    def jacobian(vec):
+        rows = _tuple_rows(lam, vec)
         J = np.zeros((n, n), dtype=complex)
         for k, (row_idx, mrow) in enumerate(dir_rows):
             patched = [mrow if r == row_idx else rows[r] for r in range(n)]
             J[:, k] = _w_values(lam, patched)
-        return F, J
+        return J
 
-    def newton(vec):
-        F, J = residual_map(vec)
-        fn = np.abs(F).max()
-        for _ in range(60):
-            if fn <= tol:
-                return vec
-            try:
-                step = np.linalg.solve(J, F)
-            except np.linalg.LinAlgError:
-                return None
-            alpha = 1.0
-            while alpha > 1e-12:
-                cand = vec - alpha * step
-                Fc, Jc = residual_map(cand)
-                fcn = np.abs(Fc).max()
-                if fcn < fn * (1.0 - 0.25 * alpha) or fcn <= tol:
-                    vec, F, J, fn = cand, Fc, Jc, fcn
-                    break
-                alpha *= 0.5
-            else:
-                return None
-        return vec if fn <= tol else None
-
-    found: list[np.ndarray] = []
     scale = max(1.0, np.abs(sigma).max())
-    n_starts = starts
-    for _ in range(max_rounds):
-        for _ in range(n_starts):
-            v0 = 2.0 * scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            v = newton(v0)
-            if v is None:
-                continue
-            vs = max(1.0, np.abs(v).max())
-            if all(np.abs(v - prev).max() > 1e-6 * vs for prev in found):
-                found.append(v)
-        if len(found) >= expected:
-            break
-        n_starts *= 4
-    found.sort(key=lambda v: tuple(x for c in v for x in (c.real, c.imag)))
-    return [poly_tuple_from_vector(lam, v) for v in found]
+
+    def draw(_):
+        return 2.0 * scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    def solve(v0, polish=0):
+        return damped_newton(residual, jacobian, v0, tol, 60, polish=polish)
+
+    roots = multistart(draw, solve, starts, max_rounds, irrep_dimension(lam))
+    return [poly_tuple_from_vector(lam, solve(v, polish=2)) for v in roots]
 
 
 def _vandermonde_prefactor(q: np.ndarray) -> complex:

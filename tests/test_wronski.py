@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmkz.calogero_moser import l0_residual, lq_residual
-from cmkz.harness import match_points
+from cmkz.harness import FIBER_CASES, match_points
 from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension
 from cmkz.polyalg import ExpPoly, elementary_symmetric, peval
 from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
@@ -191,6 +191,18 @@ def test_wronski_fiber_counts():
         assert len(sols) == expected
         for sol in sols:
             assert np.abs(wronski_map(lam, sol).w - sigma).max() < 1e-9
+
+
+def test_wronski_fiber_roots_are_polished():
+    rng = np.random.default_rng(17)
+    for parts in FIBER_CASES:
+        lam = Partition(parts)
+        for _ in range(3):
+            sigma = elementary_symmetric(sample_generic_z(lam.n, rng))
+            sols = wronski_fiber(lam, sigma, seed=int(rng.integers(2**31)))
+            assert sols
+            for sol in sols:
+                assert np.abs(wronski_map(lam, sol).w - sigma).max() <= 1e-12
 
 
 def test_wronski_fiber_row_pair_closed_form():
