@@ -23,13 +23,14 @@ not for branch-consistent evaluation along paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from .newton import damped_newton, multistart
 from .partitions import Partition, bethe_levels, irrep_dimension
-from .polyalg import require_distinct
+from .polyalg import excluded_products, require_distinct
 from .serialize import pair_list
 
 
@@ -309,76 +310,99 @@ def _hull_start(rng, z, size):
     return pts + jitter
 
 
-def _poly_residual(z, sizes, tflat, linear):
-    """Denominator-cleared critical equations with a per-equation scale.
+@lru_cache(maxsize=None)
+def _pole_table(nz: int, sizes: tuple[int, ...]):
+    """Poles and charges of each cleared critical equation.
 
-    Each gradient component sum_w c_w/(t - w) + delta is multiplied by the
-    product of its pole distances; partial products use prefix/suffix
-    sweeps, so near-pole evaluations stay finite and cancellation-free.
+    Row r (the variable t_r, level 1 first) lists its poles as indices into
+    concat(z, t) in the order z, own level, next level, previous level,
+    padded to a common width.  Returns (idx, coef, mask, level): pole
+    indices, charges, the mask of real (unpadded) slots, and each row's
+    level.
     """
-    tlevels = _split(tflat, sizes)
-    L = len(tlevels)
-    P = np.empty(len(tflat), dtype=complex)
-    S = np.empty(len(tflat))
-    r = 0
-    for k, tk in enumerate(tlevels):
-        for i, ti in enumerate(tk):
-            poles: list[complex] = []
-            coeffs: list[float] = []
-            if k == 0:
-                poles.extend(z)
-                coeffs.extend([-1.0] * len(z))
-            for j, tj in enumerate(tk):
-                if j != i:
-                    poles.append(tj)
-                    coeffs.append(2.0)
-            if k + 1 < L:
-                poles.extend(tlevels[k + 1])
-                coeffs.extend([-1.0] * len(tlevels[k + 1]))
-            if k > 0:
-                poles.extend(tlevels[k - 1])
-                coeffs.extend([-1.0] * len(tlevels[k - 1]))
-            d = ti - np.asarray(poles, dtype=complex)
-            m = len(d)
-            pre = np.ones(m + 1, dtype=complex)
-            for a in range(m):
-                pre[a + 1] = pre[a] * d[a]
-            suf = np.ones(m + 1, dtype=complex)
-            for a in range(m - 1, -1, -1):
-                suf[a] = suf[a + 1] * d[a]
-            partial = pre[:m] * suf[1:]
-            cw = np.asarray(coeffs)
-            delta = linear[k] if linear is not None else 0.0
-            P[r] = np.sum(cw * partial) + delta * pre[m]
-            S[r] = np.sum(np.abs(cw * partial)) + abs(delta * pre[m]) + 1e-300
-            r += 1
-    return P, S
+    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    L = len(sizes)
+    rows: list[list[tuple[int, float]]] = []
+    level = []
+    for k, s in enumerate(sizes):
+        for i in range(s):
+            poles = [(a, -1.0) for a in range(nz)] if k == 0 else []
+            poles += [(nz + offs[k] + j, 2.0) for j in range(s) if j != i]
+            for kk in (k + 1, k - 1):
+                if 0 <= kk < L:
+                    poles += [(nz + v, -1.0) for v in range(offs[kk], offs[kk + 1])]
+            rows.append(poles)
+            level.append(k)
+    width = max(len(p) for p in rows)
+    idx = np.zeros((len(rows), width), dtype=int)
+    coef = np.zeros((len(rows), width))
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for r, poles in enumerate(rows):
+        m = len(poles)
+        idx[r, :m], coef[r, :m] = zip(*poles)
+        mask[r, :m] = True
+    table = (idx, coef, mask, np.array(level))
+    for arr in table:
+        arr.setflags(write=False)  # cached: shared by every caller
+    return table
+
+
+def _cleared_system(z, sizes, tflat, linear, jac=False):
+    """Denominator-cleared critical equations F, their scales S, and dF/dt.
+
+    Each gradient component sum_w c_w/(t_r - w) + delta_r is multiplied by
+    the product of its pole distances d_w = t_r - w, so near-pole
+    evaluations stay finite and cancellation-free; padded slots carry
+    d = 1 and c = 0.  With jac, also returns the analytic Jacobian: with
+    G_r(d) = F_r, dG_r/dd_u = sum_{w != u} c_w prod_{s not in {w, u}} d_s
+    + delta_r prod_{s != u} d_s, and dF_r/dt_r = sum_u dG_r/dd_u while
+    dF_r/dt_v = -dG_r/dd_u when pole u is t_v (z is fixed).
+    """
+    idx, coef, mask, level = _pole_table(len(z), sizes)
+    delta = (
+        np.zeros(len(tflat), dtype=complex)
+        if linear is None
+        else np.asarray(linear, dtype=complex)[level]
+    )
+    d = np.where(mask, tflat[:, None] - np.concatenate([z, tflat])[idx], 1.0)
+    partial = excluded_products(d)
+    full = partial[:, 0] * d[:, 0]
+    terms = coef * partial
+    F = terms.sum(axis=1) + delta * full
+    S = np.abs(terms).sum(axis=1) + np.abs(delta * full) + 1e-300
+    if not jac:
+        return F, S
+    # pair[r, u, w] = prod_{s not in {u, w}} d_s (and prod_{s != u} at w = u),
+    # from the row with d_u set to 1; charge delta_r stands in at w = u
+    eye = np.eye(d.shape[1], dtype=bool)
+    pair = excluded_products(np.where(eye, 1.0, d[:, None, :]))
+    charge = np.where(eye, delta[:, None, None], coef[:, None, :])
+    dG = np.einsum("ruw,ruw->ru", charge, pair) * mask
+    # every d_u of row r moves with t_r; a pole that is some t_v gives
+    # -dG against t_v, and the columns of the fixed z are dropped
+    l, nz = len(tflat), len(z)
+    J = np.zeros((l, nz + l), dtype=complex)
+    J[np.nonzero(mask)[0], idx[mask]] = -dG[mask]
+    J = J[:, nz:]
+    J[np.diag_indices(l)] += dG.sum(axis=1)
+    return F, S, J
 
 
 def _poly_newton(z, sizes, t0, linear, rel_tol=1e-9, max_iter=45):
     """Globalizing stage: damped Newton on the cleared polynomial system.
 
     The polynomial residual grows at infinity, so the escape ray of the
-    rational system is repelling here.  The Jacobian is taken by central
-    differences; the returned point is only a candidate for polishing, and
-    a stall below 1e-6 still counts as one.
+    rational system is repelling here.  The Jacobian is analytic (see
+    _cleared_system); the returned point is only a candidate for
+    polishing, and a stall below 1e-6 still counts as one.
     """
 
     def residual(t):
-        F, S = _poly_residual(z, sizes, t, linear)
+        F, S = _cleared_system(z, sizes, t, linear)
         return F, np.abs(F / S).max()
 
     def jacobian(t):
-        l = len(t)
-        J = np.empty((l, l), dtype=complex)
-        step_h = 1e-6 * max(1.0, np.abs(t).max())
-        for c in range(l):
-            e = np.zeros(l, dtype=complex)
-            e[c] = step_h
-            Fp, _ = _poly_residual(z, sizes, t + e, linear)
-            Fm, _ = _poly_residual(z, sizes, t - e, linear)
-            J[:, c] = (Fp - Fm) / (2.0 * step_h)
-        return J
+        return _cleared_system(z, sizes, t, linear, jac=True)[2]
 
     return damped_newton(residual, jacobian, t0, rel_tol, max_iter, accept=1e-6)
 

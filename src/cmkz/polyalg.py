@@ -98,6 +98,18 @@ def require_distinct(values, min_sep_rel: float, what: str) -> np.ndarray:
     return v
 
 
+def excluded_products(values: np.ndarray) -> np.ndarray:
+    """Products of all entries but one along the last axis.
+
+    out[..., w] = prod_{s != w} values[..., s], by prefix and suffix
+    sweeps, so no division is needed and a zero factor is harmless.
+    """
+    ones = np.ones(values.shape[:-1] + (1,), dtype=values.dtype)
+    pre = np.cumprod(np.concatenate([ones, values[..., :-1]], axis=-1), axis=-1)
+    suf = np.cumprod(np.concatenate([ones, values[..., :0:-1]], axis=-1), axis=-1)
+    return pre * suf[..., ::-1]
+
+
 def cap_degree(c, degree: int, rel: float = 1e-10) -> np.ndarray:
     """Truncate to the stated degree, checking the tail is numerically zero.
 
@@ -123,7 +135,8 @@ def poly_det(mat) -> np.ndarray:
     """Determinant of a square matrix of polynomials.
 
     Subset dynamic programming over row choices: exact in coefficient
-    arithmetic, O(2^n * n) convolutions.
+    arithmetic, O(2^n * n) convolutions.  Structurally zero entries are
+    skipped, and partial sums accumulate in place in a fixed order.
     """
     n = len(mat)
     if n == 0:
@@ -131,24 +144,30 @@ def poly_det(mat) -> np.ndarray:
     rows = [[as_poly(entry) for entry in row] for row in mat]
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
+    # per column, the rows with a nonzero entry there, in row order
+    nonzero = [
+        [(r, 1 << r, rows[r][col]) for r in range(n) if rows[r][col].any()]
+        for col in range(n)
+    ]
     layer = {0: np.ones(1, dtype=complex)}
     for col in range(n):
         nxt: dict[int, np.ndarray] = {}
         for used, acc in layer.items():
-            for r in range(n):
-                bit = 1 << r
+            for r, bit, entry in nonzero[col]:
                 if used & bit:
                     continue
-                entry = rows[r][col]
-                if not np.any(entry):
-                    continue
-                # inversions added: rows already used with index above r
-                sign = -1.0 if ((used >> (r + 1)).bit_count() & 1) else 1.0
-                term = np.convolve(acc, entry) * sign
+                term = np.convolve(acc, entry)
+                # inversions added: rows already used with index above r; the
+                # complex multiply by +1.0 is kept, since it fixes signed zeros
+                term *= -1.0 if ((used >> (r + 1)).bit_count() & 1) else 1.0
                 key = used | bit
-                if key in nxt:
-                    nxt[key] = padd(nxt[key], term)
+                prev = nxt.get(key)
+                if prev is None:
+                    nxt[key] = term
+                elif len(prev) >= len(term):
+                    prev[: len(term)] += term
                 else:
+                    term[: len(prev)] += prev
                     nxt[key] = term
         layer = nxt
         if not layer:

@@ -23,12 +23,15 @@ has full (n+1) x (n+1) coefficient support.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from . import polyalg as pa
-from .calogero_moser import xi
+from .calogero_moser import bivariate_char, xi
 from .newton import damped_newton, multistart
 from .partitions import Partition, irrep_dimension, shifted
 from .polyalg import ExpPoly
@@ -358,8 +361,6 @@ def bivariate_identity_residual(
 ) -> float:
     """Check det((u - Z)(v - Q) - 1) = sum_ij P_ij u^(n-j) v^(n-i) on a
     random grid, with (Z, Q) built from the spectral data of the tuple."""
-    import numpy.polynomial.polynomial as npp
-
     sp = psi(lam, x)
     point = xi(sp.z, sp.p)
     op = fundamental_operator(lam, x)
@@ -370,8 +371,6 @@ def bivariate_identity_residual(
     C = op.P[::-1, ::-1].T
     worst = 0.0
     scale = 1.0
-    from .calogero_moser import bivariate_char
-
     for u in us:
         for v in vs:
             lhs = bivariate_char(point, u, v)
@@ -381,30 +380,48 @@ def bivariate_identity_residual(
     return worst / scale
 
 
-def _tuple_rows(lam: Partition, x_vec: np.ndarray):
-    """Derivative table of the tuple with free coefficients x_vec."""
-    return _derivative_rows(poly_tuple_from_vector(lam, x_vec).polys(), lam.n)[1]
+@lru_cache(maxsize=None)
+def _wronski_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The Wronski map as a multi-affine polynomial in the free coefficients.
 
-
-def _direction_rows(lam: Partition):
-    """(row index, derivative table) of the monomial at each free slot."""
-    entries = shifted(lam).entries
-    direction_rows = []
-    for (i, j) in free_positions(lam):
-        d = entries[i - 1] - j
-        mono = np.zeros(d + 1, dtype=complex)
-        mono[d] = 1.0
-        _, mrows = _derivative_rows([mono], lam.n)
-        direction_rows.append((i - 1, mrows[0]))
-    return direction_rows
-
-
-def _w_values(lam: Partition, rows) -> np.ndarray:
+    Row i of the derivative table is affine in its own free coefficients
+    and the Wronskian is multilinear in rows, so
+    W(x) = sum_T C_T prod_{k in T} x_k, where T picks per row either the
+    leading monomial or one free slot.  Returns (coef, support): column T
+    of coef holds the W_a of term T (exact poly_det on monomial rows, over
+    the shift prefactor) and support[T, k] marks x_k as a factor.  Terms
+    with all-zero W_a are dropped.
+    """
     n = lam.n
+    slots = free_positions(lam)
     pref = float(_shift_prefactor(lam))
-    det = pa.cap_degree(pa.poly_det(rows), n)
-    monic = det / pref
-    return np.array([(-1) ** a * monic[n - a] for a in range(1, n + 1)])
+    choices = [
+        [(None, d)] + [(k, d - j) for k, (i, j) in enumerate(slots) if i == i0 + 1]
+        for i0, d in enumerate(shifted(lam).entries)
+    ]
+    coef, support = [], []
+    for pick in itertools.product(*choices):
+        monos = [np.eye(deg + 1, dtype=complex)[deg] for _, deg in pick]  # u**deg
+        monic = pa.cap_degree(pa.poly_det(_derivative_rows(monos, n)[1]), n) / pref
+        w = np.array([(-1) ** a * monic[n - a] for a in range(1, n + 1)])
+        if w.any():
+            coef.append(w)
+            support.append([any(k == slot for slot, _ in pick) for k in range(n)])
+    coef, support = np.array(coef).T, np.array(support)
+    coef.setflags(write=False)  # cached: shared by every caller
+    support.setflags(write=False)
+    return coef, support
+
+
+def _expanded_w(lam: Partition, vec, jac: bool = False):
+    """W_1..W_n at free coefficients vec from the cached expansion, and on
+    request the Jacobian dW/dvec."""
+    coef, support = _wronski_expansion(lam)
+    factors = np.where(support, np.asarray(vec, dtype=complex), 1.0)
+    w = coef @ factors.prod(axis=1)
+    if not jac:
+        return w
+    return w, coef @ (support * pa.excluded_products(factors))
 
 
 def wronski_fiber(
@@ -417,8 +434,10 @@ def wronski_fiber(
 ) -> list[PolyTuple]:
     """All tuples mapping to the target elementary symmetric data.
 
-    Seeded multistart Newton on the n free coefficients with analytic
-    Jacobian (the Wronskian is multilinear in its rows).  Start counts
+    Seeded multistart Newton on the n free coefficients.  Residual and
+    Jacobian come from the cached multi-affine expansion of the Wronski
+    map (_wronski_expansion), two small matrix products per call; the
+    gates that check the result evaluate wronski_map itself.  Start counts
     escalate fourfold per round until the count reaches the Wronski-map
     degree or the rounds cap out; an undercount is the caller's signal.
     Each distinct root then gets up to two undamped polish steps, which
@@ -429,19 +448,13 @@ def wronski_fiber(
     if len(sigma) != n:
         raise ValueError(f"need {n} target coordinates")
     rng = np.random.default_rng(seed)
-    dir_rows = _direction_rows(lam)
 
     def residual(vec):
-        F = _w_values(lam, _tuple_rows(lam, vec)) - sigma
+        F = _expanded_w(lam, vec) - sigma
         return F, np.abs(F).max()
 
     def jacobian(vec):
-        rows = _tuple_rows(lam, vec)
-        J = np.zeros((n, n), dtype=complex)
-        for k, (row_idx, mrow) in enumerate(dir_rows):
-            patched = [mrow if r == row_idx else rows[r] for r in range(n)]
-            J[:, k] = _w_values(lam, patched)
-        return J
+        return _expanded_w(lam, vec, jac=True)[1]
 
     scale = max(1.0, np.abs(sigma).max())
 

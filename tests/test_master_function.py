@@ -6,6 +6,9 @@ import pytest
 from cmkz.calogero_moser import lq_residual
 from cmkz.harness import match_points
 from cmkz.master_function import (
+    _cleared_system,
+    _grad_t_raw,
+    _split,
     grad_t,
     grad_t_q,
     grad_z,
@@ -78,6 +81,72 @@ def test_gradients_match_finite_differences():
             - master_value(lam, z, unflatten(flat - e))
         ) / (2.0 * h)
         assert abs(analytic[k] - fd) < 1e-5 * max(1.0, abs(analytic[k]))
+
+
+# (level sizes, number of positions, linear terms)
+CLEARED_CASES = [
+    ((2, 1), 3, None),
+    ((3, 1), 4, None),
+    ((2, 1, 1), 4, None),
+    ((3, 2, 1), 4, (0.7, -0.4 + 0.2j, 1.1 - 0.3j)),
+]
+
+
+def _cleared_point(sizes, nz, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(nz) + 1j * rng.standard_normal(nz)
+    t = rng.standard_normal(sum(sizes)) + 1j * rng.standard_normal(sum(sizes))
+    return z, t
+
+
+def _cleared_reference(z, sizes, t, linear):
+    """One equation at a time, straight from the gradient's pole list."""
+    tl = _split(t, sizes)
+    F, S, prods = [], [], []
+    for k, tk in enumerate(tl):
+        for i, ti in enumerate(tk):
+            poles = [(w, -1.0) for w in z] if k == 0 else []
+            poles += [(w, 2.0) for j, w in enumerate(tk) if j != i]
+            for kk in (k + 1, k - 1):
+                if 0 <= kk < len(tl):
+                    poles += [(w, -1.0) for w in tl[kk]]
+            d = np.array([ti - w for w, _ in poles])
+            c = np.array([cw for _, cw in poles])
+            delta = 0.0 if linear is None else linear[k]
+            part = np.array([np.prod(np.delete(d, w)) for w in range(len(d))])
+            F.append(np.sum(c * part) + delta * np.prod(d))
+            S.append(np.sum(np.abs(c * part)) + abs(delta * np.prod(d)))
+            prods.append(np.prod(d))
+    return np.array(F), np.array(S), np.array(prods)
+
+
+@pytest.mark.parametrize("sizes,nz,linear", CLEARED_CASES)
+def test_cleared_system_matches_per_equation_reference(sizes, nz, linear):
+    z, t = _cleared_point(sizes, nz, seed=sum(sizes) + nz)
+    F, S = _cleared_system(z, sizes, t, linear)
+    F_ref, S_ref, prods = _cleared_reference(z, sizes, t, linear)
+    assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
+    assert np.abs(S - S_ref).max() <= 1e-12 * S_ref.max()
+    # dividing out the pole distances gives back dPhi/dt
+    g = _grad_t_raw(z, _split(t, sizes), linear)
+    assert np.abs(F / prods - g).max() <= 1e-10 * max(1.0, np.abs(g).max())
+
+
+@pytest.mark.parametrize("sizes,nz,linear", CLEARED_CASES)
+def test_cleared_system_jacobian_matches_central_differences(sizes, nz, linear):
+    z, t = _cleared_point(sizes, nz, seed=100 + sum(sizes) + nz)
+    F, S, J = _cleared_system(z, sizes, t, linear, jac=True)
+    assert np.array_equal(F, _cleared_system(z, sizes, t, linear)[0])
+    h = 1e-6
+    fd = np.empty_like(J)
+    for c in range(len(t)):
+        e = np.zeros(len(t), dtype=complex)
+        e[c] = h
+        fd[:, c] = (
+            _cleared_system(z, sizes, t + e, linear)[0]
+            - _cleared_system(z, sizes, t - e, linear)[0]
+        ) / (2.0 * h)
+    assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
 
 
 def test_domain_collision_raises():

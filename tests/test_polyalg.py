@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from cmkz.calogero_moser import cm_matrix
 from cmkz.master_function import grad_t_q
 from cmkz.partitions import Partition
-from cmkz.polyalg import require_distinct
+from cmkz.polyalg import excluded_products, pder, poly_det, require_distinct
 from cmkz.tensor_gaudin import gaudin_hamiltonian, generalized_gaudin, singular_basis
 from cmkz.wronski import PolyTuple, QuasiExpTuple, psi, psi_q
 
@@ -55,3 +57,100 @@ def test_distinctness_call_sites_reject_near_coincident_input(site):
     SITES[site](0.5)  # well separated: accepted
     with pytest.raises(ValueError, match="pairwise distinct"):
         SITES[site](1e-14)
+
+
+def _leibniz_det(mat):
+    """Permutation-sum determinant of a matrix of polynomials."""
+    n = len(mat)
+    total = np.zeros(1, dtype=complex)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = np.ones(1, dtype=complex)
+        for r in range(n):
+            term = np.convolve(term, np.asarray(mat[r][perm[r]], dtype=complex))
+        term = (-1) ** inversions * term
+        if len(term) > len(total):
+            total, term = term, total
+        total[: len(term)] += term
+    return total
+
+
+def _padded(c, length):
+    return np.concatenate([c, np.zeros(length - len(c), dtype=complex)])
+
+
+def _assert_same_poly(a, b):
+    length = max(len(a), len(b))
+    assert np.array_equal(_padded(a, length), _padded(b, length))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_poly_det_matches_leibniz_exactly_on_integer_matrices(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(6):
+        mat = [
+            [
+                rng.integers(-4, 5, size=int(rng.integers(1, 4)))
+                + 1j * rng.integers(-4, 5, size=1)
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        # sprinkle structural zeros so the DP skips some row choices
+        for r, c in zip(*np.nonzero(rng.uniform(size=(n, n)) < 0.3)):
+            mat[r][c] = [0]
+        _assert_same_poly(poly_det(mat), _leibniz_det(mat))
+
+
+def test_poly_det_structurally_zero_minor():
+    c = 3.0
+    # rows (1, 0) and (u + c, 0): the second column is empty
+    assert np.array_equal(poly_det([[1, 0], [[c, 1], 0]]), np.zeros(1))
+    # the same rows inside a 3 x 3: every choice that uses both rows in
+    # columns 0 and 1 is structurally zero
+    mat = [[1, 0, [2, -1]], [[c, 1], 0, [0, 1j]], [[1, 1], [0, 2], 5]]
+    _assert_same_poly(poly_det(mat), _leibniz_det(mat))
+    assert np.array_equal(poly_det([]), np.ones(1))
+    with pytest.raises(ValueError, match="square"):
+        poly_det([[1, 2], [3]])
+
+
+def test_poly_det_frozen_bits():
+    # coefficients of the subset-DP determinant of this fixed matrix, as
+    # hex floats: the summation order of the DP is part of its contract
+    def entry(r, c):
+        return [
+            complex(((3 * r + 5 * c + 7 * k) % 11 - 5) / 7, ((2 * r + 3 * c + k) % 13 - 6) / 9)
+            for k in range(1 + (r + c) % 3)
+        ]
+
+    frozen = [
+        ("-0x1.6a179fce82ec6p-1", "0x1.95fd6ef7ff264p-3"),
+        ("-0x1.270d1e4d3f02cp-2", "0x1.00a131bb67dd0p+0"),
+        ("-0x1.9343513c3626dp-1", "0x1.065dff6367f15p+0"),
+        ("0x1.73f411cd1e1fap-2", "-0x1.e1e6b10477362p-3"),
+        ("0x1.f2d5351b9d13ap-1", "0x1.efcd1b8f7ec9fp+0"),
+        ("0x1.19b72defcbdc5p-1", "0x1.70a56f3b38ec0p-3"),
+        ("-0x1.b6bf32cb3ff30p-4", "-0x1.1e0c449e63271p+0"),
+        ("-0x1.1e41ad0a033e0p-4", "0x1.d15fcdd3d0fd4p-3"),
+        ("-0x1.85108823cb78fp-3", "0x1.39d03a22c9746p-1"),
+    ]
+    det = poly_det([[entry(r, c) for c in range(5)] for r in range(5)])
+    assert [(v.real.hex(), v.imag.hex()) for v in det] == frozen
+
+    # a derivative-table minor of a (3, 1) tuple, signed zeros included
+    lam = Partition((3, 1))
+    x = PolyTuple(lam, {(1, 1): -1 - 0.25j, (1, 2): 0.25j, (1, 4): 1 - 0.25j, (2, 1): -1 + 0.25j})
+    det = poly_det([[pder(f, k) for k in (0, 1, 3, 4)] for f in x.polys()])
+    assert [(v.real.hex(), v.imag.hex()) for v in det] == [
+        ("0x0.0p+0", "0x1.2000000000000p+5"),
+        ("-0x1.6800000000000p+9", "-0x1.6800000000000p+7"),
+        ("0x1.0e00000000000p+11", "-0x0.0p+0"),
+    ]
+
+
+def test_excluded_products():
+    v = np.array([[2.0, 3.0, 0.0, 5.0], [1.0, -1.0, 4.0, 0.5]])
+    expected = np.array([[np.prod(np.delete(row, w)) for w in range(4)] for row in v])
+    assert np.array_equal(excluded_products(v), expected)
+    assert np.array_equal(excluded_products(np.array([7.0])), np.ones(1))

@@ -8,6 +8,8 @@ from cmkz.polyalg import ExpPoly, elementary_symmetric, peval
 from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
 from cmkz.wronski import (
     PolyTuple,
+    _expanded_w,
+    _wronski_expansion,
     QuasiExpTuple,
     bivariate_identity_residual,
     fla_residual,
@@ -203,6 +205,36 @@ def test_wronski_fiber_roots_are_polished():
             assert sols
             for sol in sols:
                 assert np.abs(wronski_map(lam, sol).w - sigma).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_wronski_expansion_matches_wronski_map(n):
+    rng = np.random.default_rng(60 + n)
+    for lam in enumerate_partitions(n, n):
+        coef, support = _wronski_expansion(lam)
+        # at most one free slot per row in each term, so at most 2^n terms
+        assert coef.shape == (n, len(support)) and len(support) <= 2**n
+        for _ in range(3):
+            x = random_poly_tuple(lam, rng)
+            w = wronski_map(lam, x).w
+            assert np.abs(_expanded_w(lam, x.vector()) - w).max() <= 1e-12 * max(
+                1.0, np.abs(w).max()
+            )
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2)])
+def test_wronski_expansion_jacobian_matches_finite_differences(parts):
+    lam = Partition(parts)
+    rng = np.random.default_rng(sum(parts))
+    x = random_poly_tuple(lam, rng).vector()
+    w, J = _expanded_w(lam, x, jac=True)
+    assert np.array_equal(w, _expanded_w(lam, x))
+    h = 1e-6
+    for k in range(len(x)):
+        e = np.zeros(len(x), dtype=complex)
+        e[k] = h
+        fd = (_expanded_w(lam, x + e) - _expanded_w(lam, x - e)) / (2.0 * h)
+        assert np.abs(J[:, k] - fd).max() <= 1e-6 * max(1.0, np.abs(J).max())
 
 
 def test_wronski_fiber_row_pair_closed_form():
