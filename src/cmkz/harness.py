@@ -21,7 +21,7 @@ from . import calogero_moser as cm
 from . import master_function as mf
 from . import wronski as wr
 from .partitions import Partition, enumerate_partitions, irrep_dimension
-from .polyalg import elementary_symmetric
+from .polyalg import elementary_symmetric, require_distinct
 from .serialize import canonical_json, pair_list
 from .tensor_gaudin import (
     generalized_gaudin,
@@ -232,10 +232,7 @@ def collision_study(
     q0 = np.asarray(q_direction, dtype=complex).ravel()
     if len(q0) != n:
         raise ValueError(f"q_direction must have {n} entries")
-    if n > 1:
-        dmin = np.abs(q0[:, None] - q0[None, :])[np.triu_indices(n, 1)].min()
-        if dmin <= 0:
-            raise ValueError("q_direction entries must be distinct")
+    require_distinct(q0, 1e-12, "q_direction entries")
     scales = tuple(scales) if scales is not None else (1.0, 1e-2, 1e-4, 1e-6)
     rng = np.random.default_rng(seed)
     z = sample_generic_z(n, rng)

@@ -13,11 +13,12 @@ Only level 1 interacts with z, and cross terms couple adjacent levels
 only.  Critical points in t solve the Bethe equations; the momenta are
 p_a = dPhi/dz_a.  The deformed variant adds linear terms
 (q_{k+1} - q_k) per level-k variable and q_1 per z_a, with level sizes
-fixed at (n-1, n-2, ..., 1).
+fixed at (n-1, n-2, ..., 1).  The gradient in t, its Hessian, the
+domain check and the cleared system all read one pole list, _pole_table.
 
-Phi itself is defined modulo 2*pi*i; the value functions below use
-principal-branch logarithms and are meant for finite-difference checks,
-not for branch-consistent evaluation along paths.
+Phi itself is defined modulo 2*pi*i.  The value and dPhi/dz below are
+plain loops, kept apart from _pole_table as finite-difference references;
+the value uses principal-branch logarithms, not branch-consistent ones.
 """
 
 from __future__ import annotations
@@ -85,40 +86,6 @@ class CriticalPoint:
         return d
 
 
-def _min_separation(z, tlevels) -> float:
-    """Smallest distance among the argument pairs Phi actually contains."""
-    best = np.inf
-    zv = np.asarray(z, dtype=complex)
-    if len(zv) > 1:
-        d = np.abs(zv[:, None] - zv[None, :])[np.triu_indices(len(zv), 1)]
-        best = min(best, d.min())
-    for k, tk in enumerate(tlevels):
-        if len(tk) > 1:
-            d = np.abs(tk[:, None] - tk[None, :])[np.triu_indices(len(tk), 1)]
-            best = min(best, d.min())
-        if k == 0 and len(tk):
-            best = min(best, np.abs(tk[:, None] - zv[None, :]).min())
-        if k + 1 < len(tlevels) and len(tk) and len(tlevels[k + 1]):
-            nxt = tlevels[k + 1]
-            best = min(best, np.abs(tk[:, None] - nxt[None, :]).min())
-    return float(best)
-
-
-def _config_scale(z, tlevels) -> float:
-    vals = [1.0, np.abs(z).max() if len(z) else 0.0]
-    vals += [np.abs(tk).max() for tk in tlevels if len(tk)]
-    return max(vals)
-
-
-def _in_domain(z, tlevels) -> bool:
-    return _min_separation(z, tlevels) >= 1e-8 * _config_scale(z, tlevels)
-
-
-def _check_domain(z, tlevels):
-    if not _in_domain(z, tlevels):
-        raise ValueError("argument collision inside the master function domain")
-
-
 def _split(flat: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
     out = []
     pos = 0
@@ -128,54 +95,103 @@ def _split(flat: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _pole_table(nz: int, sizes: tuple[int, ...]):
+    """Poles and charges of each critical equation, the one list of them.
+
+    Row r (the variable t_r, level 1 first) lists its poles as indices into
+    concat(z, t) in the order z, own level, next level, previous level,
+    padded to a common width.  Level 1 sees z with charge -1; every level
+    sees itself with charge 2 and its neighbours with charge -1.  Returns
+    (idx, coef, mask, level): pole indices, charges, the mask of real
+    (unpadded) slots, and each row's level.
+    """
+    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    L = len(sizes)
+    rows: list[list[tuple[int, float]]] = []
+    level = []
+    for k, s in enumerate(sizes):
+        for i in range(s):
+            poles = [(a, -1.0) for a in range(nz)] if k == 0 else []
+            poles += [(nz + offs[k] + j, 2.0) for j in range(s) if j != i]
+            for kk in (k + 1, k - 1):
+                if 0 <= kk < L:
+                    poles += [(nz + v, -1.0) for v in range(offs[kk], offs[kk + 1])]
+            rows.append(poles)
+            level.append(k)
+    width = max((len(p) for p in rows), default=0)
+    idx = np.zeros((len(rows), width), dtype=int)
+    coef = np.zeros((len(rows), width))
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for r, poles in enumerate(rows):
+        if poles:
+            m = len(poles)
+            idx[r, :m], coef[r, :m] = zip(*poles)
+            mask[r, :m] = True
+    table = (idx, coef, mask, np.array(level, dtype=int))
+    for arr in table:
+        arr.setflags(write=False)  # cached: shared by every caller
+    return table
+
+
+def _poles(z, sizes, t, linear=None):
+    """Pole distances and charges of the critical equations at flat t.
+
+    Returns (d, coef, delta, idx, mask): d[r, u] = t_r - (pole u of row r),
+    with d = 1 and charge 0 in padded slots; the charges; each row's
+    linear term delta_r; and the pole indices and real-slot mask of
+    _pole_table.  Row r of dPhi/dt is sum_u coef_u / d_u + delta_r.
+    """
+    idx, coef, mask, level = _pole_table(len(z), sizes)
+    delta = (
+        np.zeros(len(t), dtype=complex)
+        if linear is None
+        else np.asarray(linear, dtype=complex)[level]
+    )
+    d = np.where(mask, t[:, None] - np.concatenate([z, t])[idx], 1.0)
+    return d, coef, delta, idx, mask
+
+
+def _joined(tlevels) -> tuple[tuple[int, ...], np.ndarray]:
+    """Level sizes and flat t of variables grouped by level."""
+    sizes = tuple(len(tk) for tk in tlevels)
+    return sizes, np.concatenate([np.zeros(0, dtype=complex), *tlevels])
+
+
+def _chain(dG, idx, mask, nz) -> np.ndarray:
+    """dF/dt of row functions F_r = G_r(d_r), given dG[r, u] = dG_r/dd_u.
+
+    Every d_u of row r moves with t_r; a pole that is some t_v gives -dG
+    against t_v, and the columns of the fixed z are dropped.  Padded
+    slots must carry dG = 0.
+    """
+    l = len(dG)
+    J = np.zeros((l, nz + l), dtype=complex)
+    J[np.nonzero(mask)[0], idx[mask]] = -dG[mask]
+    J = J[:, nz:]
+    J[np.diag_indices(l)] += dG.sum(axis=1)
+    return J
+
+
 def _grad_t_raw(z, tlevels, linear=None) -> np.ndarray:
-    pieces = []
-    for k, tk in enumerate(tlevels):
-        g = np.zeros(len(tk), dtype=complex)
-        for i, ti in enumerate(tk):
-            if k == 0:
-                g[i] -= np.sum(1.0 / (ti - z))
-            others = np.delete(tk, i)
-            if len(others):
-                g[i] += 2.0 * np.sum(1.0 / (ti - others))
-            if k + 1 < len(tlevels) and len(tlevels[k + 1]):
-                g[i] -= np.sum(1.0 / (ti - tlevels[k + 1]))
-            if k > 0 and len(tlevels[k - 1]):
-                g[i] -= np.sum(1.0 / (ti - tlevels[k - 1]))
-        if linear is not None:
-            g += linear[k]
-        pieces.append(g)
-    if not pieces:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate(pieces)
+    d, coef, delta, _, _ = _poles(z, *_joined(tlevels), linear)
+    return (coef / d).sum(axis=1) + delta
 
 
 def _hess_t_raw(z, tlevels) -> np.ndarray:
-    sizes = [len(tk) for tk in tlevels]
-    total = sum(sizes)
-    H = np.zeros((total, total), dtype=complex)
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    for k, tk in enumerate(tlevels):
-        for i, ti in enumerate(tk):
-            row = offs[k] + i
-            diag = 0.0 + 0j
-            if k == 0:
-                diag += np.sum(1.0 / (ti - z) ** 2)
-            for j, tj in enumerate(tk):
-                if j == i:
-                    continue
-                val = 1.0 / (ti - tj) ** 2
-                diag -= 2.0 * val
-                H[row, offs[k] + j] += 2.0 * val
-            for dk in (-1, 1):
-                kk = k + dk
-                if 0 <= kk < len(tlevels):
-                    for j, tj in enumerate(tlevels[kk]):
-                        val = 1.0 / (ti - tj) ** 2
-                        diag += val
-                        H[row, offs[kk] + j] -= val
-            H[row, row] = diag
-    return H
+    # d/dd_u of coef_u / d_u is -coef_u / d_u**2
+    d, coef, _, idx, mask = _poles(z, *_joined(tlevels))
+    return _chain(-coef / d**2, idx, mask, len(z))
+
+
+def _in_domain(z, tlevels) -> bool:
+    """Every argument pair of Phi lies 1e-8 * max(1, |z|, |t|) apart."""
+    sizes, t = _joined(tlevels)
+    d, _, _, _, mask = _poles(z, sizes, t)
+    zgaps = (z[:, None] - z)[np.triu_indices(len(z), 1)]
+    gap = np.abs(np.concatenate([d[mask], zgaps])).min(initial=np.inf)
+    scale = max(1.0, np.abs(z).max(initial=0.0), np.abs(t).max(initial=0.0))
+    return gap >= 1e-8 * scale
 
 
 def _grad_z_raw(z, tlevels, q1: complex = 0.0) -> np.ndarray:
@@ -216,18 +232,22 @@ def _value_raw(z, tlevels, linear=None, qz: complex = 0.0) -> complex:
     return complex(val)
 
 
+def _checked_levels(z, t, sizes) -> tuple[np.ndarray, ...]:
+    """t grouped by level, if the level sizes match and Phi is defined there."""
+    tlevels = tuple(np.asarray(tk, dtype=complex).ravel() for tk in t)
+    got = tuple(len(tk) for tk in tlevels)
+    if got != sizes:
+        raise ValueError(f"level sizes {got} do not match {sizes}")
+    if not _in_domain(z, tlevels):
+        raise ValueError("argument collision inside the master function domain")
+    return tlevels
+
+
 def _coerce_levels(lam: Partition, z, t):
     z = np.asarray(z, dtype=complex).ravel()
     if len(z) != lam.n:
         raise ValueError(f"need {lam.n} positions for {lam!r}")
-    sizes = level_sizes(lam)
-    tlevels = tuple(np.asarray(tk, dtype=complex).ravel() for tk in t)
-    if tuple(len(tk) for tk in tlevels) != sizes:
-        raise ValueError(
-            f"level sizes {tuple(len(tk) for tk in tlevels)} do not match {sizes}"
-        )
-    _check_domain(z, tlevels)
-    return z, tlevels
+    return z, _checked_levels(z, t, level_sizes(lam))
 
 
 def grad_t(lam: Partition, z, t) -> np.ndarray:
@@ -248,22 +268,19 @@ def master_value(lam: Partition, z, t) -> complex:
     return _value_raw(z, tlevels)
 
 
-def _coerce_levels_q(q, z, t):
-    z = np.asarray(z, dtype=complex).ravel()
+def _checked_q(q, n: int) -> tuple[np.ndarray, tuple]:
+    """n pairwise distinct exponents q, and the level terms q_{k+1} - q_k."""
     q = np.asarray(q, dtype=complex).ravel()
-    n = len(z)
     if len(q) != n:
         raise ValueError("q must match the number of positions")
     require_distinct(q, 1e-12, "exponents q")
-    sizes = q_level_sizes(n)
-    tlevels = tuple(np.asarray(tk, dtype=complex).ravel() for tk in t)
-    if tuple(len(tk) for tk in tlevels) != sizes:
-        raise ValueError(
-            f"level sizes {tuple(len(tk) for tk in tlevels)} do not match {sizes}"
-        )
-    _check_domain(z, tlevels)
-    linear = tuple(q[k + 1] - q[k] for k in range(n - 1))
-    return q, z, tlevels, linear
+    return q, tuple(q[k + 1] - q[k] for k in range(n - 1))
+
+
+def _coerce_levels_q(q, z, t):
+    z = np.asarray(z, dtype=complex).ravel()
+    q, linear = _checked_q(q, len(z))
+    return q, z, _checked_levels(z, t, q_level_sizes(len(z))), linear
 
 
 def grad_t_q(q, z, t) -> np.ndarray:
@@ -310,43 +327,6 @@ def _hull_start(rng, z, size):
     return pts + jitter
 
 
-@lru_cache(maxsize=None)
-def _pole_table(nz: int, sizes: tuple[int, ...]):
-    """Poles and charges of each cleared critical equation.
-
-    Row r (the variable t_r, level 1 first) lists its poles as indices into
-    concat(z, t) in the order z, own level, next level, previous level,
-    padded to a common width.  Returns (idx, coef, mask, level): pole
-    indices, charges, the mask of real (unpadded) slots, and each row's
-    level.
-    """
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    L = len(sizes)
-    rows: list[list[tuple[int, float]]] = []
-    level = []
-    for k, s in enumerate(sizes):
-        for i in range(s):
-            poles = [(a, -1.0) for a in range(nz)] if k == 0 else []
-            poles += [(nz + offs[k] + j, 2.0) for j in range(s) if j != i]
-            for kk in (k + 1, k - 1):
-                if 0 <= kk < L:
-                    poles += [(nz + v, -1.0) for v in range(offs[kk], offs[kk + 1])]
-            rows.append(poles)
-            level.append(k)
-    width = max(len(p) for p in rows)
-    idx = np.zeros((len(rows), width), dtype=int)
-    coef = np.zeros((len(rows), width))
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for r, poles in enumerate(rows):
-        m = len(poles)
-        idx[r, :m], coef[r, :m] = zip(*poles)
-        mask[r, :m] = True
-    table = (idx, coef, mask, np.array(level))
-    for arr in table:
-        arr.setflags(write=False)  # cached: shared by every caller
-    return table
-
-
 def _cleared_system(z, sizes, tflat, linear, jac=False):
     """Denominator-cleared critical equations F, their scales S, and dF/dt.
 
@@ -358,13 +338,7 @@ def _cleared_system(z, sizes, tflat, linear, jac=False):
     + delta_r prod_{s != u} d_s, and dF_r/dt_r = sum_u dG_r/dd_u while
     dF_r/dt_v = -dG_r/dd_u when pole u is t_v (z is fixed).
     """
-    idx, coef, mask, level = _pole_table(len(z), sizes)
-    delta = (
-        np.zeros(len(tflat), dtype=complex)
-        if linear is None
-        else np.asarray(linear, dtype=complex)[level]
-    )
-    d = np.where(mask, tflat[:, None] - np.concatenate([z, tflat])[idx], 1.0)
+    d, coef, delta, idx, mask = _poles(z, sizes, tflat, linear)
     partial = excluded_products(d)
     full = partial[:, 0] * d[:, 0]
     terms = coef * partial
@@ -378,14 +352,7 @@ def _cleared_system(z, sizes, tflat, linear, jac=False):
     pair = excluded_products(np.where(eye, 1.0, d[:, None, :]))
     charge = np.where(eye, delta[:, None, None], coef[:, None, :])
     dG = np.einsum("ruw,ruw->ru", charge, pair) * mask
-    # every d_u of row r moves with t_r; a pole that is some t_v gives
-    # -dG against t_v, and the columns of the fixed z are dropped
-    l, nz = len(tflat), len(z)
-    J = np.zeros((l, nz + l), dtype=complex)
-    J[np.nonzero(mask)[0], idx[mask]] = -dG[mask]
-    J = J[:, nz:]
-    J[np.diag_indices(l)] += dG.sum(axis=1)
-    return F, S, J
+    return F, S, _chain(dG, idx, mask, len(z))
 
 
 def _poly_newton(z, sizes, t0, linear, rel_tol=1e-9, max_iter=45):
@@ -501,11 +468,8 @@ def solve_bethe_q(
     starts escalate a bounded number of rounds.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    q = np.asarray(q, dtype=complex).ravel()
     n = len(z)
-    if len(q) != n:
-        raise ValueError("q must match the number of positions")
-    linear = tuple(q[k + 1] - q[k] for k in range(n - 1))
+    q, linear = _checked_q(q, n)
     return _critical_points(
         z, q_level_sizes(n), linear, q[0], starts, tol, seed, factorial(n), max_rounds
     )

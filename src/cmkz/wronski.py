@@ -51,13 +51,15 @@ def free_positions(lam: Partition) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _shift_prefactor(lam: Partition) -> int:
-    entries = shifted(lam).entries
+def _pairwise_product(values):
+    """prod_{i<j} (values[j] - values[i]), the Wronskian's leading prefactor.
+
+    Exact for the integer shifted degrees; 1 (an int) for fewer than two
+    values.
+    """
     pref = 1
-    n = len(entries)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pref *= entries[j] - entries[i]
+    for i, j in itertools.combinations(range(len(values)), 2):
+        pref *= values[j] - values[i]
     return pref
 
 
@@ -210,19 +212,26 @@ def wronskian(funcs):
     return det
 
 
+def _scaled_w(det, n: int, pref) -> tuple[np.ndarray, np.ndarray]:
+    """det capped at degree n over the prefactor, and its W_a (a = 1..n)."""
+    scaled = pa.cap_degree(det, n) / pref
+    return scaled, np.array([(-1) ** a * scaled[n - a] for a in range(1, n + 1)])
+
+
+def _monic_w(det, n: int, pref) -> MonicPoly:
+    """The W_a of a degree-n Wronskian det, once the prefactor is divided out."""
+    monic, w = _scaled_w(det, n, pref)
+    if abs(monic[n] - 1.0) > 1e-10:
+        raise ValueError(
+            f"Wronskian leading coefficient over its prefactor is {monic[n]:.6e}, not 1"
+        )
+    return MonicPoly(n, w)
+
+
 def wronski_map(lam: Partition, x: PolyTuple) -> MonicPoly:
     """The W_a of the tuple, after dividing out the shift prefactor."""
-    n = lam.n
-    raw = wronskian(x.polys())
-    pref = float(_shift_prefactor(lam))
-    c = pa.cap_degree(raw, n)
-    if abs(c[n] - pref) > 1e-10 * abs(pref):
-        raise ValueError(
-            f"Wronskian leading coefficient {c[n]:.6e} deviates from {pref:.6e}"
-        )
-    monic = c / pref
-    w = np.array([(-1) ** a * monic[n - a] for a in range(1, n + 1)])
-    return MonicPoly(n, w)
+    pref = _pairwise_product(shifted(lam).entries)
+    return _monic_w(wronskian(x.polys()), lam.n, pref)
 
 
 @dataclass(eq=False)
@@ -240,21 +249,6 @@ class DiffOpCoeffs:
     def coefficient_poly(self, i: int) -> np.ndarray:
         """Coefficient polynomial of d^(n-i), low-to-high in u."""
         return self.P[i, ::-1].copy()
-
-    def apply(self, f):
-        """Apply the operator; accepts a polynomial or an ExpPoly."""
-        n = self.n
-        if isinstance(f, ExpPoly):
-            _, rows = _derivative_rows([f], n + 1)
-            acc = np.zeros(1, dtype=complex)
-            for i in range(n + 1):
-                acc = pa.padd(acc, pa.pmul(self.coefficient_poly(i), rows[0][n - i]))
-            return ExpPoly(f.rate, acc)
-        f = pa.as_poly(f)
-        acc = np.zeros(1, dtype=complex)
-        for i in range(n + 1):
-            acc = pa.padd(acc, pa.pmul(self.coefficient_poly(i), pa.pder(f, n - i)))
-        return acc
 
     def annihilation_residual(self, f) -> float:
         """max |D f| coefficient over the scale of the summed terms."""
@@ -296,7 +290,7 @@ def fundamental_operator(lam: Partition, x: PolyTuple) -> DiffOpCoeffs:
     """The monic degree-n operator annihilating every polynomial of the tuple."""
     n = lam.n
     _, rows = _derivative_rows(x.polys(), n + 1)
-    return _operator_from_rows(rows, n, float(_shift_prefactor(lam)))
+    return _operator_from_rows(rows, n, _pairwise_product(shifted(lam).entries))
 
 
 def fla_residual(lam: Partition, x: PolyTuple) -> float:
@@ -394,7 +388,7 @@ def _wronski_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
     """
     n = lam.n
     slots = free_positions(lam)
-    pref = float(_shift_prefactor(lam))
+    pref = _pairwise_product(shifted(lam).entries)
     choices = [
         [(None, d)] + [(k, d - j) for k, (i, j) in enumerate(slots) if i == i0 + 1]
         for i0, d in enumerate(shifted(lam).entries)
@@ -402,8 +396,7 @@ def _wronski_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
     coef, support = [], []
     for pick in itertools.product(*choices):
         monos = [np.eye(deg + 1, dtype=complex)[deg] for _, deg in pick]  # u**deg
-        monic = pa.cap_degree(pa.poly_det(_derivative_rows(monos, n)[1]), n) / pref
-        w = np.array([(-1) ** a * monic[n - a] for a in range(1, n + 1)])
+        _, w = _scaled_w(pa.poly_det(_derivative_rows(monos, n)[1]), n, pref)
         if w.any():
             coef.append(w)
             support.append([any(k == slot for slot, _ in pick) for k in range(n)])
@@ -468,34 +461,18 @@ def wronski_fiber(
     return [poly_tuple_from_vector(lam, solve(v, polish=2)) for v in roots]
 
 
-def _vandermonde_prefactor(q: np.ndarray) -> complex:
-    pref = 1.0 + 0j
-    n = len(q)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pref *= q[j] - q[i]
-    return pref
-
-
 def wronski_map_q(x: QuasiExpTuple) -> MonicPoly:
     """W_a of a quasi-exponential tuple, exponential and Vandermonde
     prefactors removed."""
-    n = x.n
-    _, rows = _derivative_rows(x.functions(), n)
-    det = pa.cap_degree(pa.poly_det(rows), n)
-    pref = _vandermonde_prefactor(x.q)
-    monic = det / pref
-    if abs(monic[n] - 1.0) > 1e-10:
-        raise ValueError("quasi-exponential Wronskian failed the monic check")
-    w = np.array([(-1) ** a * monic[n - a] for a in range(1, n + 1)])
-    return MonicPoly(n, w)
+    _, rows = _derivative_rows(x.functions(), x.n)
+    return _monic_w(pa.poly_det(rows), x.n, _pairwise_product(x.q))
 
 
 def fundamental_operator_q(x: QuasiExpTuple) -> DiffOpCoeffs:
     """Annihilating operator of a quasi-exponential tuple; full P support."""
     n = x.n
     _, rows = _derivative_rows(x.functions(), n + 1)
-    return _operator_from_rows(rows, n, _vandermonde_prefactor(x.q))
+    return _operator_from_rows(rows, n, _pairwise_product(x.q))
 
 
 def psi_q(x: QuasiExpTuple, min_sep_rel: float = 1e-6) -> SpectralPoint:

@@ -8,6 +8,7 @@ from cmkz.harness import match_points
 from cmkz.master_function import (
     _cleared_system,
     _grad_t_raw,
+    _hess_t_raw,
     _split,
     grad_t,
     grad_t_q,
@@ -149,12 +150,46 @@ def test_cleared_system_jacobian_matches_central_differences(sizes, nz, linear):
     assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
 
 
+@pytest.mark.parametrize("sizes,nz,linear", CLEARED_CASES)
+def test_hessian_matches_central_differences_of_gradient(sizes, nz, linear):
+    z, t = _cleared_point(sizes, nz, seed=200 + sum(sizes) + nz)
+    H = _hess_t_raw(z, _split(t, sizes))
+    h = 1e-6
+    fd = np.empty_like(H)
+    for c in range(len(t)):
+        e = np.zeros(len(t), dtype=complex)
+        e[c] = h
+        fd[:, c] = (
+            _grad_t_raw(z, _split(t + e, sizes), linear)
+            - _grad_t_raw(z, _split(t - e, sizes), linear)
+        ) / (2.0 * h)
+    assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
+
+
 def test_domain_collision_raises():
     z = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         grad_t(Partition((1, 1)), z, [np.array([1e-12])])  # t on top of z_1
     with pytest.raises(ValueError):
         grad_t(Partition((1, 1)), z, [np.array([0.5, 0.5])])  # wrong level size
+    lam = Partition((2, 1, 1))
+    z4 = np.array([0.0, 1.0, 2.0j, -1.5 + 0.5j])
+    a, b = 0.4 + 0.3j, 0.9 - 0.8j
+    with pytest.raises(ValueError, match="collision"):  # same level
+        grad_t(lam, z4, [np.array([a, a + 1e-12]), np.array([b])])
+    with pytest.raises(ValueError, match="collision"):  # adjacent levels
+        grad_t(lam, z4, [np.array([a, b]), np.array([a + 1e-12])])
+
+
+def test_domain_check_is_relative_to_configuration_scale():
+    # at scale 1e9 the cutoff is above 10, so the padded slots of the
+    # level-2 row (distance 1 by construction) must not count as gaps
+    lam = Partition((2, 1, 1))
+    z = np.array([0.0, 1.0, 2.0j, -1.5 + 0.5j])
+    t = [np.array([0.4 + 0.3j, 0.9 - 0.8j]), np.array([0.2 + 1.1j])]
+    s = 1e9
+    g = grad_t(lam, s * z, [s * tk for tk in t])
+    assert np.abs(s * g - grad_t(lam, z, t)).max() <= 1e-12 * np.abs(g).max() * s
 
 
 def test_solve_bethe_two_particle_midpoint():

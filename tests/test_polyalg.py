@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cmkz.calogero_moser import cm_matrix
-from cmkz.master_function import grad_t_q
+from cmkz.harness import collision_study
+from cmkz.master_function import grad_t_q, solve_bethe_q
 from cmkz.partitions import Partition
 from cmkz.polyalg import excluded_products, pder, poly_det, require_distinct
 from cmkz.tensor_gaudin import gaudin_hamiltonian, generalized_gaudin, singular_basis
@@ -49,6 +50,8 @@ SITES = {
     "psi_q": _psi_q_pair,
     "QuasiExpTuple": lambda e: QuasiExpTuple([0.5, 0.5 + e], [0.0, 1.0]),
     "grad_t_q": lambda e: grad_t_q([0.5, 0.5 + e, -1.0], _Z3, _T3),
+    "solve_bethe_q": lambda e: solve_bethe_q([0.5, 0.5 + e], [0.0, 1.0]),
+    "collision_study": lambda e: collision_study(2, [0.3, 0.3 + e]),
 }
 
 
