@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from cmkz.harness import collision_study
+from cmkz.harness import Q_SCALES, collision_study
 from cmkz.partitions import enumerate_partitions, irrep_dimension
 from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
 
@@ -20,8 +20,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=3, choices=(2, 3, 4))
     ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--scales", type=float, nargs="+",
-                    default=(1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
+    ap.add_argument("--scales", type=float, nargs="+", default=Q_SCALES)
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .polyalg import elementary_symmetric, require_distinct
 from .serialize import pair_list, pair_matrix
@@ -50,9 +51,6 @@ class FirstIntegrals:
 
     def __getitem__(self, a):
         return self.values[a]
-
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
 
 
 def first_integrals(z, p) -> FirstIntegrals:
@@ -162,8 +160,6 @@ def cm_points_close(a: CMPoint, b: CMPoint, tol: float = 1e-8) -> bool:
     if a.n != b.n:
         return False
     n = a.n
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.abs(a.Z[:, None] - b.Z[None, :])
     rows, cols = linear_sum_assignment(cost)
     if cost[rows, cols].max() > tol:

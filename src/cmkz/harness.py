@@ -1,9 +1,13 @@
 """Suite orchestration: point-set matching, the q -> 0 collision study,
 and the named verification checks behind the command line.
 
-Every check derives its generator from (master seed, check id), so replay
-with one config is bit-stable and no check's draws depend on another's.
-Reports carry no timestamps; bodies of identical runs compare equal.
+Each check is declared once, by the ``_check`` decorator, with its id,
+suite and claim; the decorator registers it in ``CHECKS`` and derives its
+generator from (master seed, check id), so replay with one config is
+bit-stable and no check's draws depend on another's.  The bounds every
+check reads are the one table ``TOL``; a config sets only the sweep size,
+the trial count, the seed and the suites.  Reports carry no timestamps;
+bodies of identical runs compare equal.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ import hashlib
 import math
 import zlib
 from dataclasses import dataclass, field, asdict
-from functools import partial
+from functools import partial, wraps
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -51,34 +56,27 @@ class Tolerances:
     collision_match: float = 1e-4
 
 
+TOL = Tolerances()  # the bounds every check reads
+
+# l0 cases past the full sweep n = 2..n_max, as (n, max parts); an entry
+# with n <= n_max is already in the sweep and is dropped
+EXTRA_L0_CASES = ((5, 3),)
+# q = s * q0 scales of the collision check
+Q_SCALES = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# single-linkage cutoff CUTOFF_COEFF * s**CUTOFF_EXPONENT at the smallest s
+CUTOFF_COEFF = 10.0
+CUTOFF_EXPONENT = 0.5
+
+
 @dataclass(frozen=True)
 class VerificationConfig:
-    n_min: int = 2
     n_max: int = 4
-    extra_l0_cases: tuple[tuple[int, int], ...] = ((5, 3),)
     trials: int = 20
     seed: int = 2024
-    partition_filter: tuple[tuple[int, ...], ...] | None = None
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    q_scales: tuple[float, ...] = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    collision_cutoff_coeff: float = 10.0
-    collision_cutoff_exponent: float = 0.5
     suites: tuple[str, ...] = SUITES
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["partition_filter"] = (
-            None
-            if self.partition_filter is None
-            else [list(p) for p in self.partition_filter]
-        )
-        d["extra_l0_cases"] = [list(c) for c in self.extra_l0_cases]
-        d["q_scales"] = list(self.q_scales)
-        d["suites"] = list(self.suites)
-        return d
-
     def digest(self) -> str:
-        return hashlib.sha256(canonical_json(self.as_dict()).encode()).hexdigest()[:16]
+        return hashlib.sha256(canonical_json(asdict(self)).encode()).hexdigest()[:16]
 
 
 def check_seed(master_seed: int, check_id: str) -> int:
@@ -211,21 +209,15 @@ def _single_linkage(points: list[np.ndarray], cutoff: float) -> list[list[int]]:
 
 
 def collision_study(
-    n: int,
-    q_direction,
-    scales=None,
-    seed: int = 0,
-    cutoff_coeff: float = 10.0,
-    cutoff_exponent: float = 0.5,
-    match_tol: float = 1e-4,
+    n: int, q_direction, scales=Q_SCALES, seed: int = 0
 ) -> CollisionReport:
     """Track the joint spectrum of H_a(z, s*q0) as s -> 0.
 
     At the smallest scale the n! tuples are clustered by single linkage
-    with cutoff coeff * s^exponent (square-root splitting is the generic
-    branching rate), clusters are matched against the per-partition
-    spectra at q = 0, and the joint eigenspace dimension at q = 0 is
-    measured for each limiting tuple.
+    with cutoff CUTOFF_COEFF * s^CUTOFF_EXPONENT (square-root splitting is
+    the generic branching rate), clusters are matched against the
+    per-partition spectra at q = 0 within TOL.collision_match, and the
+    joint eigenspace dimension at q = 0 is measured for each limiting tuple.
     """
     if n > 4:
         raise ValueError("collision study supports n <= 4")
@@ -233,7 +225,7 @@ def collision_study(
     if len(q0) != n:
         raise ValueError(f"q_direction must have {n} entries")
     require_distinct(q0, 1e-12, "q_direction entries")
-    scales = tuple(scales) if scales is not None else (1.0, 1e-2, 1e-4, 1e-6)
+    scales = tuple(scales)
     rng = np.random.default_rng(seed)
     z = sample_generic_z(n, rng)
 
@@ -249,7 +241,7 @@ def collision_study(
 
     s_min = min(scales)
     final = tuples_by_scale[s_min]
-    cutoff = cutoff_coeff * s_min**cutoff_exponent
+    cutoff = CUTOFF_COEFF * s_min**CUTOFF_EXPONENT
     groups = _single_linkage(final, cutoff)
 
     ops0 = [generalized_gaudin(a, z, np.zeros(n), n) for a in range(1, n + 1)]
@@ -268,7 +260,7 @@ def collision_study(
             d = np.abs(centroid - p_ref).max()
             if d < best_d:
                 best, best_d = ridx, d
-        if best is None or best_d > match_tol:
+        if best is None or best_d > TOL.collision_match:
             resolved = False
             lam_match = None
             dim = 0
@@ -315,58 +307,59 @@ class CheckRecord:
     details: dict = field(default_factory=dict)
     error: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "suite": self.suite,
-            "claim": self.claim,
-            "seed": self.seed,
-            "passed": self.passed,
-            "counts": self.counts,
-            "residuals": self.residuals,
-            "details": self.details,
-            "error": self.error,
-        }
+
+CHECKS: dict[str, tuple[str, Callable[[VerificationConfig], CheckRecord]]] = {}
+
+
+def _check(cid: str, suite: str, claim: str):
+    """Register ``body(config, rng) -> (ok, counts, residuals[, details])``
+    as check ``cid`` of ``suite``, in definition order.
+
+    The registered function takes the config alone: it seeds the generator
+    with check_seed(config.seed, cid) and builds the CheckRecord.
+    """
+
+    def register(body):
+        @wraps(body)
+        def check(config: VerificationConfig) -> CheckRecord:
+            seed = check_seed(config.seed, cid)
+            ok, counts, residuals, *details = body(config, np.random.default_rng(seed))
+            return CheckRecord(cid, suite, claim, seed, ok, counts, residuals, *details)
+
+        CHECKS[cid] = (suite, check)
+        return check
+
+    return register
 
 
 def _l0_case_list(config: VerificationConfig):
-    cases = []
-    for n in range(config.n_min, config.n_max + 1):
-        cases.append((n, n))
-    for n, max_parts in config.extra_l0_cases:
-        cases.append((n, max_parts))
-    out = []
-    for n, max_parts in cases:
-        for lam in enumerate_partitions(n, max_parts):
-            if config.partition_filter is not None and all(
-                lam != Partition(f) for f in config.partition_filter
-            ):
-                continue
-            out.append((n, lam))
-    return out
+    cases = [(n, n) for n in range(2, config.n_max + 1)]
+    cases += [(n, parts) for n, parts in EXTRA_L0_CASES if n > config.n_max]
+    return [(n, lam) for n, parts in cases for lam in enumerate_partitions(n, parts)]
 
 
-def check_l0_membership(config: VerificationConfig) -> CheckRecord:
+@_check(
+    "l0-membership",
+    "l0",
+    "joint Gaudin spectra on singular subspaces satisfy the zero-level "
+    "equations of the Calogero-Moser first integrals",
+)
+def check_l0_membership(config, rng):
     """Joint Gaudin tuples on singular weight spaces lie on the zero level
     of every first integral, with the per-partition counts d and the
     weighted total n!."""
-    seed = check_seed(config.seed, "l0-membership")
-    rng = np.random.default_rng(seed)
-    tol = config.tolerances.residual
+    tol = TOL.residual
     worst = 0.0
     ok = True
     count_rows = {}
-    totals_ok = True
-    full_range = set(range(config.n_min, config.n_max + 1))
+    full_range = range(2, config.n_max + 1)
     weighted = {n: 0 for n in full_range}
     for n, lam in _l0_case_list(config):
         d = irrep_dimension(lam)
         found = set()
         for _ in range(config.trials):
             z = sample_generic_z(n, rng)
-            pts = spectral_points(
-                lam, z, tol=config.tolerances.eigen, seed=int(rng.integers(2**31))
-            )
+            pts = spectral_points(lam, z, tol=TOL.eigen, seed=int(rng.integers(2**31)))
             found.add(len(pts))
             if len(pts) != d:
                 ok = False
@@ -383,29 +376,24 @@ def check_l0_membership(config: VerificationConfig) -> CheckRecord:
             "expected": d,
             "found": sorted(found),
         }
-        if n in full_range and len(found) == 1:
+        if n in weighted and len(found) == 1:
             weighted[n] += d * found.pop()
-    for n in sorted(full_range):
-        if weighted[n] != math.factorial(n):
-            totals_ok = False
-            ok = False
-    return CheckRecord(
-        "l0-membership",
-        "l0",
-        "joint Gaudin spectra on singular subspaces satisfy the zero-level "
-        "equations of the Calogero-Moser first integrals",
-        seed,
-        ok,
+    totals_ok = all(weighted[n] == math.factorial(n) for n in full_range)
+    return (
+        ok and totals_ok,
         {"per_lambda": count_rows, "weighted_totals_match_factorial": totals_ok},
         {"max_scaled_residual": worst, "tolerance": tol},
     )
 
 
-def check_n_independence(config: VerificationConfig) -> CheckRecord:
+@_check(
+    "n-independence",
+    "l0",
+    "the spectral variety is unchanged when the weight gains a zero row",
+)
+def check_n_independence(config, rng):
     """Spectra agree when the partition is carried with one extra zero row."""
-    seed = check_seed(config.seed, "n-independence")
-    rng = np.random.default_rng(seed)
-    tol = config.tolerances.n_independence
+    tol = TOL.n_independence
     ok = True
     worst = 0.0
     cases = 0
@@ -419,22 +407,17 @@ def check_n_independence(config: VerificationConfig) -> CheckRecord:
         cases += 1
         if not res.ok:
             ok = False
-    return CheckRecord(
-        "n-independence",
-        "l0",
-        "the spectral variety is unchanged when the weight gains a zero row",
-        seed,
-        ok,
-        {"cases": cases},
-        {"max_match_distance": worst, "tolerance": tol},
-    )
+    return ok, {"cases": cases}, {"max_match_distance": worst, "tolerance": tol}
 
 
-def check_closed_forms(config: VerificationConfig) -> CheckRecord:
+@_check(
+    "closed-forms",
+    "l0",
+    "single-row and single-column spectra match the explicit pole sums",
+)
+def check_closed_forms(config, rng):
     """Row and column extreme partitions have explicit one-point spectra."""
-    seed = check_seed(config.seed, "closed-forms")
-    rng = np.random.default_rng(seed)
-    tol = config.tolerances.closed_form
+    tol = TOL.closed_form
     ok = True
     worst = 0.0
     for n in range(2, 6):
@@ -451,15 +434,7 @@ def check_closed_forms(config: VerificationConfig) -> CheckRecord:
             worst = max(worst, dev)
             if dev > tol:
                 ok = False
-    return CheckRecord(
-        "closed-forms",
-        "l0",
-        "single-row and single-column spectra match the explicit pole sums",
-        seed,
-        ok,
-        {"n_range": [2, 5]},
-        {"max_deviation": worst, "tolerance": tol},
-    )
+    return ok, {"n_range": [2, 5]}, {"max_deviation": worst, "tolerance": tol}
 
 
 BETHE_CASES = (
@@ -471,10 +446,14 @@ BETHE_CASES = (
 )
 
 
-def check_bethe(config: VerificationConfig) -> CheckRecord:
+@_check(
+    "bethe-correspondence",
+    "bethe",
+    "Bethe critical points map onto the joint Gaudin spectra with the "
+    "full critical count",
+)
+def check_bethe(config, rng):
     """Critical points of the master function reproduce the joint spectra."""
-    seed = check_seed(config.seed, "bethe-correspondence")
-    rng = np.random.default_rng(seed)
     ok = True
     worst_grad = 0.0
     worst_match = 0.0
@@ -484,20 +463,16 @@ def check_bethe(config: VerificationConfig) -> CheckRecord:
         lam = Partition(parts)
         d = irrep_dimension(lam)
         z = sample_generic_z(n, rng)
-        crits = mf.solve_bethe(
-            lam, z, tol=config.tolerances.bethe, seed=int(rng.integers(2**31))
-        )
+        crits = mf.solve_bethe(lam, z, tol=TOL.bethe, seed=int(rng.integers(2**31)))
         counts[",".join(map(str, parts))] = {"expected": d, "found": len(crits)}
         if len(crits) != d:
             ok = False
             continue
         worst_grad = max(worst_grad, max(c.grad_norm for c in crits))
-        if any(c.grad_norm > config.tolerances.bethe for c in crits):
+        if any(c.grad_norm > TOL.bethe for c in crits):
             ok = False
         pts = spectral_points(lam, z, seed=int(rng.integers(2**31)))
-        res = match_points(
-            [c.p for c in crits], [sp.p for sp in pts], config.tolerances.match
-        )
+        res = match_points([c.p for c in crits], [sp.p for sp in pts], TOL.match)
         worst_match = max(worst_match, res.max_distance)
         if not res.ok:
             ok = False
@@ -506,12 +481,7 @@ def check_bethe(config: VerificationConfig) -> CheckRecord:
             midpoint_dev = abs(t - (z[0] + z[1]) / 2.0)
             if midpoint_dev > 1e-12:
                 ok = False
-    return CheckRecord(
-        "bethe-correspondence",
-        "bethe",
-        "Bethe critical points map onto the joint Gaudin spectra with the "
-        "full critical count",
-        seed,
+    return (
         ok,
         counts,
         {
@@ -522,11 +492,15 @@ def check_bethe(config: VerificationConfig) -> CheckRecord:
     )
 
 
-def check_lq(config: VerificationConfig) -> CheckRecord:
+@_check(
+    "lq-membership",
+    "lq",
+    "joint spectra of the deformed Hamiltonians solve Q_a = e_a(q) with "
+    "trace e_1(q)",
+)
+def check_lq(config, rng):
     """The deformed spectra fill the q-level set of the first integrals."""
-    seed = check_seed(config.seed, "lq-membership")
-    rng = np.random.default_rng(seed)
-    tol = config.tolerances.residual
+    tol = TOL.residual
     ok = True
     worst = 0.0
     worst_trace = 0.0
@@ -547,70 +521,24 @@ def check_lq(config: VerificationConfig) -> CheckRecord:
                 worst_trace = max(worst_trace, tdev)
                 if tdev > 1e-10:
                     ok = False
-    return CheckRecord(
-        "lq-membership",
-        "lq",
-        "joint spectra of the deformed Hamiltonians solve Q_a = e_a(q) with "
-        "trace e_1(q)",
-        seed,
+    return (
         ok,
         {"trials": config.trials, "n_values": [2, 3]},
         {"max_scaled_residual": worst, "max_trace_deviation": worst_trace},
     )
 
 
-def check_collision(config: VerificationConfig) -> CheckRecord:
-    """Cluster sizes and limit points of the q -> 0 degeneration at n = 3."""
-    seed = check_seed(config.seed, "collision-multiplicity")
-    rng = np.random.default_rng(seed)
-    n = 3
-    q0 = np.array([1.0 + 0.3j, -0.7 + 0.1j, 0.2 - 0.9j])
-    report = collision_study(
-        n,
-        q0,
-        scales=config.q_scales,
-        seed=int(rng.integers(2**31)),
-        cutoff_coeff=config.collision_cutoff_coeff,
-        cutoff_exponent=config.collision_cutoff_exponent,
-        match_tol=config.tolerances.collision_match,
-    )
-    sizes = sorted(c.size for c in report.clusters)
-    ok = report.resolved and sizes == [1, 1, 2, 2]
-    dims_ok = all(
-        c.lam is not None and c.eigenspace_dim == irrep_dimension(c.lam)
-        for c in report.clusters
-    )
-    ok = ok and dims_ok
-    return CheckRecord(
-        "collision-multiplicity",
-        "collision",
-        "as q -> 0 the n! deformed tuples merge onto the per-partition "
-        "spectra in groups of the irrep dimension",
-        seed,
-        ok,
-        {
-            "cluster_sizes": sizes,
-            "per_lambda": {
-                ",".join(map(str, k)): v for k, v in report.per_lambda_sizes.items()
-            },
-        },
-        {
-            "max_match_distance": max(
-                (c.match_distance for c in report.clusters), default=0.0
-            ),
-            "tolerance": config.tolerances.collision_match,
-        },
-        {"resolved": report.resolved},
-    )
-
-
 FIBER_CASES = ((2, 0), (1, 1), (2, 1), (2, 2), (3, 1))
 
 
-def check_wronski_degree(config: VerificationConfig) -> CheckRecord:
+@_check(
+    "wronski-degree",
+    "wronski",
+    "Wronski fibers at generic targets carry exactly the irrep dimension "
+    "of solutions",
+)
+def check_wronski_degree(config, rng):
     """Fiber cardinalities of the Wronski map at generic targets."""
-    seed = check_seed(config.seed, "wronski-degree")
-    rng = np.random.default_rng(seed)
     ok = True
     worst = 0.0
     counts = {}
@@ -624,10 +552,7 @@ def check_wronski_degree(config: VerificationConfig) -> CheckRecord:
             z = sample_generic_z(n, rng)
             sigma = elementary_symmetric(z)
             sols = wr.wronski_fiber(
-                lam,
-                sigma,
-                tol=config.tolerances.fiber,
-                seed=int(rng.integers(2**31)),
+                lam, sigma, tol=TOL.fiber, seed=int(rng.integers(2**31))
             )
             found_counts.append(len(sols))
             if len(sols) != d:
@@ -636,30 +561,24 @@ def check_wronski_degree(config: VerificationConfig) -> CheckRecord:
                 w = wr.wronski_map(lam, sol)
                 res = np.abs(w.w - sigma).max()
                 worst = max(worst, res)
-                if res > config.tolerances.fiber:
+                if res > TOL.fiber:
                     ok = False
         counts[",".join(map(str, parts))] = {
             "expected": d,
             "found": found_counts,
         }
-    return CheckRecord(
-        "wronski-degree",
-        "wronski",
-        "Wronski fibers at generic targets carry exactly the irrep dimension "
-        "of solutions",
-        seed,
-        ok,
-        counts,
-        {"max_w_residual": worst, "tolerance": config.tolerances.fiber},
-    )
+    return ok, counts, {"max_w_residual": worst, "tolerance": TOL.fiber}
 
 
-def check_operator_identities(config: VerificationConfig) -> CheckRecord:
+@_check(
+    "operator-identities",
+    "identities",
+    "the annihilating operator satisfies the diagonal-coefficient and "
+    "bivariate determinant identities",
+)
+def check_operator_identities(config, rng):
     """Diagonal coefficient identity, bivariate determinant identity, and
     annihilation of the source tuple."""
-    seed = check_seed(config.seed, "operator-identities")
-    rng = np.random.default_rng(seed)
-    t = config.tolerances
     ok = True
     worst_fla = 0.0
     worst_biv = 0.0
@@ -673,7 +592,7 @@ def check_operator_identities(config: VerificationConfig) -> CheckRecord:
             op = wr.fundamental_operator(lam, x)
             for f in x.polys():
                 worst_ann = max(worst_ann, op.annihilation_residual(f))
-    if worst_fla > t.identity or worst_ann > t.annihilation:
+    if worst_fla > TOL.identity or worst_ann > TOL.annihilation:
         ok = False
     for n in range(2, 5):
         for lam in enumerate_partitions(n, n):
@@ -690,14 +609,9 @@ def check_operator_identities(config: VerificationConfig) -> CheckRecord:
                     continue  # tuple outside the simple-root stratum
                 worst_biv = max(worst_biv, r)
                 done += 1
-            if done < 3 or worst_biv > t.bivariate:
+            if done < 3 or worst_biv > TOL.bivariate:
                 ok = False
-    return CheckRecord(
-        "operator-identities",
-        "identities",
-        "the annihilating operator satisfies the diagonal-coefficient and "
-        "bivariate determinant identities",
-        seed,
+    return (
         ok,
         {"partition_sets": "n <= 5 (diagonal), n <= 4 (bivariate)"},
         {
@@ -722,11 +636,14 @@ def _on_flat(value_fn, n: int, sizes):
     return lambda v: value_fn(v[:n], mf._split(v[n:], sizes))
 
 
-def check_structural_invariants(config: VerificationConfig) -> CheckRecord:
+@_check(
+    "structural-invariants",
+    "identities",
+    "the rank-one lift, Hamiltonian coefficient identities, and analytic "
+    "gradients hold at random inputs",
+)
+def check_structural_invariants(config, rng):
     """Rank-one lift, Hamiltonian identities, and gradient consistency."""
-    seed = check_seed(config.seed, "structural-invariants")
-    rng = np.random.default_rng(seed)
-    t = config.tolerances
     ok = True
     worst_rank = 0.0
     worst_ham = 0.0
@@ -743,7 +660,7 @@ def check_structural_invariants(config: VerificationConfig) -> CheckRecord:
         worst_ham = max(
             worst_ham, abs(h - tr2) / scale, abs(h - (q1**2 - 2.0 * q2)) / scale
         )
-    if worst_rank > t.rank_one or worst_ham > t.identity:
+    if worst_rank > TOL.rank_one or worst_ham > TOL.identity:
         ok = False
 
     worst_grad = 0.0
@@ -786,14 +703,9 @@ def check_structural_invariants(config: VerificationConfig) -> CheckRecord:
             continue
         relq = np.abs(analytic_q - fdq).max() / max(1.0, np.abs(analytic_q).max())
         worst_grad = max(worst_grad, relq)
-    if worst_grad > t.gradient_fd:
+    if worst_grad > TOL.gradient_fd:
         ok = False
-    return CheckRecord(
-        "structural-invariants",
-        "identities",
-        "the rank-one lift, Hamiltonian coefficient identities, and analytic "
-        "gradients hold at random inputs",
-        seed,
+    return (
         ok,
         {"rank_one_trials": 1000, "gradient_trials": 100},
         {
@@ -804,17 +716,37 @@ def check_structural_invariants(config: VerificationConfig) -> CheckRecord:
     )
 
 
-CHECKS = {
-    "l0-membership": ("l0", check_l0_membership),
-    "n-independence": ("l0", check_n_independence),
-    "closed-forms": ("l0", check_closed_forms),
-    "bethe-correspondence": ("bethe", check_bethe),
-    "lq-membership": ("lq", check_lq),
-    "wronski-degree": ("wronski", check_wronski_degree),
-    "operator-identities": ("identities", check_operator_identities),
-    "structural-invariants": ("identities", check_structural_invariants),
-    "collision-multiplicity": ("collision", check_collision),
-}
+@_check(
+    "collision-multiplicity",
+    "collision",
+    "as q -> 0 the n! deformed tuples merge onto the per-partition "
+    "spectra in groups of the irrep dimension",
+)
+def check_collision(config, rng):
+    """Cluster sizes and limit points of the q -> 0 degeneration at n = 3."""
+    q0 = np.array([1.0 + 0.3j, -0.7 + 0.1j, 0.2 - 0.9j])
+    report = collision_study(3, q0, seed=int(rng.integers(2**31)))
+    sizes = sorted(c.size for c in report.clusters)
+    dims_ok = all(
+        c.lam is not None and c.eigenspace_dim == irrep_dimension(c.lam)
+        for c in report.clusters
+    )
+    return (
+        report.resolved and sizes == [1, 1, 2, 2] and dims_ok,
+        {
+            "cluster_sizes": sizes,
+            "per_lambda": {
+                ",".join(map(str, k)): v for k, v in report.per_lambda_sizes.items()
+            },
+        },
+        {
+            "max_match_distance": max(
+                (c.match_distance for c in report.clusters), default=0.0
+            ),
+            "tolerance": TOL.collision_match,
+        },
+        {"resolved": report.resolved},
+    )
 
 
 @dataclass(eq=False)
@@ -828,10 +760,10 @@ class Report:
 
     def as_dict(self) -> dict:
         return {
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "config_digest": self.config.digest(),
             "seed": self.config.seed,
-            "records": [r.as_dict() for r in self.records],
+            "records": [asdict(r) for r in self.records],
             "passed": self.passed,
         }
 
@@ -842,8 +774,9 @@ class Report:
 def run_suite(config: VerificationConfig) -> Report:
     """Run the selected suites; deterministic given (config, seed).
 
-    Checks run one after another in registry order.  A check that raises
-    is recorded as failed, not fatal.
+    Checks run one after another in CHECKS order, each looked up there when
+    it runs.  A check that raises is recorded as failed, not fatal, with
+    its registry id, suite and seed and the error as "<Type>: <message>".
     """
     for s in config.suites:
         if s not in SUITES:

@@ -152,12 +152,6 @@ def _poles(z, sizes, t, linear=None):
     return d, coef, delta, idx, mask
 
 
-def _joined(tlevels) -> tuple[tuple[int, ...], np.ndarray]:
-    """Level sizes and flat t of variables grouped by level."""
-    sizes = tuple(len(tk) for tk in tlevels)
-    return sizes, np.concatenate([np.zeros(0, dtype=complex), *tlevels])
-
-
 def _chain(dG, idx, mask, nz) -> np.ndarray:
     """dF/dt of row functions F_r = G_r(d_r), given dG[r, u] = dG_r/dd_u.
 
@@ -173,25 +167,22 @@ def _chain(dG, idx, mask, nz) -> np.ndarray:
     return J
 
 
-def _grad_t_raw(z, tlevels, linear=None) -> np.ndarray:
-    d, coef, delta, _, _ = _poles(z, *_joined(tlevels), linear)
-    return (coef / d).sum(axis=1) + delta
-
-
-def _hess_t_raw(z, tlevels) -> np.ndarray:
-    # d/dd_u of coef_u / d_u is -coef_u / d_u**2
-    d, coef, _, idx, mask = _poles(z, *_joined(tlevels))
-    return _chain(-coef / d**2, idx, mask, len(z))
-
-
-def _in_domain(z, tlevels) -> bool:
-    """Every argument pair of Phi lies 1e-8 * max(1, |z|, |t|) apart."""
-    sizes, t = _joined(tlevels)
-    d, _, _, _, mask = _poles(z, sizes, t)
+def _grad_t_raw(z, sizes, t, linear=None) -> np.ndarray | None:
+    """dPhi/dt at flat t, or None outside the domain of Phi, which asks
+    every argument pair to lie 1e-8 * max(1, |z|, |t|) apart."""
+    d, coef, delta, _, mask = _poles(z, sizes, t, linear)
     zgaps = (z[:, None] - z)[np.triu_indices(len(z), 1)]
     gap = np.abs(np.concatenate([d[mask], zgaps])).min(initial=np.inf)
     scale = max(1.0, np.abs(z).max(initial=0.0), np.abs(t).max(initial=0.0))
-    return gap >= 1e-8 * scale
+    if not gap >= 1e-8 * scale:
+        return None
+    return (coef / d).sum(axis=1) + delta
+
+
+def _hess_t_raw(z, sizes, t) -> np.ndarray:
+    # d/dd_u of coef_u / d_u is -coef_u / d_u**2
+    d, coef, _, idx, mask = _poles(z, sizes, t)
+    return _chain(-coef / d**2, idx, mask, len(z))
 
 
 def _grad_z_raw(z, tlevels, q1: complex = 0.0) -> np.ndarray:
@@ -232,13 +223,17 @@ def _value_raw(z, tlevels, linear=None, qz: complex = 0.0) -> complex:
     return complex(val)
 
 
+def _flat(tlevels) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=complex), *tlevels])
+
+
 def _checked_levels(z, t, sizes) -> tuple[np.ndarray, ...]:
     """t grouped by level, if the level sizes match and Phi is defined there."""
     tlevels = tuple(np.asarray(tk, dtype=complex).ravel() for tk in t)
     got = tuple(len(tk) for tk in tlevels)
     if got != sizes:
         raise ValueError(f"level sizes {got} do not match {sizes}")
-    if not _in_domain(z, tlevels):
+    if _grad_t_raw(z, sizes, _flat(tlevels)) is None:
         raise ValueError("argument collision inside the master function domain")
     return tlevels
 
@@ -253,7 +248,7 @@ def _coerce_levels(lam: Partition, z, t):
 def grad_t(lam: Partition, z, t) -> np.ndarray:
     """dPhi/dt for all auxiliary variables, level 1 first."""
     z, tlevels = _coerce_levels(lam, z, t)
-    return _grad_t_raw(z, tlevels)
+    return _grad_t_raw(z, level_sizes(lam), _flat(tlevels))
 
 
 def grad_z(lam: Partition, z, t) -> np.ndarray:
@@ -286,7 +281,7 @@ def _coerce_levels_q(q, z, t):
 def grad_t_q(q, z, t) -> np.ndarray:
     """dPhi_q/dt: the undeformed gradient plus (q_{k+1} - q_k) per level."""
     q, z, tlevels, linear = _coerce_levels_q(q, z, t)
-    return _grad_t_raw(z, tlevels, linear)
+    return _grad_t_raw(z, q_level_sizes(len(z)), _flat(tlevels), linear)
 
 
 def grad_z_q(q, z, t) -> np.ndarray:
@@ -394,14 +389,11 @@ def _critical_points(z, sizes, linear, q1, starts, tol, seed, expected, max_roun
     escape = 25.0 * (1.0 + np.abs(z).max()) if linear is None else np.inf
 
     def grad(t):
-        tl = _split(t, sizes)
-        if not _in_domain(z, tl):
-            return None
-        g = _grad_t_raw(z, tl, linear)
-        return g, np.abs(g).max()
+        g = _grad_t_raw(z, sizes, t, linear)
+        return None if g is None else (g, np.abs(g).max())
 
     def hess(t):
-        return _hess_t_raw(z, _split(t, sizes))
+        return _hess_t_raw(z, sizes, t)
 
     def draw(k):
         if linear is None and k % 2 == 0:
@@ -425,7 +417,7 @@ def _critical_points(z, sizes, linear, q1, starts, tol, seed, expected, max_roun
     out = []
     for t in multistart(draw, solve, starts, max_rounds, expected):
         tl = _split(t, sizes)
-        gn = float(np.abs(_grad_t_raw(z, tl, linear)).max())
+        gn = float(np.abs(_grad_t_raw(z, sizes, t, linear)).max())
         p = _grad_z_raw(z, tl, q1)
         out.append(CriticalPoint(BetheConfiguration(z, tl), gn, p))
     return out

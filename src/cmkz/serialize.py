@@ -21,18 +21,6 @@ def pair_matrix(m) -> list[list[list[float]]]:
     return [[pair(z) for z in row] for row in m]
 
 
-def unpair(p) -> complex:
-    return complex(p[0], p[1])
-
-
-def unpair_list(ps) -> np.ndarray:
-    return np.array([unpair(p) for p in ps], dtype=complex)
-
-
-def unpair_matrix(ps) -> np.ndarray:
-    return np.array([[unpair(p) for p in row] for row in ps], dtype=complex)
-
-
 def canonical_json(obj) -> str:
     """Deterministic rendering: sorted keys, shortest round-trip floats."""
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

@@ -134,17 +134,8 @@ def apply_eij(i: int, j: int, a: int, vec, basis: WeightBasis):
 
 def summed_eij(i: int, j: int, basis: WeightBasis):
     """Matrix of the global action sum_a e_ij^(a)."""
-    target_weight = _shifted_weight(basis.weight, i, j)
-    if target_weight is None:
-        return np.zeros((0, basis.dim), dtype=complex), None
-    target = weight_basis(basis.N, basis.n, target_weight)
-    mat = np.zeros((target.dim, basis.dim), dtype=complex)
-    for col, idx in enumerate(basis.indices):
-        for a in range(basis.n):
-            if idx[a] == j:
-                moved = idx[:a] + (i,) + idx[a + 1 :]
-                mat[target.index_of(moved), col] += 1.0
-    return mat, target
+    per_slot = [eij_matrix(i, j, a, basis) for a in range(1, basis.n + 1)]
+    return sum(mat for mat, _ in per_slot), per_slot[0][1]
 
 
 @dataclass(eq=False)

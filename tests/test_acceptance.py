@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Tolerances are pinned here and in the default VerificationConfig; the named
-harness checks implement the heavy lifting so that the command-line suite
-and this module exercise identical code paths.
+Tolerances are pinned here and in the harness's bound table ``TOL``; the
+named harness checks implement the heavy lifting so that the command-line
+suite and this module exercise identical code paths.
 """
 
 import math
@@ -156,17 +156,19 @@ def test_criterion_10_replay_determinism():
     import sys
 
     from cmkz.harness import run_suite
+    from conftest import cli_env
 
     cfg = VerificationConfig(
-        n_max=3, trials=3, seed=99, suites=("l0", "lq"), extra_l0_cases=()
+        n_max=3, trials=3, seed=99, suites=("l0", "lq")
     )
     same = run_suite(cfg).body_json() == run_suite(cfg).body_json()
     args = [
         sys.executable, "-m", "cmkz", "verify",
         "--suite", "lq", "--trials", "2", "--seed", "123",
     ]
-    a = subprocess.run(args, capture_output=True, text=True, timeout=600)
-    b = subprocess.run(args, capture_output=True, text=True, timeout=600)
+    env = cli_env()
+    a = subprocess.run(args, capture_output=True, text=True, timeout=600, env=env)
+    b = subprocess.run(args, capture_output=True, text=True, timeout=600, env=env)
     cli_same = a.stdout == b.stdout and a.returncode == b.returncode == 0
     assert json.loads(a.stdout)["passed"] is True
     _verdict(

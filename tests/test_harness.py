@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from cmkz import harness
 from cmkz.calogero_moser import l0_residual
 from cmkz.harness import (
+    CHECKS,
     SUITES,
     VerificationConfig,
     check_seed,
@@ -16,6 +18,7 @@ from cmkz.harness import (
 )
 from cmkz.partitions import Partition, irrep_dimension
 from cmkz.tensor_gaudin import sample_generic_z, spectral_points
+from conftest import cli_env
 
 
 def test_match_points_identity():
@@ -95,13 +98,73 @@ def test_check_seed_stable():
 
 def test_run_suite_subset_and_determinism():
     cfg = VerificationConfig(
-        n_max=3, trials=2, seed=7, suites=("l0", "lq"), extra_l0_cases=()
+        n_max=3, trials=2, seed=7, suites=("l0", "lq")
     )
     rep1 = run_suite(cfg)
     rep2 = run_suite(cfg)
     assert rep1.passed
     assert {r.suite for r in rep1.records} == {"l0", "lq"}
     assert rep1.body_json() == rep2.body_json()
+
+
+def test_run_suite_records_follow_registry():
+    cfg = VerificationConfig(n_max=2, trials=1, seed=11, suites=("l0", "lq"))
+    records = run_suite(cfg).records
+    registered = [(cid, s) for cid, (s, _) in CHECKS.items() if s in cfg.suites]
+    assert [(r.check, r.suite) for r in records] == registered
+    assert [r.seed for r in records] == [check_seed(11, cid) for cid, _ in registered]
+    assert all(r.error is None for r in records)
+
+
+@pytest.mark.parametrize("n_max", [2, 4, 5, 6])
+def test_l0_cases_listed_once(n_max):
+    cases = harness._l0_case_list(VerificationConfig(n_max=n_max))
+    keys = [(n, lam.trimmed) for n, lam in cases]
+    assert len(keys) == len(set(keys))
+
+
+def test_raising_check_is_recorded_and_the_rest_still_run(monkeypatch):
+    def broken(config):
+        raise RuntimeError("solver diverged")
+
+    monkeypatch.setitem(CHECKS, "closed-forms", ("l0", broken))
+    cfg = VerificationConfig(n_max=2, trials=1, seed=5, suites=("l0", "lq"))
+    rep = run_suite(cfg)
+    by_id = {r.check: r for r in rep.records}
+    assert list(by_id) == [
+        "l0-membership", "n-independence", "closed-forms", "lq-membership"
+    ]
+    bad = by_id.pop("closed-forms")
+    assert (bad.suite, bad.seed, bad.passed) == ("l0", check_seed(5, "closed-forms"), False)
+    assert bad.error == "RuntimeError: solver diverged"
+    assert not rep.passed
+    assert all(r.passed and r.error is None for r in by_id.values())
+
+
+def test_direct_check_call_raises(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("no spectrum")
+
+    monkeypatch.setattr(harness, "spectral_points", fail)
+    with pytest.raises(ValueError):
+        harness.check_closed_forms(VerificationConfig())
+
+
+def test_registry_order_and_public_names():
+    assert list(CHECKS) == [
+        "l0-membership",
+        "n-independence",
+        "closed-forms",
+        "bethe-correspondence",
+        "lq-membership",
+        "wronski-degree",
+        "operator-identities",
+        "structural-invariants",
+        "collision-multiplicity",
+    ]
+    for _, fn in CHECKS.values():
+        assert fn.__name__.startswith("check_")
+        assert getattr(harness, fn.__name__) is fn
 
 
 def test_run_suite_rejects_unknown_suite():
@@ -122,6 +185,7 @@ def _run_cli(*args):
         capture_output=True,
         text=True,
         timeout=600,
+        env=cli_env(),
     )
 
 
@@ -175,6 +239,4 @@ def test_cli_bad_usage_exits_2():
 
 
 def test_suite_names_cover_registry():
-    from cmkz.harness import CHECKS
-
     assert set(SUITES) == {suite for suite, _ in CHECKS.values()}
