@@ -211,11 +211,12 @@ def _single_linkage(points: list[np.ndarray], cutoff: float) -> list[list[int]]:
 def collision_study(
     n: int, q_direction, scales=Q_SCALES, seed: int = 0
 ) -> CollisionReport:
-    """Track the joint spectrum of H_a(z, s*q0) as s -> 0.
+    """Follow the joint spectrum of H_a(z, s*q0) to the smallest s in scales.
 
-    At the smallest scale the n! tuples are clustered by single linkage
-    with cutoff CUTOFF_COEFF * s^CUTOFF_EXPONENT (square-root splitting is
-    the generic branching rate), clusters are matched against the
+    Only that scale is solved; the report lists every scale.  Its n!
+    tuples are clustered by single linkage with cutoff
+    CUTOFF_COEFF * s^CUTOFF_EXPONENT (square-root splitting is the generic
+    branching rate), clusters are matched against the
     per-partition spectra at q = 0 within TOL.collision_match, and the
     joint eigenspace dimension at q = 0 is measured for each limiting tuple.
     """
@@ -234,13 +235,8 @@ def collision_study(
         for sp in spectral_points(lam, z, seed=seed + 1):
             reference.append((lam, sp.p))
 
-    tuples_by_scale = {}
-    for s in sorted(scales, reverse=True):
-        pts = generalized_spectrum(z, s * q0, seed=seed + 2)
-        tuples_by_scale[s] = [sp.p for sp in pts]
-
     s_min = min(scales)
-    final = tuples_by_scale[s_min]
+    final = [sp.p for sp in generalized_spectrum(z, s_min * q0, seed=seed + 2)]
     cutoff = CUTOFF_COEFF * s_min**CUTOFF_EXPONENT
     groups = _single_linkage(final, cutoff)
 

@@ -14,6 +14,7 @@ the diagonal term sum_i q_i e_ii^(a).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -25,6 +26,7 @@ from .partitions import Partition, irrep_dimension
 from .polyalg import require_distinct
 from .serialize import pair_list
 
+# largest weight space weight_basis builds; the tensor power never is
 MAX_FULL_DIM = 4096
 
 
@@ -72,7 +74,10 @@ def _weight_basis_cached(N: int, n: int, weight: tuple[int, ...]) -> WeightBasis
 
 
 def weight_basis(N: int, n: int, weight) -> WeightBasis:
-    """Lexicographically ordered multi-indices with the given letter counts."""
+    """Lexicographically ordered multi-indices with the given letter counts.
+
+    Refuses a weight space of dimension n!/prod(weight!) above MAX_FULL_DIM.
+    """
     weight = tuple(int(w) for w in weight)
     if len(weight) != N:
         raise ValueError(f"weight must have {N} entries")
@@ -80,9 +85,10 @@ def weight_basis(N: int, n: int, weight) -> WeightBasis:
         raise ValueError(f"negative weight entry in {weight}")
     if sum(weight) != n:
         raise ValueError(f"weight {weight} does not sum to {n}")
-    if N**n > MAX_FULL_DIM:
+    dim = math.factorial(n) // math.prod(math.factorial(w) for w in weight)
+    if dim > MAX_FULL_DIM:
         raise ValueError(
-            f"N^n = {N**n} exceeds the supported size {MAX_FULL_DIM}"
+            f"weight space dimension {dim} exceeds the supported size {MAX_FULL_DIM}"
         )
     return _weight_basis_cached(N, n, weight)
 

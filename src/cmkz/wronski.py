@@ -16,15 +16,26 @@ of d^(n-i) in increasing powers of u.  The row determinant keeps the
 symbolic last row (1, d, ..., d^n) rightmost in every product, which
 amounts to a signed cofactor expansion along that row.
 
+The operator of a polynomial tuple is multi-affine in the free
+coefficients x: P(x) = sum_T C_T prod_{k in T} x_k, where a term T picks
+per row either the leading monomial or one free slot.  Each C_T is exact:
+on monomial rows every minor is an integer determinant of falling
+factorials times one power of u.  fundamental_operator reads this table,
+cached per partition, and the Wronski map is its row 0; wronskian and
+wronski_map stay on the exact poly_det, as the independent route.
+
 Quasi-exponential tuples e^(q_i u)(u + c_i) follow the same scheme with
 the exponential and Vandermonde-of-q prefactors stripped; their operator
-has full (n+1) x (n+1) coefficient support.
+has full (n+1) x (n+1) coefficient support and is built from poly_det
+minors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -212,20 +223,14 @@ def wronskian(funcs):
     return det
 
 
-def _scaled_w(det, n: int, pref) -> tuple[np.ndarray, np.ndarray]:
-    """det capped at degree n over the prefactor, and its W_a (a = 1..n)."""
-    scaled = pa.cap_degree(det, n) / pref
-    return scaled, np.array([(-1) ** a * scaled[n - a] for a in range(1, n + 1)])
-
-
 def _monic_w(det, n: int, pref) -> MonicPoly:
     """The W_a of a degree-n Wronskian det, once the prefactor is divided out."""
-    monic, w = _scaled_w(det, n, pref)
+    monic = pa.cap_degree(det, n) / pref
     if abs(monic[n] - 1.0) > 1e-10:
         raise ValueError(
             f"Wronskian leading coefficient over its prefactor is {monic[n]:.6e}, not 1"
         )
-    return MonicPoly(n, w)
+    return MonicPoly(n, np.array([(-1) ** a * monic[n - a] for a in range(1, n + 1)]))
 
 
 def wronski_map(lam: Partition, x: PolyTuple) -> MonicPoly:
@@ -274,7 +279,11 @@ class DiffOpCoeffs:
 
 
 def _operator_from_rows(rows, n: int, pref: complex) -> DiffOpCoeffs:
-    """Signed cofactors of the symbolic row (1, d, ..., d^n), scaled by 1/pref."""
+    """Signed cofactors of the symbolic row (1, d, ..., d^n), scaled by 1/pref.
+
+    n+1 poly_det minors per call: the quasi-exponential operator, and the
+    reference that the polynomial operator table is tested against.
+    """
     P = np.zeros((n + 1, n + 1), dtype=complex)
     for i in range(n + 1):
         c = n - i
@@ -286,18 +295,103 @@ def _operator_from_rows(rows, n: int, pref: complex) -> DiffOpCoeffs:
     return DiffOpCoeffs(n, P)
 
 
-def fundamental_operator(lam: Partition, x: PolyTuple) -> DiffOpCoeffs:
-    """The monic degree-n operator annihilating every polynomial of the tuple."""
+def _int_det(mat) -> int:
+    """Exact determinant of a square integer matrix.
+
+    Fraction-free Bareiss elimination: each division by the previous pivot
+    is exact, so every entry stays an int.
+    """
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _exact_operator_terms(lam: Partition) -> list[tuple[frozenset, list]]:
+    """The operator of lam's tuples as exact terms (T, C_T), C_T nonzero.
+
+    T picks per row the leading monomial u^d_i or one free slot u^(d_i - j)
+    and is returned as its set of free-slot indices k.  On monomial rows of
+    degrees deg_i the derivative table is (deg_i)_c u^(deg_i - c), so the
+    minor without column c is u^(sum deg - sum of the other columns) times
+    the integer det[(deg_i)_k]_{k != c}.  C_T[i][j] is the coefficient of
+    u^(n-j) d^(n-i) as a Fraction over the shift prefactor.  Raises if a
+    nonzero minor has degree above n.
+    """
     n = lam.n
-    _, rows = _derivative_rows(x.polys(), n + 1)
-    return _operator_from_rows(rows, n, _pairwise_product(shifted(lam).entries))
+    entries = shifted(lam).entries
+    slots = free_positions(lam)
+    pref = _pairwise_product(entries)
+    choices = [
+        [(None, d)] + [(k, d - j) for k, (i, j) in enumerate(slots) if i == i0 + 1]
+        for i0, d in enumerate(entries)
+    ]
+    terms = []
+    for pick in itertools.product(*choices):
+        degs = [deg for _, deg in pick]
+        if len(set(degs)) < n:
+            continue  # two equal monomial rows: every minor vanishes
+        # distinct degrees give rank n, so some minor below is nonzero
+        table = [[math.perm(deg, c) for c in range(n + 1)] for deg in degs]
+        C = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        for c in range(n + 1):  # the minor without column c gives row n - c
+            minor = _int_det([row[:c] + row[c + 1 :] for row in table])
+            if not minor:
+                continue
+            power = sum(degs) - n * (n + 1) // 2 + c
+            if power > n:
+                raise ValueError(f"{lam!r}: operator minor of degree {power} > {n}")
+            C[n - c][n - power] = Fraction((-1) ** (n + c) * minor, pref)
+        terms.append((frozenset(k for k, _ in pick if k is not None), C))
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _operator_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The operator as a cached multi-affine table in the free coefficients.
+
+    Returns (coef, support), read-only: P(x) = sum_T coef[T] prod_k x_k
+    over the k with support[T, k], and coef[T, i, j] is the exact C_T
+    entry, correctly rounded.  Row 0 is the monic Wronskian, so
+    W_a = (-1)^a P[0, a].
+    """
+    terms = _exact_operator_terms(lam)
+    coef = np.array([[[float(c) for c in row] for row in C] for _, C in terms])
+    support = np.array([[k in T for k in range(lam.n)] for T, _ in terms])
+    coef.setflags(write=False)  # cached: shared by every caller
+    support.setflags(write=False)
+    return coef, support
+
+
+def fundamental_operator(lam: Partition, x: PolyTuple) -> DiffOpCoeffs:
+    """The monic degree-n operator annihilating every polynomial of the tuple.
+
+    One contraction of the term products with the cached exact table
+    (_operator_expansion); no determinant is taken per tuple.
+    """
+    coef, support = _operator_expansion(lam)
+    terms = np.where(support, x.vector(), 1.0).prod(axis=1)
+    return DiffOpCoeffs(lam.n, np.tensordot(terms, coef, axes=1))
 
 
 def fla_residual(lam: Partition, x: PolyTuple) -> float:
     """Deviation in sum_{i>=0} P_ii prod_{j>i}(s+j) = prod_j (s - lambda_j + j).
 
     The sum starts at i = 0, where P_00 = 1.  The residual is the largest
-    coefficient mismatch in s; it depends only on the partition.
+    coefficient mismatch in s.  It depends only on the partition: every
+    x-dependent term of the operator table has an exactly zero diagonal,
+    so this measures the table's constant term and the float arithmetic.
     """
     n = lam.n
     op = fundamental_operator(lam, x)
@@ -329,17 +423,22 @@ def _momenta_from_operator(
 def _checked_roots(monic: MonicPoly, min_sep_rel: float = 1e-6) -> np.ndarray:
     # an exact double root splits by about sqrt(eps) under the companion
     # eigensolve, so the simplicity cutoff must sit well above that
-    return pa.require_distinct(
-        pa.lexsorted(monic.roots()), min_sep_rel, "Wronskian roots"
-    )
+    z = pa.require_distinct(monic.roots(), min_sep_rel, "Wronskian roots")
+    # the momenta divide by root differences, which amplify the eigensolve's
+    # root error; two Newton steps on the polynomial take it to roundoff
+    c = monic.coeffs()
+    dc = pa.pder(c)
+    for _ in range(2):
+        z = z - pa.peval(c, z) / pa.peval(dc, z)
+    return pa.lexsorted(z)
 
 
 def psi(lam: Partition, x: PolyTuple) -> SpectralPoint:
     """Spectral data of a tuple with simple Wronskian roots.
 
-    z is the lexicographically ordered root set of the monic Wronskian;
-    the momenta come from the d^(n-2) coefficient polynomial of the
-    fundamental operator evaluated at each root.
+    z is the lexicographically ordered root set of the monic Wronskian
+    (wronski_map), Newton-polished; the momenta come from the d^(n-2)
+    coefficient polynomial of the fundamental operator at each root.
     """
     n = lam.n
     if n < 2:
@@ -375,41 +474,24 @@ def bivariate_identity_residual(
 
 
 @lru_cache(maxsize=None)
-def _wronski_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """The Wronski map as a multi-affine polynomial in the free coefficients.
+def _w_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Row 0 of the operator table as the Wronski map, W_a = (-1)^a P[0, a].
 
-    Row i of the derivative table is affine in its own free coefficients
-    and the Wronskian is multilinear in rows, so
-    W(x) = sum_T C_T prod_{k in T} x_k, where T picks per row either the
-    leading monomial or one free slot.  Returns (coef, support): column T
-    of coef holds the W_a of term T (exact poly_det on monomial rows, over
-    the shift prefactor) and support[T, k] marks x_k as a factor.  Terms
-    with all-zero W_a are dropped.
+    Returns (coef, support), read-only, for the terms with some nonzero
+    W_a: column T of the complex coef holds W_1..W_n of term T.
     """
-    n = lam.n
-    slots = free_positions(lam)
-    pref = _pairwise_product(shifted(lam).entries)
-    choices = [
-        [(None, d)] + [(k, d - j) for k, (i, j) in enumerate(slots) if i == i0 + 1]
-        for i0, d in enumerate(shifted(lam).entries)
-    ]
-    coef, support = [], []
-    for pick in itertools.product(*choices):
-        monos = [np.eye(deg + 1, dtype=complex)[deg] for _, deg in pick]  # u**deg
-        _, w = _scaled_w(pa.poly_det(_derivative_rows(monos, n)[1]), n, pref)
-        if w.any():
-            coef.append(w)
-            support.append([any(k == slot for slot, _ in pick) for k in range(n)])
-    coef, support = np.array(coef).T, np.array(support)
-    coef.setflags(write=False)  # cached: shared by every caller
-    support.setflags(write=False)
-    return coef, support
+    coef, support = _operator_expansion(lam)
+    w = coef[:, 0, 1:] * (-1.0) ** np.arange(1, lam.n + 1)
+    keep = w.any(axis=1)
+    w = np.ascontiguousarray(w[keep].T, dtype=complex)
+    w.setflags(write=False)
+    return w, support[keep]
 
 
 def _expanded_w(lam: Partition, vec, jac: bool = False):
-    """W_1..W_n at free coefficients vec from the cached expansion, and on
-    request the Jacobian dW/dvec."""
-    coef, support = _wronski_expansion(lam)
+    """W_1..W_n at free coefficients vec, from the Wronski rows of the cached
+    operator table, and on request the Jacobian dW/dvec."""
+    coef, support = _w_expansion(lam)
     factors = np.where(support, np.asarray(vec, dtype=complex), 1.0)
     w = coef @ factors.prod(axis=1)
     if not jac:
@@ -428,9 +510,9 @@ def wronski_fiber(
     """All tuples mapping to the target elementary symmetric data.
 
     Seeded multistart Newton on the n free coefficients.  Residual and
-    Jacobian come from the cached multi-affine expansion of the Wronski
-    map (_wronski_expansion), two small matrix products per call; the
-    gates that check the result evaluate wronski_map itself.  Start counts
+    Jacobian come from row 0 of the cached exact operator table
+    (_operator_expansion), two small matrix products per call; the gates
+    that check the result evaluate wronski_map, on poly_det.  Start counts
     escalate fourfold per round until the count reaches the Wronski-map
     degree or the rounds cap out; an undercount is the caller's signal.
     Each distinct root then gets up to two undamped polish steps, which

@@ -73,6 +73,21 @@ def test_collision_study_three_particles():
     assert rep.per_lambda_sizes[(1, 1, 1)] == [1]
 
 
+def test_collision_study_solves_only_the_smallest_scale(monkeypatch):
+    solved = []
+    real = harness.generalized_spectrum
+
+    def spy(z, q, **kw):
+        solved.append(np.abs(q).max())
+        return real(z, q, **kw)
+
+    monkeypatch.setattr(harness, "generalized_spectrum", spy)
+    q0 = np.array([1.0, -0.5 + 0.4j])
+    rep = collision_study(2, q0, scales=(1.0, 1e-3, 1e-6), seed=3)
+    assert rep.scales == (1.0, 1e-3, 1e-6)
+    assert solved == [pytest.approx(1e-6 * np.abs(q0).max())]
+
+
 def test_collision_study_validates_input():
     with pytest.raises(ValueError):
         collision_study(3, np.array([1.0, 1.0, 2.0]))
@@ -227,6 +242,16 @@ def test_cli_verify_deterministic_stdout():
     b = _run_cli(*args)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_cli_verify_l0_at_n_max_5():
+    # n-independence carries (1,1,1,1,1) on 6 rows, past N^n = 4096
+    args = ("--n-max", "5", "--suite", "l0", "--trials", "1", "--seed", "1")
+    out = _run_cli("verify", *args)
+    assert out.returncode == 0
+    records = {r["check"]: r for r in json.loads(out.stdout)["records"]}
+    assert records["n-independence"]["passed"]
+    assert records["n-independence"]["error"] is None
 
 
 def test_cli_bad_usage_exits_2():

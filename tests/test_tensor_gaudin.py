@@ -46,6 +46,13 @@ def test_weight_basis_validation():
         weight_basis(2, 3, (-1, 4))
 
 
+def test_weight_basis_cap_is_on_the_weight_space():
+    # N^n = 7776 is past MAX_FULL_DIM, the weight space is 5! = 120
+    assert weight_basis(6, 5, (1, 1, 1, 1, 1, 0)).dim == 120
+    with pytest.raises(ValueError, match="weight space dimension 5040"):
+        weight_basis(7, 7, (1,) * 7)
+
+
 def test_apply_eij_examples():
     b = weight_basis(2, 2, (2, 0))
     vec = np.array([1.0])  # e1 (x) e1

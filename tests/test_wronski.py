@@ -1,15 +1,23 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cmkz.calogero_moser import l0_residual, lq_residual
 from cmkz.harness import FIBER_CASES, match_points
-from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension
+from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension, shifted
 from cmkz.polyalg import ExpPoly, elementary_symmetric, peval
 from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
 from cmkz.wronski import (
     PolyTuple,
+    _derivative_rows,
+    _exact_operator_terms,
     _expanded_w,
-    _wronski_expansion,
+    _int_det,
+    _operator_expansion,
+    _operator_from_rows,
+    _pairwise_product,
     QuasiExpTuple,
     bivariate_identity_residual,
     fla_residual,
@@ -183,6 +191,25 @@ def test_bivariate_identity_residual_small():
         assert bivariate_identity_residual(lam, x, seed=2) < 1e-8
 
 
+def test_psi_polishes_close_wronskian_roots():
+    # two roots 0.023 apart: with unpolished companion roots this tuple's
+    # bivariate residual reads 1.0e-8, at the check's bound
+    lam = Partition((5, 1, 1))
+    x = poly_tuple_from_vector(
+        lam,
+        [
+            0.24219503054963282 + 0.3900313835897712j,
+            -1.299167096174641 + 0.3014935117619894j,
+            0.15373436660749554 + 0.9729628588383454j,
+            1.795223083786689 - 1.4367176476250807j,
+            -0.6831084475396731 + 0.8541376517432564j,
+            1.3374706321366119 - 0.1692241212129877j,
+            -0.48402683849112266 - 0.5253428631106377j,
+        ],
+    )
+    assert bivariate_identity_residual(lam, x, seed=1438384826) < 1e-9
+
+
 def test_wronski_fiber_counts():
     rng = np.random.default_rng(5)
     for parts, expected in (((2, 0), 1), ((1, 1), 1), ((2, 1), 2), ((3, 1), 3)):
@@ -211,9 +238,9 @@ def test_wronski_fiber_roots_are_polished():
 def test_wronski_expansion_matches_wronski_map(n):
     rng = np.random.default_rng(60 + n)
     for lam in enumerate_partitions(n, n):
-        coef, support = _wronski_expansion(lam)
+        coef, support = _operator_expansion(lam)
         # at most one free slot per row in each term, so at most 2^n terms
-        assert coef.shape == (n, len(support)) and len(support) <= 2**n
+        assert coef.shape == (len(support), n + 1, n + 1) and len(support) <= 2**n
         for _ in range(3):
             x = random_poly_tuple(lam, rng)
             w = wronski_map(lam, x).w
@@ -235,6 +262,72 @@ def test_wronski_expansion_jacobian_matches_finite_differences(parts):
         e[k] = h
         fd = (_expanded_w(lam, x + e) - _expanded_w(lam, x - e)) / (2.0 * h)
         assert np.abs(J[:, k] - fd).max() <= 1e-6 * max(1.0, np.abs(J).max())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_operator_table_matches_poly_det_reference(n):
+    rng = np.random.default_rng(70 + n)
+    for lam in enumerate_partitions(n, n):
+        pref = _pairwise_product(shifted(lam).entries)
+        for _ in range(3):
+            x = random_poly_tuple(lam, rng)
+            ref = _operator_from_rows(_derivative_rows(x.polys(), n + 1)[1], n, pref).P
+            P = fundamental_operator(lam, x).P
+            assert np.abs(P - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _fraction_poly_from_roots(roots):
+    out = [Fraction(1)]
+    for r in roots:
+        out = [Fraction(0)] + out  # times s, then minus r times the old
+        for k in range(len(out) - 1):
+            out[k] -= r * out[k + 1]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fla_identity_is_exact_on_the_operator_table(n):
+    for lam in enumerate_partitions(n, n):
+        terms = _exact_operator_terms(lam)
+        constant = [C for T, C in terms if not T]
+        assert len(constant) == 1
+        for T, C in terms:
+            if T:
+                assert all(C[i][i] == 0 for i in range(n + 1))
+        lhs = [Fraction(0)] * (n + 1)
+        for i in range(n + 1):
+            tail = _fraction_poly_from_roots([-j for j in range(i + 1, n + 1)])
+            for k, c in enumerate(tail):
+                lhs[k] += constant[0][i][i] * c
+        parts = lam.padded(n)
+        rhs = _fraction_poly_from_roots([parts[j - 1] - j for j in range(1, n + 1)])
+        assert lhs == rhs
+
+
+def _leibniz(mat):
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = (-1) ** inversions
+        for r in range(n):
+            term *= mat[r][perm[r]]
+        total += term
+    return total
+
+
+def test_int_det_matches_leibniz():
+    rng = np.random.default_rng(80)
+    assert _int_det([]) == 1
+    for n in range(1, 8):
+        for trial in range(4):
+            mat = rng.integers(-9, 10, size=(n, n)).tolist()
+            if trial == 0:
+                mat[0] = [0] * n  # a zero pivot column forces the swap path
+                mat[0][-1] = 5
+            if trial == 1 and n > 1:
+                mat[-1] = list(mat[0])  # singular
+            assert _int_det(mat) == _leibniz(mat)
 
 
 def test_wronski_fiber_row_pair_closed_form():
