@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from . import calogero_moser as cm
 from . import master_function as mf
@@ -54,6 +55,8 @@ class Tolerances:
     rank_one: float = 1e-12
     gradient_fd: float = 1e-5
     collision_match: float = 1e-4
+    midpoint: float = 1e-12
+    trace: float = 1e-10
 
 
 TOL = Tolerances()  # the bounds every check reads
@@ -186,28 +189,6 @@ class CollisionReport:
         }
 
 
-def _single_linkage(points: list[np.ndarray], cutoff: float) -> list[list[int]]:
-    m = len(points)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.abs(points[i] - points[j]).max() <= cutoff:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def collision_study(
     n: int, q_direction, scales=Q_SCALES, seed: int = 0
 ) -> CollisionReport:
@@ -238,7 +219,13 @@ def collision_study(
     s_min = min(scales)
     final = [sp.p for sp in generalized_spectrum(z, s_min * q0, seed=seed + 2)]
     cutoff = CUTOFF_COEFF * s_min**CUTOFF_EXPONENT
-    groups = _single_linkage(final, cutoff)
+    # single linkage: the components of the graph max_a |p_i - p_j|_a <= cutoff,
+    # labelled in order of their smallest member
+    P = np.array(final)
+    n_groups, labels = connected_components(
+        np.abs(P[:, None] - P[None]).max(axis=2) <= cutoff, directed=False
+    )
+    groups = [np.flatnonzero(labels == g) for g in range(n_groups)]
 
     ops0 = [generalized_gaudin(a, z, np.zeros(n), n) for a in range(1, n + 1)]
     mats0 = [op.matrix for op in ops0]
@@ -475,7 +462,7 @@ def check_bethe(config, rng):
         if parts == (1, 1):
             t = crits[0].config.t[0][0]
             midpoint_dev = abs(t - (z[0] + z[1]) / 2.0)
-            if midpoint_dev > 1e-12:
+            if midpoint_dev > TOL.midpoint:
                 ok = False
     return (
         ok,
@@ -515,7 +502,7 @@ def check_lq(config, rng):
                     ok = False
                 tdev = abs(np.sum(sp.p) - sigma1)
                 worst_trace = max(worst_trace, tdev)
-                if tdev > 1e-10:
+                if tdev > TOL.trace:
                     ok = False
     return (
         ok,

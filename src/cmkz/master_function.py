@@ -35,6 +35,11 @@ from .polyalg import excluded_products, require_distinct
 from .serialize import pair_list
 
 
+# starts per multistart search, undeformed and deformed
+BETHE_BUDGET = 1344
+DEFORMED_BETHE_BUDGET = 480
+
+
 def level_sizes(lam: Partition) -> tuple[int, ...]:
     """Positive auxiliary-variable counts per level (trailing zeros dropped)."""
     rows = max(1, len(lam.trimmed))
@@ -369,7 +374,7 @@ def _poly_newton(z, sizes, t0, linear, rel_tol=1e-9, max_iter=45):
     return damped_newton(residual, jacobian, t0, rel_tol, max_iter, accept=1e-6)
 
 
-def _critical_points(z, sizes, linear, q1, starts, tol, seed, expected, max_rounds):
+def _critical_points(z, sizes, linear, q1, budget, tol, seed, expected):
     """Multistart two-stage Newton: cleared system, then dPhi/dt itself."""
     if not sizes:
         return [CriticalPoint(BetheConfiguration(z, ()), 0.0, _grad_z_raw(z, (), q1))]
@@ -415,7 +420,7 @@ def _critical_points(z, sizes, linear, q1, starts, tol, seed, expected, max_roun
         return np.concatenate(_canonical_levels(_split(t, sizes)))
 
     out = []
-    for t in multistart(draw, solve, starts, max_rounds, expected):
+    for t in multistart(draw, solve, budget, expected):
         tl = _split(t, sizes)
         gn = float(np.abs(_grad_t_raw(z, sizes, t, linear)).max())
         p = _grad_z_raw(z, tl, q1)
@@ -424,44 +429,34 @@ def _critical_points(z, sizes, linear, q1, starts, tol, seed, expected, max_roun
 
 
 def solve_bethe(
-    lam: Partition,
-    z,
-    starts: int = 64,
-    tol: float = 1e-10,
-    seed: int = 0,
-    max_rounds: int = 3,
+    lam: Partition, z, tol: float = 1e-10, seed: int = 0
 ) -> list[CriticalPoint]:
     """Multistart damped Newton on dPhi/dt = 0.
 
     Critical points are canonicalized by sorting each level by (re, im)
     and deduplicated at 1e-6 relative.  For generic z the count equals
-    irrep_dimension(lam); the caller compares.
+    irrep_dimension(lam): the search stops there or after BETHE_BUDGET
+    starts, and the caller compares.
     """
     z = np.asarray(z, dtype=complex).ravel()
     if len(z) != lam.n:
         raise ValueError(f"need {lam.n} positions for {lam!r}")
     expected = irrep_dimension(lam)
     return _critical_points(
-        z, level_sizes(lam), None, 0.0, starts, tol, seed, expected, max_rounds
+        z, level_sizes(lam), None, 0.0, BETHE_BUDGET, tol, seed, expected
     )
 
 
-def solve_bethe_q(
-    q,
-    z,
-    starts: int = 96,
-    tol: float = 1e-10,
-    seed: int = 0,
-    max_rounds: int = 2,
-) -> list[CriticalPoint]:
+def solve_bethe_q(q, z, tol: float = 1e-10, seed: int = 0) -> list[CriticalPoint]:
     """Critical points of the deformed master function.
 
-    The expected count n! is reported by the caller, not enforced here;
-    starts escalate a bounded number of rounds.
+    The search stops at the expected count n! or after
+    DEFORMED_BETHE_BUDGET starts; the caller compares the count.
     """
     z = np.asarray(z, dtype=complex).ravel()
     n = len(z)
     q, linear = _checked_q(q, n)
+    expected = factorial(n)
     return _critical_points(
-        z, q_level_sizes(n), linear, q[0], starts, tol, seed, factorial(n), max_rounds
+        z, q_level_sizes(n), linear, q[0], DEFORMED_BETHE_BUDGET, tol, seed, expected
     )

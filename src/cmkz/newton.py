@@ -4,7 +4,8 @@ collects distinct roots.
 
 Both kernels are policy only.  Callers supply the residual, the Jacobian,
 the start generator and every constant (tolerances, iteration caps,
-escape radius, polish steps), so each route keeps its own numerics.
+start budget, escape radius, polish steps), so each route keeps its own
+numerics.
 """
 
 from __future__ import annotations
@@ -65,27 +66,24 @@ def damped_newton(
     return x if fn <= (tol if accept is None else accept) else None
 
 
-def multistart(draw, solve, starts, max_rounds, expected) -> list[np.ndarray]:
-    """Distinct roots from seeded starts, escalating fourfold per round.
+def multistart(draw, solve, budget, expected) -> list[np.ndarray]:
+    """Distinct roots from one seeded stream of starts.
 
-    Round r solves ``starts * 4**r`` starts ``solve(draw(k))`` for
-    k = 0, 1, ...; a None result is skipped.  A root within 1e-6 of a kept
-    one, relative to max(1, its sup norm), is a duplicate.  Rounds stop
-    once ``expected`` roots are kept; a shorter list means the search
-    undercounted.  Roots come back in (re, im) lexicographic order.
+    Solves ``solve(draw(k))`` for k = 0, 1, ... and stops once ``expected``
+    roots are kept or ``budget`` starts are spent; a None result is
+    skipped.  A root within 1e-6 of a kept one, relative to max(1, its sup
+    norm), is a duplicate.  A list shorter than ``expected`` means the
+    search undercounted.  Roots come back in (re, im) lexicographic order.
     """
     found: list[np.ndarray] = []
-    n_starts = starts
-    for _ in range(max_rounds):
-        for k in range(n_starts):
-            x = solve(draw(k))
-            if x is None:
-                continue
-            scale = max(1.0, np.abs(x).max())
-            if all(np.abs(x - prev).max() > 1e-6 * scale for prev in found):
-                found.append(x)
+    for k in range(budget):
         if len(found) >= expected:
             break
-        n_starts *= 4
+        x = solve(draw(k))
+        if x is None:
+            continue
+        scale = max(1.0, np.abs(x).max())
+        if all(np.abs(x - prev).max() > 1e-6 * scale for prev in found):
+            found.append(x)
     found.sort(key=lambda x: tuple(v for c in x for v in (c.real, c.imag)))
     return found

@@ -110,18 +110,18 @@ def excluded_products(values: np.ndarray) -> np.ndarray:
     return pre * suf[..., ::-1]
 
 
-def cap_degree(c, degree: int, rel: float = 1e-10) -> np.ndarray:
+def cap_degree(c, degree: int) -> np.ndarray:
     """Truncate to the stated degree, checking the tail is numerically zero.
 
     Coefficient cancellations above the structural degree leave roundoff
-    residue; anything larger than ``rel`` times the coefficient scale is a
+    residue; anything larger than 1e-10 times the coefficient scale is a
     genuine degree violation.
     """
     c = as_poly(c)
     scale = max(np.abs(c).max(), 1e-300)
     if len(c) > degree + 1:
         tail = np.abs(c[degree + 1 :]).max()
-        if tail > rel * scale:
+        if tail > 1e-10 * scale:
             raise ValueError(
                 f"polynomial degree exceeds {degree} (tail magnitude {tail:.3e})"
             )
@@ -185,9 +185,6 @@ class ExpPoly:
     def __post_init__(self):
         self.rate = complex(self.rate)
         self.coeffs = as_poly(self.coeffs)
-
-    def deriv(self) -> "ExpPoly":
-        return ExpPoly(self.rate, padd(self.rate * self.coeffs, pder(self.coeffs)))
 
     def __call__(self, x):
         return np.exp(self.rate * x) * peval(self.coeffs, x)

@@ -155,18 +155,18 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.dim if self.columns is None else self.columns.shape[1]
 
-    def restrict(self, full_matrix: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+    def restrict(self, full_matrix: np.ndarray) -> np.ndarray:
         """Compress an operator on the weight space onto this subspace.
 
         The subspace must be invariant: the off-subspace defect is checked
-        against rtol times the restricted norm.
+        against 1e-12 times the restricted norm.
         """
         if self.columns is None:
             return full_matrix
         S = self.columns
         M = S.conj().T @ full_matrix @ S
         defect = np.linalg.norm(full_matrix @ S - S @ M)
-        if defect > rtol * max(1.0, np.linalg.norm(M)):
+        if defect > 1e-12 * max(1.0, np.linalg.norm(M)):
             raise NumericalRankError(
                 f"subspace not invariant: defect {defect:.3e} vs norm "
                 f"{np.linalg.norm(M):.3e}"
@@ -195,7 +195,9 @@ def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]):
         cols = np.eye(basis.dim, dtype=complex)
     else:
         stack = np.vstack(blocks)
-        _, sv, vh = np.linalg.svd(stack)
+        # only vh is read, and it is square either way; a tall stack skips
+        # building its full U
+        _, sv, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
         tol = max(stack.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
         rank = int(np.sum(sv > tol))
         cols = vh[rank:].conj().T
@@ -290,25 +292,20 @@ def _commutation_defect(mats) -> float:
     return worst
 
 
-def joint_eigen(
-    ops,
-    tol: float = 1e-8,
-    seed: int = 0,
-    commute_tol: float = 1e-10,
-    max_probe_retries: int = 8,
-):
+def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
     """Joint eigenvalue tuples of a commuting family of matrices.
 
     A random complex combination of the family is diagonalized; left and
     right eigenvectors read each operator's eigenvalue back through the
     bilinear quotient w^H A v / w^H v.  Entries are returned with the
-    geometric multiplicity seen by the probe.
+    geometric multiplicity seen by the probe.  A family whose scaled
+    commutator defect exceeds 1e-10 is rejected.
 
     Parameters
     ----------
     ops : list of square ndarrays (or SubspaceOperator), pairwise commuting.
     tol : residual bound ||A v - p v|| <= tol (1 + ||A||) ||v|| per operator.
-    seed : seeds the probe combination; retries draw further samples.
+    seed : seeds the probe combination; up to 8 probes are drawn.
 
     Returns
     -------
@@ -325,14 +322,14 @@ def joint_eigen(
     if dim == 0:
         return []
     defect = _commutation_defect(mats)
-    if defect > commute_tol:
+    if defect > 1e-10:
         raise NonCommutingOperatorsError(
-            f"commutator defect {defect:.3e} exceeds {commute_tol:.1e}"
+            f"commutator defect {defect:.3e} exceeds 1.0e-10"
         )
     norms = [np.linalg.norm(m) for m in mats]
     rng = np.random.default_rng(seed)
     last_problem = "no probe attempted"
-    for _ in range(max_probe_retries):
+    for _ in range(8):
         c = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
         c /= np.abs(c).max()
         probe = sum(ci * m for ci, m in zip(c, mats))
@@ -417,44 +414,38 @@ def generalized_spectrum(z, q, tol: float = 1e-8, seed: int = 0):
     return [SpectralPoint(z, p, res) for p, _, res in entries]
 
 
-def joint_eigenspace_dim(ops, p, rtol: float = 1e-8) -> int:
+def joint_eigenspace_dim(ops, p) -> int:
     """Dimension of the joint eigenspace for the tuple p.
 
-    Counts small singular values of the stacked shifted family
-    [A_1 - p_1; ...; A_k - p_k].
+    Counts the singular values of the stacked shifted family
+    [A_1 - p_1; ...; A_k - p_k] at most 1e-8 times max(1, the largest).
     """
     mats = [op.matrix if isinstance(op, SubspaceOperator) else np.asarray(op) for op in ops]
     dim = mats[0].shape[0]
     stack = np.vstack([m - pk * np.eye(dim) for m, pk in zip(mats, p)])
     sv = np.linalg.svd(stack, compute_uv=False)
-    cutoff = rtol * max(1.0, sv[0])
+    cutoff = 1e-8 * max(1.0, sv[0])
     return int(np.sum(sv <= cutoff))
 
 
-def sample_generic_z(
-    n: int,
-    seed_or_rng,
-    radius: float = 1.0,
-    min_sep_factor: float = 1e-2,
-    max_tries: int = 200,
-) -> np.ndarray:
+def sample_generic_z(n: int, seed_or_rng, radius: float = 1.0) -> np.ndarray:
     """Draw n points uniformly from a disc, rejecting near-collisions.
 
-    Separation below min_sep_factor times the disc diameter triggers a
-    deterministic redraw from the same generator.
+    Separation below 1e-2 times the disc diameter triggers a deterministic
+    redraw from the same generator, up to 200 draws.
     """
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    for _ in range(max_tries):
+    for _ in range(200):
         r = radius * np.sqrt(rng.uniform(size=n))
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
         z = r * np.exp(1j * theta)
         if n == 1:
             return z
         diffs = np.abs(z[:, None] - z[None, :])[np.triu_indices(n, 1)]
-        if diffs.min() >= min_sep_factor * 2.0 * radius:
+        if diffs.min() >= 1e-2 * 2.0 * radius:
             return z
     raise RuntimeError("failed to sample well-separated points")

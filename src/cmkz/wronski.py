@@ -49,6 +49,15 @@ from .polyalg import ExpPoly
 from .serialize import pair, pair_matrix
 from .tensor_gaudin import SpectralPoint
 
+# starts per fiber search
+WRONSKI_BUDGET = 2720
+# relative separation below which two Wronskian roots, or a root and an
+# exponent q_i, count as one: an exact double root splits by about
+# sqrt(eps) under the companion eigensolve, so the cutoff sits well above
+MIN_SEP_REL = 1e-6
+# evaluation points per axis of the bivariate identity check
+BIVARIATE_GRID = 5
+
 
 def free_positions(lam: Partition) -> tuple[tuple[int, int], ...]:
     """Free coefficient slots (i, j): degree d_i - j, with d_i - j not a d."""
@@ -122,11 +131,9 @@ def poly_tuple_from_vector(lam: Partition, vec) -> PolyTuple:
     return PolyTuple(lam, dict(zip(pos, vec)))
 
 
-def random_poly_tuple(lam: Partition, rng, scale: float = 1.0) -> PolyTuple:
+def random_poly_tuple(lam: Partition, rng) -> PolyTuple:
     pos = free_positions(lam)
-    vals = scale * (
-        rng.standard_normal(len(pos)) + 1j * rng.standard_normal(len(pos))
-    )
+    vals = rng.standard_normal(len(pos)) + 1j * rng.standard_normal(len(pos))
     return PolyTuple(lam, dict(zip(pos, vals)))
 
 
@@ -420,10 +427,8 @@ def _momenta_from_operator(
     return p
 
 
-def _checked_roots(monic: MonicPoly, min_sep_rel: float = 1e-6) -> np.ndarray:
-    # an exact double root splits by about sqrt(eps) under the companion
-    # eigensolve, so the simplicity cutoff must sit well above that
-    z = pa.require_distinct(monic.roots(), min_sep_rel, "Wronskian roots")
+def _checked_roots(monic: MonicPoly) -> np.ndarray:
+    z = pa.require_distinct(monic.roots(), MIN_SEP_REL, "Wronskian roots")
     # the momenta divide by root differences, which amplify the eigensolve's
     # root error; two Newton steps on the polynomial take it to roundoff
     c = monic.coeffs()
@@ -449,17 +454,15 @@ def psi(lam: Partition, x: PolyTuple) -> SpectralPoint:
     return SpectralPoint(z, p, 0.0)
 
 
-def bivariate_identity_residual(
-    lam: Partition, x: PolyTuple, seed: int = 0, grid: int = 5
-) -> float:
+def bivariate_identity_residual(lam: Partition, x: PolyTuple, seed: int = 0) -> float:
     """Check det((u - Z)(v - Q) - 1) = sum_ij P_ij u^(n-j) v^(n-i) on a
     random grid, with (Z, Q) built from the spectral data of the tuple."""
     sp = psi(lam, x)
     point = xi(sp.z, sp.p)
     op = fundamental_operator(lam, x)
     rng = np.random.default_rng(seed)
-    us = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
-    vs = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
+    us = rng.standard_normal(BIVARIATE_GRID) + 1j * rng.standard_normal(BIVARIATE_GRID)
+    vs = rng.standard_normal(BIVARIATE_GRID) + 1j * rng.standard_normal(BIVARIATE_GRID)
     # C[a, b] = coefficient of u^a v^b
     C = op.P[::-1, ::-1].T
     worst = 0.0
@@ -500,23 +503,18 @@ def _expanded_w(lam: Partition, vec, jac: bool = False):
 
 
 def wronski_fiber(
-    lam: Partition,
-    sigma_target,
-    starts: int = 32,
-    tol: float = 1e-9,
-    seed: int = 0,
-    max_rounds: int = 4,
+    lam: Partition, sigma_target, tol: float = 1e-9, seed: int = 0
 ) -> list[PolyTuple]:
     """All tuples mapping to the target elementary symmetric data.
 
     Seeded multistart Newton on the n free coefficients.  Residual and
     Jacobian come from row 0 of the cached exact operator table
     (_operator_expansion), two small matrix products per call; the gates
-    that check the result evaluate wronski_map, on poly_det.  Start counts
-    escalate fourfold per round until the count reaches the Wronski-map
-    degree or the rounds cap out; an undercount is the caller's signal.
-    Each distinct root then gets up to two undamped polish steps, which
-    take its W residual from the loose tolerance to roundoff.
+    that check the result evaluate wronski_map, on poly_det.  The search
+    stops at the Wronski-map degree or after WRONSKI_BUDGET starts; an
+    undercount is the caller's signal.  Each distinct root then gets up to
+    two undamped polish steps, which take its W residual from the loose
+    tolerance to roundoff.
     """
     n = lam.n
     sigma = np.asarray(sigma_target, dtype=complex).ravel()
@@ -539,7 +537,7 @@ def wronski_fiber(
     def solve(v0, polish=0):
         return damped_newton(residual, jacobian, v0, tol, 60, polish=polish)
 
-    roots = multistart(draw, solve, starts, max_rounds, irrep_dimension(lam))
+    roots = multistart(draw, solve, WRONSKI_BUDGET, irrep_dimension(lam))
     return [poly_tuple_from_vector(lam, solve(v, polish=2)) for v in roots]
 
 
@@ -557,7 +555,7 @@ def fundamental_operator_q(x: QuasiExpTuple) -> DiffOpCoeffs:
     return _operator_from_rows(rows, n, _pairwise_product(x.q))
 
 
-def psi_q(x: QuasiExpTuple, min_sep_rel: float = 1e-6) -> SpectralPoint:
+def psi_q(x: QuasiExpTuple) -> SpectralPoint:
     """Spectral data of a quasi-exponential tuple.
 
     Requires n >= 2, simple Wronskian roots, and roots away from the
@@ -568,9 +566,9 @@ def psi_q(x: QuasiExpTuple, min_sep_rel: float = 1e-6) -> SpectralPoint:
     n = x.n
     if n < 2:
         raise ValueError("spectral extraction needs n >= 2")
-    z = _checked_roots(wronski_map_q(x), min_sep_rel)
+    z = _checked_roots(wronski_map_q(x))
     gap = np.abs(z[:, None] - x.q[None, :]).min()
-    if gap < min_sep_rel * max(1.0, np.abs(z).max(), np.abs(x.q).max()):
+    if gap < MIN_SEP_REL * max(1.0, np.abs(z).max(), np.abs(x.q).max()):
         raise ValueError("Wronskian root collides with an exponent q_i")
     op = fundamental_operator_q(x)
     p = _momenta_from_operator(z, op.coefficient_poly(2), np.sum(x.q))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmkz import harness
+from cmkz import master_function as mf
 from cmkz.calogero_moser import l0_residual
 from cmkz.harness import (
     CHECKS,
@@ -163,6 +164,15 @@ def test_direct_check_call_raises(monkeypatch):
     monkeypatch.setattr(harness, "spectral_points", fail)
     with pytest.raises(ValueError):
         harness.check_closed_forms(VerificationConfig())
+
+
+def test_starved_bethe_search_undercounts_and_fails_the_check(monkeypatch):
+    monkeypatch.setattr(mf, "BETHE_BUDGET", 1)
+    z = sample_generic_z(4, np.random.default_rng(0))
+    assert len(mf.solve_bethe(Partition((2, 1, 1)), z, seed=0)) < 3
+    rec = harness.check_bethe(VerificationConfig())
+    assert not rec.passed
+    assert rec.counts["2,1,1"]["found"] < rec.counts["2,1,1"]["expected"] == 3
 
 
 def test_registry_order_and_public_names():

@@ -63,27 +63,36 @@ def test_multistart_drops_duplicates_and_sorts():
     def draw(k):
         return np.array([pts[k]])
 
-    found = multistart(draw, lambda x: x, len(pts), 1, expected=5)
+    found = multistart(draw, lambda x: x, len(pts), expected=5)
     assert [complex(x[0]) for x in found] == [0.5 + 1j, 1.0 + 0j, 2.0 + 0j]
 
 
 def test_multistart_skips_failed_solves():
-    found = multistart(lambda k: np.array([float(k)]), lambda x: None, 4, 2, 1)
+    found = multistart(lambda k: np.array([float(k)]), lambda x: None, 4, 1)
     assert found == []
 
 
-def test_multistart_escalates_fourfold_until_expected():
+def test_multistart_stops_at_the_start_that_completes_expected():
+    # starts 0..5 give roots 0, 0, 1, 1, 2, 2: the third distinct root
+    # comes from start 4, and no later start is drawn
     drawn = []
 
     def draw(k):
         drawn.append(k)
-        return np.array([float(len(drawn))])
+        return np.array([float(k // 2)])
 
-    found = multistart(draw, lambda x: x, 1, 5, expected=5)
-    assert drawn == [0, 0, 1, 2, 3]
-    assert len(found) == 5
+    found = multistart(draw, lambda x: x, 100, expected=3)
+    assert drawn == [0, 1, 2, 3, 4]
+    assert [x[0] for x in found] == [0.0, 1.0, 2.0]
 
 
 def test_multistart_starved_run_returns_short_list():
-    found = multistart(lambda k: np.array([1.0]), lambda x: x, 1, 1, expected=3)
+    drawn = []
+
+    def draw(k):
+        drawn.append(k)
+        return np.array([1.0])
+
+    found = multistart(draw, lambda x: x, 3, expected=3)
+    assert drawn == [0, 1, 2]
     assert len(found) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cmkz.tensor_gaudin import (
     NonCommutingOperatorsError,
     NumericalRankError,
     Subspace,
+    _singular_basis_cached,
     apply_eij,
     eij_matrix,
     gaudin_hamiltonian,
@@ -118,6 +120,26 @@ def test_singular_basis_dimension_matches_tableau_count():
         for lam in enumerate_partitions(n, min(n, 3)):
             rows = max(1, len(lam.trimmed))
             assert singular_basis(lam, rows).dim == irrep_dimension(lam)
+
+
+def test_singular_basis_skips_the_full_left_factor():
+    # the raising-operator stack of (1^5) at N = 5 is 600 x 120; its full
+    # left factor U alone would be 600 x 600 complex, 5.8 MB
+    weight = Partition((1,) * 5).padded(5)
+    basis = weight_basis(5, 5, weight)  # cached outside the traced window
+    tracemalloc.start()
+    try:
+        _, cols = _singular_basis_cached.__wrapped__(5, 5, weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 600 * 16
+    assert cols.shape == (120, 1)
+    for i in range(1, 6):
+        for j in range(i + 1, 6):
+            mat, target = summed_eij(i, j, basis)
+            if target is not None:
+                assert np.abs(mat @ cols).max() < 1e-12
 
 
 def test_singular_basis_rejects_narrow_N():
