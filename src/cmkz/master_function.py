@@ -31,7 +31,7 @@ import numpy as np
 
 from .newton import damped_newton, multistart
 from .partitions import Partition, bethe_levels, irrep_dimension
-from .polyalg import excluded_products, require_distinct
+from .polyalg import excluded_products, min_gap, require_distinct
 from .serialize import pair_list
 
 
@@ -140,20 +140,26 @@ def _pole_table(nz: int, sizes: tuple[int, ...]):
 
 
 def _poles(z, sizes, t, linear=None):
-    """Pole distances and charges of the critical equations at flat t.
+    """Pole distances and charges of the critical equations at flat t, or
+    at each row of a stack of flat t.
 
-    Returns (d, coef, delta, idx, mask): d[r, u] = t_r - (pole u of row r),
-    with d = 1 and charge 0 in padded slots; the charges; each row's
-    linear term delta_r; and the pole indices and real-slot mask of
+    Returns (d, coef, delta, idx, mask): d[..., r, u] = t_r - (pole u of
+    row r), with d = 1 and charge 0 in padded slots; the charges; each
+    row's linear term delta_r; and the pole indices and real-slot mask of
     _pole_table.  Row r of dPhi/dt is sum_u coef_u / d_u + delta_r.
     """
     idx, coef, mask, level = _pole_table(len(z), sizes)
     delta = (
-        np.zeros(len(t), dtype=complex)
+        np.zeros(t.shape[-1], dtype=complex)
         if linear is None
         else np.asarray(linear, dtype=complex)[level]
     )
-    d = np.where(mask, t[:, None] - np.concatenate([z, t])[idx], 1.0)
+    nz = len(z)
+    args = np.empty(t.shape[:-1] + (nz + t.shape[-1],), dtype=complex)
+    args[..., :nz] = z
+    args[..., nz:] = t
+    # C order, so that sums over a row's poles run in one order, stacked or not
+    d = np.ascontiguousarray(np.where(mask, t[..., :, None] - args[..., idx], 1.0))
     return d, coef, delta, idx, mask
 
 
@@ -172,16 +178,22 @@ def _chain(dG, idx, mask, nz) -> np.ndarray:
     return J
 
 
-def _grad_t_raw(z, sizes, t, linear=None) -> np.ndarray | None:
-    """dPhi/dt at flat t, or None outside the domain of Phi, which asks
-    every argument pair to lie 1e-8 * max(1, |z|, |t|) apart."""
+def _grad_t_raw(z, sizes, t, linear=None):
+    """dPhi/dt at flat t and its sup norm, row by row for a stack of t.
+
+    The norm is inf outside the domain of Phi, which asks every argument
+    pair to lie 1e-8 * max(1, |z|, |t|) apart; the gradient there is not
+    meaningful.
+    """
     d, coef, delta, _, mask = _poles(z, sizes, t, linear)
-    zgaps = (z[:, None] - z)[np.triu_indices(len(z), 1)]
-    gap = np.abs(np.concatenate([d[mask], zgaps])).min(initial=np.inf)
-    scale = max(1.0, np.abs(z).max(initial=0.0), np.abs(t).max(initial=0.0))
-    if not gap >= 1e-8 * scale:
-        return None
-    return (coef / d).sum(axis=1) + delta
+    gap = np.minimum(np.abs(d[..., mask]).min(axis=-1, initial=np.inf), min_gap(z))
+    scale = np.maximum(
+        max(1.0, np.abs(z).max(initial=0.0)), np.abs(t).max(axis=-1, initial=0.0)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (coef / d).sum(axis=-1) + delta
+    norm = np.where(gap >= 1e-8 * scale, np.abs(g).max(axis=-1, initial=0.0), np.inf)
+    return g, norm[()]  # a scalar norm for a single t
 
 
 def _hess_t_raw(z, sizes, t) -> np.ndarray:
@@ -238,7 +250,7 @@ def _checked_levels(z, t, sizes) -> tuple[np.ndarray, ...]:
     got = tuple(len(tk) for tk in tlevels)
     if got != sizes:
         raise ValueError(f"level sizes {got} do not match {sizes}")
-    if _grad_t_raw(z, sizes, _flat(tlevels)) is None:
+    if _grad_t_raw(z, sizes, _flat(tlevels))[1] == np.inf:
         raise ValueError("argument collision inside the master function domain")
     return tlevels
 
@@ -253,7 +265,7 @@ def _coerce_levels(lam: Partition, z, t):
 def grad_t(lam: Partition, z, t) -> np.ndarray:
     """dPhi/dt for all auxiliary variables, level 1 first."""
     z, tlevels = _coerce_levels(lam, z, t)
-    return _grad_t_raw(z, level_sizes(lam), _flat(tlevels))
+    return _grad_t_raw(z, level_sizes(lam), _flat(tlevels))[0]
 
 
 def grad_z(lam: Partition, z, t) -> np.ndarray:
@@ -286,7 +298,7 @@ def _coerce_levels_q(q, z, t):
 def grad_t_q(q, z, t) -> np.ndarray:
     """dPhi_q/dt: the undeformed gradient plus (q_{k+1} - q_k) per level."""
     q, z, tlevels, linear = _coerce_levels_q(q, z, t)
-    return _grad_t_raw(z, q_level_sizes(len(z)), _flat(tlevels), linear)
+    return _grad_t_raw(z, q_level_sizes(len(z)), _flat(tlevels), linear)[0]
 
 
 def grad_z_q(q, z, t) -> np.ndarray:
@@ -330,6 +342,9 @@ def _hull_start(rng, z, size):
 def _cleared_system(z, sizes, tflat, linear, jac=False):
     """Denominator-cleared critical equations F, their scales S, and dF/dt.
 
+    F and S are taken row by row for a stack of flat t; the Jacobian is
+    for a single point.
+
     Each gradient component sum_w c_w/(t_r - w) + delta_r is multiplied by
     the product of its pole distances d_w = t_r - w, so near-pole
     evaluations stay finite and cancellation-free; padded slots carry
@@ -340,10 +355,10 @@ def _cleared_system(z, sizes, tflat, linear, jac=False):
     """
     d, coef, delta, idx, mask = _poles(z, sizes, tflat, linear)
     partial = excluded_products(d)
-    full = partial[:, 0] * d[:, 0]
+    full = partial[..., 0] * d[..., 0]
     terms = coef * partial
-    F = terms.sum(axis=1) + delta * full
-    S = np.abs(terms).sum(axis=1) + np.abs(delta * full) + 1e-300
+    F = terms.sum(axis=-1) + delta * full
+    S = np.abs(terms).sum(axis=-1) + np.abs(delta * full) + 1e-300
     if not jac:
         return F, S
     # pair[r, u, w] = prod_{s not in {u, w}} d_s (and prod_{s != u} at w = u),
@@ -353,6 +368,13 @@ def _cleared_system(z, sizes, tflat, linear, jac=False):
     charge = np.where(eye, delta[:, None, None], coef[:, None, :])
     dG = np.einsum("ruw,ruw->ru", charge, pair) * mask
     return F, S, _chain(dG, idx, mask, len(z))
+
+
+def _cleared_residual(z, sizes, t, linear):
+    """The cleared system and its sup norm relative to the scales S, row by
+    row for a stack of flat t; the system is defined everywhere."""
+    F, S = _cleared_system(z, sizes, t, linear)
+    return F, np.abs(F / S).max(axis=-1)
 
 
 def _poly_newton(z, sizes, t0, linear, rel_tol=1e-9, max_iter=45):
@@ -365,8 +387,7 @@ def _poly_newton(z, sizes, t0, linear, rel_tol=1e-9, max_iter=45):
     """
 
     def residual(t):
-        F, S = _cleared_system(z, sizes, t, linear)
-        return F, np.abs(F / S).max()
+        return _cleared_residual(z, sizes, t, linear)
 
     def jacobian(t):
         return _cleared_system(z, sizes, t, linear, jac=True)[2]
@@ -394,8 +415,7 @@ def _critical_points(z, sizes, linear, q1, budget, tol, seed, expected):
     escape = 25.0 * (1.0 + np.abs(z).max()) if linear is None else np.inf
 
     def grad(t):
-        g = _grad_t_raw(z, sizes, t, linear)
-        return None if g is None else (g, np.abs(g).max())
+        return _grad_t_raw(z, sizes, t, linear)
 
     def hess(t):
         return _hess_t_raw(z, sizes, t)
@@ -409,8 +429,7 @@ def _critical_points(z, sizes, linear, q1, budget, tol, seed, expected):
         rough = _poly_newton(z, sizes, t0, linear)
         if rough is None:
             return None
-        at_rough = grad(rough)
-        if at_rough is None or at_rough[1] > 1e-5:
+        if grad(rough)[1] > 1e-5:
             return None  # cleared-system root on an excluded diagonal
         # the two polish steps push the root from the loose tolerance to
         # machine precision along the quadratic tail
@@ -422,7 +441,7 @@ def _critical_points(z, sizes, linear, q1, budget, tol, seed, expected):
     out = []
     for t in multistart(draw, solve, budget, expected):
         tl = _split(t, sizes)
-        gn = float(np.abs(_grad_t_raw(z, sizes, t, linear)).max())
+        gn = float(_grad_t_raw(z, sizes, t, linear)[1])
         p = _grad_z_raw(z, tl, q1)
         out.append(CriticalPoint(BetheConfiguration(z, tl), gn, p))
     return out

@@ -83,6 +83,18 @@ def lexsorted(values: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
 
 
+def min_gap(values) -> float:
+    """Smallest |v_i - v_j| over pairs i != j; inf for fewer than two values.
+
+    Reads the full distance matrix with its diagonal set to inf, which is
+    cheaper than gathering the upper triangle and gives the same minimum.
+    """
+    v = np.asarray(values).ravel()
+    d = np.abs(v[:, None] - v[None, :])
+    np.fill_diagonal(d, np.inf)
+    return float(d.min(initial=np.inf))
+
+
 def require_distinct(values, min_sep_rel: float, what: str) -> np.ndarray:
     """The values as a complex array, if pairwise separated.
 
@@ -90,11 +102,8 @@ def require_distinct(values, min_sep_rel: float, what: str) -> np.ndarray:
     max(1, largest modulus).
     """
     v = np.asarray(values, dtype=complex).ravel()
-    n = len(v)
-    if n > 1:
-        d = np.abs(v[:, None] - v[None, :])[np.triu_indices(n, 1)]
-        if d.min() < min_sep_rel * max(1.0, np.abs(v).max()):
-            raise ValueError(f"{what} must be pairwise distinct")
+    if min_gap(v) < min_sep_rel * max(1.0, np.abs(v).max(initial=0.0)):
+        raise ValueError(f"{what} must be pairwise distinct")
     return v
 
 

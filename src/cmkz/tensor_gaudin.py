@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .partitions import Partition, irrep_dimension
-from .polyalg import require_distinct
+from .polyalg import min_gap, require_distinct
 from .serialize import pair_list
 
 # largest weight space weight_basis builds; the tensor power never is
@@ -195,6 +195,7 @@ def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]):
         cols = np.eye(basis.dim, dtype=complex)
     else:
         stack = np.vstack(blocks)
+        del blocks  # the stack alone is held through the SVD
         # only vh is read, and it is square either way; a tall stack skips
         # building its full U
         _, sv, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
@@ -443,9 +444,6 @@ def sample_generic_z(n: int, seed_or_rng, radius: float = 1.0) -> np.ndarray:
         r = radius * np.sqrt(rng.uniform(size=n))
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
         z = r * np.exp(1j * theta)
-        if n == 1:
-            return z
-        diffs = np.abs(z[:, None] - z[None, :])[np.triu_indices(n, 1)]
-        if diffs.min() >= 1e-2 * 2.0 * radius:
+        if min_gap(z) >= 1e-2 * 2.0 * radius:
             return z
     raise RuntimeError("failed to sample well-separated points")

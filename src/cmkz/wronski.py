@@ -493,10 +493,12 @@ def _w_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
 
 def _expanded_w(lam: Partition, vec, jac: bool = False):
     """W_1..W_n at free coefficients vec, from the Wronski rows of the cached
-    operator table, and on request the Jacobian dW/dvec."""
+    operator table, row by row for a stack of vec; on request, and for a
+    single vec only, also the Jacobian dW/dvec."""
     coef, support = _w_expansion(lam)
-    factors = np.where(support, np.asarray(vec, dtype=complex), 1.0)
-    w = coef @ factors.prod(axis=1)
+    factors = np.where(support, np.asarray(vec, dtype=complex)[..., None, :], 1.0)
+    # a matrix-vector product per row, bit-identical for one vec or a stack
+    w = np.matmul(coef, factors.prod(axis=-1)[..., None])[..., 0]
     if not jac:
         return w
     return w, coef @ (support * pa.excluded_products(factors))
@@ -524,7 +526,7 @@ def wronski_fiber(
 
     def residual(vec):
         F = _expanded_w(lam, vec) - sigma
-        return F, np.abs(F).max()
+        return F, np.abs(F).max(axis=-1)
 
     def jacobian(vec):
         return _expanded_w(lam, vec, jac=True)[1]

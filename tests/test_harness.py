@@ -175,6 +175,69 @@ def test_starved_bethe_search_undercounts_and_fails_the_check(monkeypatch):
     assert rec.counts["2,1,1"]["found"] < rec.counts["2,1,1"]["expected"] == 3
 
 
+def _bethe_counts(found_211):
+    expected = {"1,1": 1, "2,1": 2, "2,2": 2, "3,1": 3, "2,1,1": 3}
+    found = dict(expected, **{"2,1,1": found_211})
+    return {k: {"expected": d, "found": found[k]} for k, d in expected.items()}
+
+
+_FIBER_COUNTS = {
+    "2,0": {"expected": 1, "found": [1] * 5},
+    "1,1": {"expected": 1, "found": [1] * 5},
+    "2,1": {"expected": 2, "found": [2] * 5},
+    "2,2": {"expected": 2, "found": [2] * 5},
+    "3,1": {"expected": 3, "found": [3] * 5},
+}
+
+# Solver records frozen bit for bit, residuals as hex floats; seed 1000205
+# is one of the seeds where the Bethe search finds 2 of 3 points for (2,1,1)
+PINNED_RECORDS = {
+    (2024, "bethe-correspondence"): (
+        True,
+        _bethe_counts(3),
+        {
+            "max_grad_norm": "0x1.6a09e667f3bcdp-45",
+            "max_match_distance": "0x1.99ccc999fff00p-46",
+            "midpoint_deviation": "0x1.0000000000000p-54",
+        },
+    ),
+    (2024, "wronski-degree"): (
+        True,
+        _FIBER_COUNTS,
+        {
+            "max_w_residual": "0x1.6a09e667f3bcdp-51",
+            "tolerance": "0x1.12e0be826d695p-30",
+        },
+    ),
+    (1000205, "bethe-correspondence"): (
+        False,
+        _bethe_counts(2),
+        {
+            "max_grad_norm": "0x1.0000000000000p-50",
+            "max_match_distance": "0x1.854bfb363dc38p-50",
+            "midpoint_deviation": "0x1.1e3779b97f4a8p-54",
+        },
+    ),
+    (1000205, "wronski-degree"): (
+        True,
+        _FIBER_COUNTS,
+        {
+            "max_w_residual": "0x1.0000000000000p-51",
+            "tolerance": "0x1.12e0be826d695p-30",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("seed,cid", list(PINNED_RECORDS))
+def test_solver_records_are_pinned(seed, cid):
+    passed, counts, residuals = PINNED_RECORDS[(seed, cid)]
+    rec = CHECKS[cid][1](VerificationConfig(seed=seed))
+    assert rec.passed is passed
+    assert rec.counts == counts
+    assert {k: float(v).hex() for k, v in rec.residuals.items()} == residuals
+
+
 def test_registry_order_and_public_names():
     assert list(CHECKS) == [
         "l0-membership",

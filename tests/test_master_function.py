@@ -6,6 +6,7 @@ import pytest
 from cmkz.calogero_moser import lq_residual
 from cmkz.harness import match_points
 from cmkz.master_function import (
+    _cleared_residual,
     _cleared_system,
     _grad_t_raw,
     _hess_t_raw,
@@ -129,7 +130,7 @@ def test_cleared_system_matches_per_equation_reference(sizes, nz, linear):
     assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
     assert np.abs(S - S_ref).max() <= 1e-12 * S_ref.max()
     # dividing out the pole distances gives back dPhi/dt
-    g = _grad_t_raw(z, sizes, t, linear)
+    g = _grad_t_raw(z, sizes, t, linear)[0]
     assert np.abs(F / prods - g).max() <= 1e-10 * max(1.0, np.abs(g).max())
 
 
@@ -160,10 +161,47 @@ def test_hessian_matches_central_differences_of_gradient(sizes, nz, linear):
         e = np.zeros(len(t), dtype=complex)
         e[c] = h
         fd[:, c] = (
-            _grad_t_raw(z, sizes, t + e, linear)
-            - _grad_t_raw(z, sizes, t - e, linear)
+            _grad_t_raw(z, sizes, t + e, linear)[0]
+            - _grad_t_raw(z, sizes, t - e, linear)[0]
         ) / (2.0 * h)
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+# one auxiliary variable gives a one-row pole table, whose stacked layout
+# numpy would otherwise lay out differently
+@pytest.mark.parametrize("sizes,nz,linear", CLEARED_CASES + [((1,), 4, None)])
+def test_stacked_bethe_residuals_match_single_points_bit_for_bit(sizes, nz, linear):
+    # the cleared stage and the polish stage, over stacks of 1, 2 and 39 points
+    z, _ = _cleared_point(sizes, nz, seed=300 + sum(sizes) + nz)
+    rng = np.random.default_rng(301)
+    for residual in (_cleared_residual, _grad_t_raw):
+        for k in (1, 2, 39):
+            T = rng.standard_normal((k, sum(sizes))) + 1j * rng.standard_normal(
+                (k, sum(sizes))
+            )
+            F, norms = residual(z, sizes, T, linear)
+            assert F.shape == T.shape and norms.shape == (k,)
+            for row in range(k):
+                f, norm = residual(z, sizes, T[row], linear)
+                assert _bits(F[row], norms[row]) == _bits(f, norm)
+
+
+def test_polish_residual_is_inf_on_a_collision_row():
+    lam = Partition((2, 1, 1))
+    sizes = level_sizes(lam)
+    z = sample_generic_z(4, 7)
+    rng = np.random.default_rng(8)
+    T = rng.standard_normal((3, sum(sizes))) + 1j * rng.standard_normal((3, sum(sizes)))
+    T[1, 0] = z[2]  # a level-1 variable on top of a position
+    _, norms = _grad_t_raw(z, sizes, T)
+    assert norms[1] == np.inf
+    assert np.isfinite(norms[[0, 2]]).all()
+    assert _grad_t_raw(z, sizes, T[1])[1] == np.inf
+    assert _grad_t_raw(z, sizes, T[0])[1] == norms[0]
 
 
 def test_domain_collision_raises():

@@ -7,7 +7,13 @@ from cmkz.calogero_moser import cm_matrix
 from cmkz.harness import collision_study
 from cmkz.master_function import grad_t_q, solve_bethe_q
 from cmkz.partitions import Partition
-from cmkz.polyalg import excluded_products, pder, poly_det, require_distinct
+from cmkz.polyalg import (
+    excluded_products,
+    min_gap,
+    pder,
+    poly_det,
+    require_distinct,
+)
 from cmkz.tensor_gaudin import gaudin_hamiltonian, generalized_gaudin, singular_basis
 from cmkz.wronski import PolyTuple, QuasiExpTuple, psi, psi_q
 
@@ -20,6 +26,19 @@ def test_require_distinct_threshold_is_relative():
         require_distinct([1e3, 1e3 + 5e-6], 1e-8, "values")
     require_distinct([], 1.0, "values")
     require_distinct([4.0], 1.0, "values")
+
+
+def test_min_gap_matches_the_upper_triangle_minimum():
+    rng = np.random.default_rng(12)
+    for n in range(2, 9):
+        for trial in range(20):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if trial % 4 == 0:
+                v[-1] = v[0]  # a repeated value: the minimum is 0
+            ref = np.abs(v[:, None] - v[None, :])[np.triu_indices(n, 1)].min()
+            assert min_gap(v) == ref
+    assert min_gap([]) == np.inf
+    assert min_gap([3.0 + 1j]) == np.inf
 
 
 def _psi_pair(e):

@@ -264,6 +264,19 @@ def test_wronski_expansion_jacobian_matches_finite_differences(parts):
         assert np.abs(J[:, k] - fd).max() <= 1e-6 * max(1.0, np.abs(J).max())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_stacked_wronski_rows_match_single_points_bit_for_bit(n):
+    rng = np.random.default_rng(80 + n)
+    for lam in enumerate_partitions(n, n):
+        m = len(random_poly_tuple(lam, rng).vector())
+        for k in (1, 2, 39):
+            V = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+            W = _expanded_w(lam, V)
+            assert W.shape == (k, n)
+            for row in range(k):
+                assert W[row].tobytes() == _expanded_w(lam, V[row]).tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_operator_table_matches_poly_det_reference(n):
     rng = np.random.default_rng(70 + n)
