@@ -164,17 +164,19 @@ def _poles(z, sizes, t, linear=None):
 
 
 def _chain(dG, idx, mask, nz) -> np.ndarray:
-    """dF/dt of row functions F_r = G_r(d_r), given dG[r, u] = dG_r/dd_u.
+    """dF/dt of row functions F_r = G_r(d_r), given dG[..., r, u] = dG_r/dd_u,
+    for one point or row by row for a stack.
 
     Every d_u of row r moves with t_r; a pole that is some t_v gives -dG
     against t_v, and the columns of the fixed z are dropped.  Padded
     slots must carry dG = 0.
     """
-    l = len(dG)
-    J = np.zeros((l, nz + l), dtype=complex)
-    J[np.nonzero(mask)[0], idx[mask]] = -dG[mask]
-    J = J[:, nz:]
-    J[np.diag_indices(l)] += dG.sum(axis=1)
+    l = dG.shape[-2]
+    J = np.zeros(dG.shape[:-1] + (nz + l,), dtype=complex)
+    J[..., np.nonzero(mask)[0], idx[mask]] = -dG[..., mask]
+    J = J[..., nz:]
+    diag = np.arange(l)
+    J[..., diag, diag] += dG.sum(axis=-1)
     return J
 
 
@@ -197,7 +199,7 @@ def _grad_t_raw(z, sizes, t, linear=None):
 
 
 def _hess_t_raw(z, sizes, t) -> np.ndarray:
-    # d/dd_u of coef_u / d_u is -coef_u / d_u**2
+    # d/dd_u of coef_u / d_u is -coef_u / d_u**2; row by row for a stack of t
     d, coef, _, idx, mask = _poles(z, sizes, t)
     return _chain(-coef / d**2, idx, mask, len(z))
 
@@ -339,35 +341,43 @@ def _hull_start(rng, z, size):
     return pts + jitter
 
 
-def _cleared_system(z, sizes, tflat, linear, jac=False):
-    """Denominator-cleared critical equations F, their scales S, and dF/dt.
-
-    F and S are taken row by row for a stack of flat t; the Jacobian is
-    for a single point.
+def _cleared_system(z, sizes, tflat, linear):
+    """Denominator-cleared critical equations F and their scales S, row by
+    row for a stack of flat t.
 
     Each gradient component sum_w c_w/(t_r - w) + delta_r is multiplied by
     the product of its pole distances d_w = t_r - w, so near-pole
     evaluations stay finite and cancellation-free; padded slots carry
-    d = 1 and c = 0.  With jac, also returns the analytic Jacobian: with
-    G_r(d) = F_r, dG_r/dd_u = sum_{w != u} c_w prod_{s not in {w, u}} d_s
-    + delta_r prod_{s != u} d_s, and dF_r/dt_r = sum_u dG_r/dd_u while
-    dF_r/dt_v = -dG_r/dd_u when pole u is t_v (z is fixed).
+    d = 1 and c = 0.
     """
-    d, coef, delta, idx, mask = _poles(z, sizes, tflat, linear)
+    d, coef, delta, _, _ = _poles(z, sizes, tflat, linear)
     partial = excluded_products(d)
     full = partial[..., 0] * d[..., 0]
     terms = coef * partial
-    F = terms.sum(axis=-1) + delta * full
-    S = np.abs(terms).sum(axis=-1) + np.abs(delta * full) + 1e-300
-    if not jac:
-        return F, S
-    # pair[r, u, w] = prod_{s not in {u, w}} d_s (and prod_{s != u} at w = u),
-    # from the row with d_u set to 1; charge delta_r stands in at w = u
-    eye = np.eye(d.shape[1], dtype=bool)
-    pair = excluded_products(np.where(eye, 1.0, d[:, None, :]))
+    # delta spelled out to full's shape: numpy multiplies a broadcast complex
+    # operand in another loop, which can round differently, and for a single
+    # variable that loop would differ between one point and a stack
+    linear_terms = np.broadcast_to(delta, full.shape).copy() * full
+    F = terms.sum(axis=-1) + linear_terms
+    S = np.abs(terms).sum(axis=-1) + np.abs(linear_terms) + 1e-300
+    return F, S
+
+
+def _cleared_jacobian(z, sizes, tflat, linear) -> np.ndarray:
+    """dF/dt of the cleared system, row by row for a stack of flat t.
+
+    With G_r(d) = F_r, dG_r/dd_u = sum_{w != u} c_w prod_{s not in {w, u}}
+    d_s + delta_r prod_{s != u} d_s, and dF_r/dt_r = sum_u dG_r/dd_u while
+    dF_r/dt_v = -dG_r/dd_u when pole u is t_v (z is fixed).
+    """
+    d, coef, delta, idx, mask = _poles(z, sizes, tflat, linear)
+    # pair[..., r, u, w] = prod_{s not in {u, w}} d_s (and prod_{s != u} at
+    # w = u), from the row with d_u set to 1; charge delta_r stands in at w = u
+    eye = np.eye(d.shape[-1], dtype=bool)
+    pair = excluded_products(np.where(eye, 1.0, d[..., None, :]))
     charge = np.where(eye, delta[:, None, None], coef[:, None, :])
-    dG = np.einsum("ruw,ruw->ru", charge, pair) * mask
-    return F, S, _chain(dG, idx, mask, len(z))
+    dG = np.einsum("ruw,...ruw->...ru", charge, pair) * mask
+    return _chain(dG, idx, mask, len(z))
 
 
 def _cleared_residual(z, sizes, t, linear):
@@ -377,22 +387,23 @@ def _cleared_residual(z, sizes, t, linear):
     return F, np.abs(F / S).max(axis=-1)
 
 
-def _poly_newton(z, sizes, t0, linear, rel_tol=1e-9, max_iter=45):
-    """Globalizing stage: damped Newton on the cleared polynomial system.
+def _poly_newton(z, sizes, T0, linear, rel_tol=1e-9, max_iter=45):
+    """Globalizing stage: damped Newton on the cleared polynomial system,
+    from each row of the stack T0.
 
     The polynomial residual grows at infinity, so the escape ray of the
     rational system is repelling here.  The Jacobian is analytic (see
-    _cleared_system); the returned point is only a candidate for
+    _cleared_jacobian); a returned point is only a candidate for
     polishing, and a stall below 1e-6 still counts as one.
     """
 
-    def residual(t):
-        return _cleared_residual(z, sizes, t, linear)
+    def residual(T):
+        return _cleared_residual(z, sizes, T, linear)
 
-    def jacobian(t):
-        return _cleared_system(z, sizes, t, linear, jac=True)[2]
+    def jacobian(T):
+        return _cleared_jacobian(z, sizes, T, linear)
 
-    return damped_newton(residual, jacobian, t0, rel_tol, max_iter, accept=1e-6)
+    return damped_newton(residual, jacobian, T0, rel_tol, max_iter, accept=1e-6)
 
 
 def _critical_points(z, sizes, linear, q1, budget, tol, seed, expected):
@@ -425,18 +436,27 @@ def _critical_points(z, sizes, linear, q1, budget, tol, seed, expected):
             return _hull_start(rng, z, total)
         return _random_start(rng, z, total, widen=widths[k % len(widths)])
 
-    def solve(t0):
-        rough = _poly_newton(z, sizes, t0, linear)
-        if rough is None:
-            return None
-        if grad(rough)[1] > 1e-5:
-            return None  # cleared-system root on an excluded diagonal
-        # the two polish steps push the root from the loose tolerance to
+    def solve(T0):
+        out = [None] * len(T0)
+        rough = _poly_newton(z, sizes, T0, linear)
+        rows = [r for r, t in enumerate(rough) if t is not None]
+        if not rows:
+            return out
+        R = np.stack([rough[r] for r in rows])
+        # a cleared-system root with a large gradient lies on an excluded
+        # diagonal
+        on_domain = ~(grad(R)[1] > 1e-5)
+        if not on_domain.any():
+            return out
+        # the two polish steps push each root from the loose tolerance to
         # machine precision along the quadratic tail
-        t = damped_newton(grad, hess, rough, tol, 60, polish=2, escape=escape)
-        if t is None:
-            return None
-        return np.concatenate(_canonical_levels(_split(t, sizes)))
+        polished = damped_newton(
+            grad, hess, R[on_domain], tol, 60, polish=2, escape=escape
+        )
+        for r, t in zip(np.asarray(rows)[on_domain], polished):
+            if t is not None:
+                out[r] = np.concatenate(_canonical_levels(_split(t, sizes)))
+        return out
 
     out = []
     for t in multistart(draw, solve, budget, expected):

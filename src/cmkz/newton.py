@@ -1,14 +1,18 @@
 """The two solver kernels behind the Bethe and Wronski routes: a
-backtracking damped Newton iteration and a seeded multistart loop that
-collects distinct roots.
+backtracking damped Newton iteration over a stack of starts and a seeded
+multistart loop that collects distinct roots.
 
 Both kernels are policy only.  Callers supply the residual, the Jacobian,
 the start generator and every constant (tolerances, iteration caps,
 start budget, escape radius, polish steps), so each route keeps its own
-numerics.  A residual is vectorised over a leading axis: ``residual(X)``
-returns ``(F, norm)`` for one point or, row by row, for a stack of
-points, with norm = inf for a point outside the domain.  The line search
-uses that to try all its step lengths past the full step in one call.
+numerics.  Residual and Jacobian are vectorised over a leading axis:
+given a stack X of shape (B, l), ``residual(X)`` returns ``(F, norm)``
+row by row, with norm = inf for a point outside the domain, and
+``jacobian(X)`` returns the (B, l, l) stack of Jacobians.  Row k of
+either must equal the value at X[k] alone, bit for bit, so a start
+follows the same iterates whatever stack it is solved in.  Newton runs
+every start of a stack in lockstep, one residual call per step for all
+of them, and multistart hands it its starts in growing chunks.
 """
 
 from __future__ import annotations
@@ -25,79 +29,142 @@ def _passes(norm, fn, alpha, tol):
     return (norm < fn * (1.0 - 0.25 * alpha)) | (norm <= tol)
 
 
-def damped_newton(
-    residual, jacobian, x0, tol, max_iter, accept=None, polish=0, escape=np.inf
-):
-    """Damped Newton from x0; returns the root or None.
+def _newton_steps(J, F):
+    """Newton steps J^-1 F row by row, and the mask of the rows that have one
+    (None when all do).
 
-    ``residual(X)`` returns ``(F, norm)``, with norm the sup norm the step
-    test uses, or inf when X lies outside the domain; given a stack of
-    points along a leading axis it returns both row by row.  A step of
-    length alpha is taken when the norm falls by the factor 1 - alpha/4
-    or reaches tol.  The full step is tried first; if it fails, the
-    halvings alpha = 2^-1 ... 2^-39 are evaluated as one stack and the
-    longest one that passes is taken, the step a sequential halving
-    would take; if none passes, the run stalls.  Once the norm is at
-    most tol, up to ``polish`` undamped steps run while they keep
-    lowering the norm.  An iterate beyond ``escape`` in sup norm aborts
-    the solve.  A stalled or exhausted run returns its iterate only when
-    the norm is at most ``accept`` (default: tol).
+    np.linalg.solve raises on a stack when any one matrix is singular; that
+    stack is then solved row by row, and a singular row gets no step.
     """
-    F, fn = residual(x0)
-    if fn == np.inf:
-        return None
-    x = x0
+    try:
+        return np.linalg.solve(J, F[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        steps = np.zeros(F.shape, dtype=np.result_type(J, F))
+        ok = np.ones(len(F), dtype=bool)
+        for r in range(len(F)):
+            try:
+                steps[r] = np.linalg.solve(J[r], F[r])
+            except np.linalg.LinAlgError:
+                ok[r] = False
+        return steps, ok
+
+
+def _take(mask, *arrays):
+    return tuple(a[mask] for a in arrays)
+
+
+def damped_newton(
+    residual, jacobian, X0, tol, max_iter, accept=None, polish=0, escape=np.inf
+) -> list:
+    """Damped Newton from each row of X0, shape (B, l); one root or None per row.
+
+    ``residual(X)`` returns ``(F, norm)`` row by row, with norm the sup
+    norm the step test uses, or inf when a row lies outside the domain;
+    such a start gives None.  Every row runs the same loop.  A step of
+    length alpha is taken when the norm falls by the factor 1 - alpha/4
+    or reaches tol.  The full step is tried first, for all live rows in
+    one call; the rows it fails evaluate the halvings alpha = 2^-1 ...
+    2^-39 as one stack and take the longest that passes, the step a
+    sequential halving would take; a row with none stalls.  A singular
+    Jacobian or an iterate beyond ``escape`` in sup norm gives None.  A
+    row whose norm is at most tol leaves the loop; at the end such rows
+    get, as one stack, up to ``polish`` undamped steps each, while the
+    steps keep lowering the norm.  A stalled or exhausted row returns its
+    iterate only when the norm is at most ``accept`` (default: tol).
+    """
+    X0 = np.asarray(X0)
+    out = [None] * len(X0)
+    final = tol if accept is None else accept
+
+    def keep(rows, X):
+        for r, x in zip(rows, X):
+            out[r] = x
+
+    F, fn = residual(X0)
+    rows = (fn != np.inf).nonzero()[0]  # indices into X0 of the live rows
+    X, F, fn = X0[rows], F[rows], fn[rows]
+    tails = []  # (rows, X, F, fn) of the rows that reached tol
     for _ in range(max_iter):
-        if fn <= tol:
-            for _ in range(polish):
-                try:
-                    step = np.linalg.solve(jacobian(x), F)
-                except np.linalg.LinAlgError:
-                    break
-                cand = x - step
-                trial = residual(cand)
-                if trial[1] >= fn:
-                    break
-                x, (F, fn) = cand, trial
-            return x
-        if np.abs(x).max() > escape:
-            return None
-        try:
-            step = np.linalg.solve(jacobian(x), F)
-        except np.linalg.LinAlgError:
-            return None
-        cand = x - step
-        trial_F, trial_fn = residual(cand)
-        if not _passes(trial_fn, fn, 1.0, tol):
-            cands = x - _HALVINGS[:, None] * step
-            Fs, norms = residual(cands)
-            ok = _passes(norms, fn, _HALVINGS, tol)
-            if not ok.any():
+        stop = fn <= tol
+        if stop.any():
+            tails.append(_take(stop, rows, X, F, fn))
+        if escape < np.inf:  # skips a test no iterate can fail
+            stop |= np.abs(X).max(axis=-1) > escape
+        if stop.any():
+            rows, X, F, fn = _take(~stop, rows, X, F, fn)
+        if not len(rows):
+            break
+        step, solved = _newton_steps(jacobian(X), F)
+        if solved is not None:
+            rows, X, F, fn, step = _take(solved, rows, X, F, fn, step)
+            if not len(rows):
                 break
-            i = ok.argmax()  # the longest step that passes
-            cand, trial_F, trial_fn = cands[i], Fs[i], norms[i]
-        x, F, fn = cand, trial_F, trial_fn
-    return x if fn <= (tol if accept is None else accept) else None
+        cand = X - step
+        cand_F, cand_fn = residual(cand)
+        miss = (~_passes(cand_fn, fn, 1.0, tol)).nonzero()[0]
+        if len(miss):
+            trials = X[miss, None] - _HALVINGS[:, None] * step[miss, None]
+            Fs, norms = residual(trials)
+            ok = _passes(norms, fn[miss, None], _HALVINGS, tol)
+            took = np.arange(len(miss)), ok.argmax(axis=1)  # the longest passing
+            cand[miss], cand_F[miss] = trials[took], Fs[took]
+            cand_fn[miss] = norms[took]
+            stall = ~ok.any(axis=1)
+            if stall.any():
+                moving = np.ones(len(rows), dtype=bool)
+                moving[miss[stall]] = False
+                keep(*_take(~moving & (fn <= final), rows, X))
+                rows, cand, cand_F, cand_fn = _take(moving, rows, cand, cand_F, cand_fn)
+        X, F, fn = cand, cand_F, cand_fn
+    keep(*_take(fn <= final, rows, X))
+
+    if not tails:
+        return out
+
+    rows, X, F, fn = (np.concatenate(part) for part in zip(*tails))
+    for _ in range(polish):
+        if not len(rows):
+            break
+        step, solved = _newton_steps(jacobian(X), F)
+        cand = X - step
+        cand_F, cand_fn = residual(cand)
+        stop = cand_fn >= fn
+        if solved is not None:
+            stop |= ~solved
+        if stop.any():
+            keep(*_take(stop, rows, X))
+            rows, cand, cand_F, cand_fn = _take(~stop, rows, cand, cand_F, cand_fn)
+        X, F, fn = cand, cand_F, cand_fn
+    keep(rows, X)
+    return out
 
 
 def multistart(draw, solve, budget, expected) -> list[np.ndarray]:
     """Distinct roots from one seeded stream of starts.
 
-    Solves ``solve(draw(k))`` for k = 0, 1, ... and stops once ``expected``
-    roots are kept or ``budget`` starts are spent; a None result is
-    skipped.  A root within 1e-6 of a kept one, relative to max(1, its sup
-    norm), is a duplicate.  A list shorter than ``expected`` means the
-    search undercounted.  Roots come back in (re, im) lexicographic order.
+    Draws the starts ``draw(k)`` for k = 0, 1, ... in chunks of 1, 2, 4,
+    ... 64, capped by the budget left, and solves each chunk as one stack:
+    ``solve(X)`` returns one root or None per row.  Results are read in
+    start order: a None is skipped, a root within 1e-6 of a kept one,
+    relative to max(1, its sup norm), is a duplicate, and reading stops
+    once ``expected`` roots are kept, so the kept roots are those of a
+    loop that solves one start at a time.  The starts after that one in
+    its chunk are solved and discarded.  The search ends there or once
+    ``budget`` starts are spent; a list shorter than ``expected`` means
+    it undercounted.  Roots come back in (re, im) lexicographic order.
     """
     found: list[np.ndarray] = []
-    for k in range(budget):
-        if len(found) >= expected:
-            break
-        x = solve(draw(k))
-        if x is None:
-            continue
-        scale = max(1.0, np.abs(x).max())
-        if all(np.abs(x - prev).max() > 1e-6 * scale for prev in found):
-            found.append(x)
+    k, size = 0, 1
+    while k < budget and len(found) < expected:
+        chunk = range(k, min(k + size, budget))
+        for x in solve(np.stack([draw(j) for j in chunk])):
+            if len(found) >= expected:
+                break
+            if x is None:
+                continue
+            scale = max(1.0, np.abs(x).max())
+            if all(np.abs(x - prev).max() > 1e-6 * scale for prev in found):
+                found.append(x)
+        k, size = chunk.stop, min(2 * size, 64)
     found.sort(key=lambda x: tuple(v for c in x for v in (c.real, c.imag)))
     return found

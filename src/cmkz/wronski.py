@@ -493,15 +493,15 @@ def _w_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
 
 def _expanded_w(lam: Partition, vec, jac: bool = False):
     """W_1..W_n at free coefficients vec, from the Wronski rows of the cached
-    operator table, row by row for a stack of vec; on request, and for a
-    single vec only, also the Jacobian dW/dvec."""
+    operator table, row by row for a stack of vec; on request also the
+    Jacobian dW/dvec, likewise."""
     coef, support = _w_expansion(lam)
     factors = np.where(support, np.asarray(vec, dtype=complex)[..., None, :], 1.0)
-    # a matrix-vector product per row, bit-identical for one vec or a stack
+    # matrix products per row, bit-identical for one vec or a stack
     w = np.matmul(coef, factors.prod(axis=-1)[..., None])[..., 0]
     if not jac:
         return w
-    return w, coef @ (support * pa.excluded_products(factors))
+    return w, np.matmul(coef, support * pa.excluded_products(factors))
 
 
 def wronski_fiber(
@@ -514,9 +514,9 @@ def wronski_fiber(
     (_operator_expansion), two small matrix products per call; the gates
     that check the result evaluate wronski_map, on poly_det.  The search
     stops at the Wronski-map degree or after WRONSKI_BUDGET starts; an
-    undercount is the caller's signal.  Each distinct root then gets up to
-    two undamped polish steps, which take its W residual from the loose
-    tolerance to roundoff.
+    undercount is the caller's signal.  The distinct roots then get, as one
+    stack, up to two undamped polish steps each, which take their W
+    residual from the loose tolerance to roundoff.
     """
     n = lam.n
     sigma = np.asarray(sigma_target, dtype=complex).ravel()
@@ -536,11 +536,13 @@ def wronski_fiber(
     def draw(_):
         return 2.0 * scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-    def solve(v0, polish=0):
-        return damped_newton(residual, jacobian, v0, tol, 60, polish=polish)
+    def solve(V0, polish=0):
+        return damped_newton(residual, jacobian, V0, tol, 60, polish=polish)
 
     roots = multistart(draw, solve, WRONSKI_BUDGET, irrep_dimension(lam))
-    return [poly_tuple_from_vector(lam, solve(v, polish=2)) for v in roots]
+    if not roots:
+        return []
+    return [poly_tuple_from_vector(lam, v) for v in solve(np.stack(roots), polish=2)]
 
 
 def wronski_map_q(x: QuasiExpTuple) -> MonicPoly:

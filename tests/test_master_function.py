@@ -6,6 +6,7 @@ import pytest
 from cmkz.calogero_moser import lq_residual
 from cmkz.harness import match_points
 from cmkz.master_function import (
+    _cleared_jacobian,
     _cleared_residual,
     _cleared_system,
     _grad_t_raw,
@@ -137,8 +138,7 @@ def test_cleared_system_matches_per_equation_reference(sizes, nz, linear):
 @pytest.mark.parametrize("sizes,nz,linear", CLEARED_CASES)
 def test_cleared_system_jacobian_matches_central_differences(sizes, nz, linear):
     z, t = _cleared_point(sizes, nz, seed=100 + sum(sizes) + nz)
-    F, S, J = _cleared_system(z, sizes, t, linear, jac=True)
-    assert np.array_equal(F, _cleared_system(z, sizes, t, linear)[0])
+    J = _cleared_jacobian(z, sizes, t, linear)
     h = 1e-6
     fd = np.empty_like(J)
     for c in range(len(t)):
@@ -172,14 +172,22 @@ def _bits(*arrays):
 
 
 # one auxiliary variable gives a one-row pole table, whose stacked layout
-# numpy would otherwise lay out differently
-@pytest.mark.parametrize("sizes,nz,linear", CLEARED_CASES + [((1,), 4, None)])
+# numpy would otherwise lay out differently; with a linear term, a stack of
+# one such point multiplies in another numpy loop unless the linear term is
+# spelled out to the stack's shape
+STACK_CASES = CLEARED_CASES + [((1,), 4, None), ((1,), 2, (0.7 - 0.2j,))]
+# one-point stacks are repeated: a loop that rounds differently shows on
+# some inputs only
+STACK_SIZES = (1,) * 40 + (2, 39)
+
+
+@pytest.mark.parametrize("sizes,nz,linear", STACK_CASES)
 def test_stacked_bethe_residuals_match_single_points_bit_for_bit(sizes, nz, linear):
     # the cleared stage and the polish stage, over stacks of 1, 2 and 39 points
     z, _ = _cleared_point(sizes, nz, seed=300 + sum(sizes) + nz)
     rng = np.random.default_rng(301)
     for residual in (_cleared_residual, _grad_t_raw):
-        for k in (1, 2, 39):
+        for k in STACK_SIZES:
             T = rng.standard_normal((k, sum(sizes))) + 1j * rng.standard_normal(
                 (k, sum(sizes))
             )
@@ -188,6 +196,28 @@ def test_stacked_bethe_residuals_match_single_points_bit_for_bit(sizes, nz, line
             for row in range(k):
                 f, norm = residual(z, sizes, T[row], linear)
                 assert _bits(F[row], norms[row]) == _bits(f, norm)
+
+
+@pytest.mark.parametrize("sizes,nz,linear", STACK_CASES)
+def test_stacked_bethe_jacobians_match_single_points_bit_for_bit(sizes, nz, linear):
+    # the cleared-system Jacobian and the Hessian, over stacks of 1, 2 and
+    # 39 points and a stack of stacks
+    z, _ = _cleared_point(sizes, nz, seed=400 + sum(sizes) + nz)
+    rng = np.random.default_rng(401)
+    jacobians = (
+        lambda T: _cleared_jacobian(z, sizes, T, linear),
+        lambda T: _hess_t_raw(z, sizes, T),
+    )
+    l = sum(sizes)
+    for jacobian in jacobians:
+        for shape in [(k,) for k in STACK_SIZES] + [(3, 5)]:
+            T = rng.standard_normal(shape + (l,)) + 1j * rng.standard_normal(
+                shape + (l,)
+            )
+            J = jacobian(T)
+            assert J.shape == shape + (l, l)
+            for row in np.ndindex(shape):
+                assert _bits(J[row]) == _bits(jacobian(T[row]))
 
 
 def test_polish_residual_is_inf_on_a_collision_row():
@@ -334,3 +364,47 @@ def test_critical_point_json():
     d = c.as_dict()
     assert set(d) == {"z", "t", "p", "grad_norm"}
     assert len(d["t"]) == 1 and len(d["t"][0]) == 1
+
+
+def _hex_coords(values):
+    return tuple(f"{float(c.real).hex()} {float(c.imag).hex()}" for c in values)
+
+
+# solve_bethe_q, which no verify check runs, pinned bit for bit: the flat t
+# of each critical point, as hex floats, keyed by (n, z seed)
+BETHE_Q_PINS = {
+    (2, 42): [
+        (
+            "0x1.027944351af64p-3 -0x1.3b73b23f13892p-1",
+        ),
+        (
+            "0x1.2801fdfb86fa1p+1 0x1.7c9f92c6ad7e9p-1",
+        ),
+    ],
+    (3, 40): [
+        (
+            "0x1.283bcfdfd1075p-4 -0x1.954fd2d690edbp-1",
+            "0x1.8f6977e070bd4p-1 -0x1.b82d4844bbbebp-8",
+            "0x1.ea1aac96c4c54p-2 -0x1.cc7ad84727b79p-4",
+        ),
+        (
+            "0x1.389d73b3e4cfap-1 -0x1.27366d32d3c84p-1",
+            "0x1.1fa61a4c4a737p+0 -0x1.edb6a42d228eep-3",
+            "-0x1.8c1a9634adcb8p-5 -0x1.ec4a4bed2d65ep-2",
+        ),
+        (
+            "0x1.46e5db44b839ep-1 -0x1.4d107c39829afp-3",
+            "0x1.27b67024bab25p+0 -0x1.76cd803a25fd3p-1",
+            "0x1.97346b8ac4118p-7 -0x1.109a83e4da152p-2",
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("n,z_seed", list(BETHE_Q_PINS))
+def test_solve_bethe_q_roots_are_pinned(n, z_seed):
+    rng = np.random.default_rng(z_seed)
+    z = sample_generic_z(n, rng)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    crits = solve_bethe_q(q, z, seed=n)
+    assert [_hex_coords(c.config.flat_t) for c in crits] == BETHE_Q_PINS[(n, z_seed)]

@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from hypothesis import given, strategies as st
 
 from cmkz import master_function as mf
 from cmkz.newton import damped_newton, multistart
@@ -12,12 +14,12 @@ def _cube_residual(x):
 
 
 def _cube_jacobian(x):
-    return np.diag(3.0 * x**2)
+    return (3.0 * x**2)[..., None] * np.eye(x.shape[-1])
 
 
 def test_damped_newton_converges_on_cube_root_of_unity():
-    x = damped_newton(
-        _cube_residual, _cube_jacobian, np.array([1.2 + 0.1j]), 1e-12, 60, polish=2
+    [x] = damped_newton(
+        _cube_residual, _cube_jacobian, np.array([[1.2 + 0.1j]]), 1e-12, 60, polish=2
     )
     assert x is not None
     assert abs(x[0] - 1.0) < 1e-14
@@ -28,12 +30,12 @@ def test_damped_newton_rejects_start_outside_domain():
 
     def jacobian(x):
         calls.append(x)
-        return np.eye(1)
+        return np.ones(x.shape + (1,))
 
     def outside(x):
-        return np.zeros_like(x), np.full(x.shape[:-1], np.inf)[()]
+        return np.zeros_like(x), np.full(x.shape[:-1], np.inf)
 
-    assert damped_newton(outside, jacobian, np.ones(1), 1e-12, 60) is None
+    assert damped_newton(outside, jacobian, np.ones((1, 1)), 1e-12, 60) == [None]
     assert not calls
 
 
@@ -45,22 +47,27 @@ def test_damped_newton_stall_returns_only_within_accept():
         return F, np.abs(F).max(axis=-1)
 
     def uphill(x):
-        return -np.eye(1)
+        return -np.ones(x.shape + (1,))
 
-    x0 = np.array([1.0 + 1e-3])
-    assert damped_newton(residual, uphill, x0, 1e-12, 60) is None
-    assert damped_newton(residual, uphill, x0, 1e-12, 60, accept=1e-4) is None
-    x = damped_newton(residual, uphill, x0, 1e-12, 60, accept=1e-2)
-    assert x is not None and x[0] == x0[0]
+    x0 = np.array([[1.0 + 1e-3]])
+    assert damped_newton(residual, uphill, x0, 1e-12, 60) == [None]
+    assert damped_newton(residual, uphill, x0, 1e-12, 60, accept=1e-4) == [None]
+    [x] = damped_newton(residual, uphill, x0, 1e-12, 60, accept=1e-2)
+    assert x is not None and x[0] == x0[0, 0]
 
 
 def test_damped_newton_escape_aborts():
-    x0 = np.array([10.0 + 1.0j])
-    assert damped_newton(_cube_residual, _cube_jacobian, x0, 1e-12, 60) is not None
-    assert (
-        damped_newton(_cube_residual, _cube_jacobian, x0, 1e-12, 60, escape=5.0)
-        is None
-    )
+    x0 = np.array([[10.0 + 1.0j]])
+    [x] = damped_newton(_cube_residual, _cube_jacobian, x0, 1e-12, 60)
+    assert x is not None
+    assert damped_newton(
+        _cube_residual, _cube_jacobian, x0, 1e-12, 60, escape=5.0
+    ) == [None]
+
+
+def _stack(solve_one):
+    """A stacked solve from a one-start solve."""
+    return lambda X: [solve_one(x) for x in X]
 
 
 def test_multistart_drops_duplicates_and_sorts():
@@ -69,26 +76,29 @@ def test_multistart_drops_duplicates_and_sorts():
     def draw(k):
         return np.array([pts[k]])
 
-    found = multistart(draw, lambda x: x, len(pts), expected=5)
+    found = multistart(draw, _stack(lambda x: x), len(pts), expected=5)
     assert [complex(x[0]) for x in found] == [0.5 + 1j, 1.0 + 0j, 2.0 + 0j]
 
 
 def test_multistart_skips_failed_solves():
-    found = multistart(lambda k: np.array([float(k)]), lambda x: None, 4, 1)
+    found = multistart(
+        lambda k: np.array([float(k)]), _stack(lambda x: None), 4, 1
+    )
     assert found == []
 
 
 def test_multistart_stops_at_the_start_that_completes_expected():
     # starts 0..5 give roots 0, 0, 1, 1, 2, 2: the third distinct root
-    # comes from start 4, and no later start is drawn
+    # comes from start 4, in the chunk [3, 4, 5, 6], and no later chunk is
+    # drawn; starts 5 and 6 are solved and discarded
     drawn = []
 
     def draw(k):
         drawn.append(k)
         return np.array([float(k // 2)])
 
-    found = multistart(draw, lambda x: x, 100, expected=3)
-    assert drawn == [0, 1, 2, 3, 4]
+    found = multistart(draw, _stack(lambda x: x), 100, expected=3)
+    assert drawn == [0, 1, 2, 3, 4, 5, 6]
     assert [x[0] for x in found] == [0.0, 1.0, 2.0]
 
 
@@ -99,9 +109,54 @@ def test_multistart_starved_run_returns_short_list():
         drawn.append(k)
         return np.array([1.0])
 
-    found = multistart(draw, lambda x: x, 3, expected=3)
+    found = multistart(draw, _stack(lambda x: x), 3, expected=3)
     assert drawn == [0, 1, 2]
     assert len(found) == 1
+
+
+# Reference: the multistart loop that solves one start at a time.
+# multistart must keep the same roots.
+def _one_at_a_time_multistart(draw, solve, budget, expected):
+    found = []
+    for k in range(budget):
+        if len(found) >= expected:
+            break
+        x = solve(draw(k))
+        if x is None:
+            continue
+        scale = max(1.0, np.abs(x).max())
+        if all(np.abs(x - prev).max() > 1e-6 * scale for prev in found):
+            found.append(x)
+    found.sort(key=lambda x: tuple(v for c in x for v in (c.real, c.imag)))
+    return found
+
+
+@given(
+    roots=st.lists(
+        st.one_of(st.none(), st.integers(0, 6)), min_size=1, max_size=150
+    ),
+    budget=st.integers(0, 160),
+    expected=st.integers(0, 8),
+)
+def test_chunked_multistart_keeps_the_roots_of_the_one_at_a_time_loop(
+    roots, budget, expected
+):
+    # start k solves to None or to one of a few roots, each with jitter
+    # below the duplicate radius
+    def draw(k):
+        return np.array([float(k)])
+
+    def solve_one(x):
+        k = int(x[0].real)
+        r = roots[k % len(roots)]
+        if r is None:
+            return None
+        return np.array([r + 1e-9 * (k % 5) + 0.5j * r])
+
+    ref = _one_at_a_time_multistart(draw, solve_one, budget, expected)
+    got = multistart(draw, _stack(solve_one), budget, expected)
+    assert len(got) == len(ref)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
 
 
 # Reference: damped Newton with a sequential line search, one residual call
@@ -182,6 +237,9 @@ def _same_bits(a, b):
 
 
 def test_stacked_line_search_matches_the_sequential_loop_bit_for_bit():
+    # all 60 starts of a case run as one stack, and then all its rough
+    # roots as one polish stack; every row must equal the sequential loop
+    # run on that start alone
     exhausted = late = compared = 0
     for parts, z_seed in BETHE_START_CASES:
         z, sizes, starts = _bethe_starts(parts, z_seed)
@@ -190,7 +248,7 @@ def test_stacked_line_search_matches_the_sequential_loop_bit_for_bit():
             return mf._cleared_residual(z, sizes, t, None)
 
         def cleared_jac(t):
-            return mf._cleared_system(z, sizes, t, None, jac=True)[2]
+            return mf._cleared_jacobian(z, sizes, t, None)
 
         def grad(t):
             return mf._grad_t_raw(z, sizes, t)
@@ -199,7 +257,12 @@ def test_stacked_line_search_matches_the_sequential_loop_bit_for_bit():
             return mf._hess_t_raw(z, sizes, t)
 
         escape = 25.0 * (1.0 + np.abs(z).max())
-        for t0 in starts:
+        stacked = damped_newton(
+            cleared, cleared_jac, np.stack(starts), 1e-9, 45, accept=1e-6
+        )
+        assert len(stacked) == len(starts)
+        rough = []
+        for t0, new in zip(starts, stacked):
             # one list of norms per Newton step: a Jacobian call opens it
             searches = [[]]
 
@@ -215,9 +278,10 @@ def test_stacked_line_search_matches_the_sequential_loop_bit_for_bit():
             ref = _sequential_damped_newton(
                 _single_point(logged), opening_jac, t0, 1e-9, 45, accept=1e-6
             )
-            new = damped_newton(cleared, cleared_jac, t0, 1e-9, 45, accept=1e-6)
             assert _same_bits(ref, new)
             compared += 1
+            if ref is not None:
+                rough.append(ref)
             # classify each sequential line search by its last trial
             fn = searches[0][0]
             for norms in searches[1:]:
@@ -227,38 +291,96 @@ def test_stacked_line_search_matches_the_sequential_loop_bit_for_bit():
                     late += len(norms) - 1 >= 30
                 else:
                     exhausted += len(norms) == 40
-            if ref is not None:
-                # the polish stage, whose residual is inf off the domain
-                ref_t = _sequential_damped_newton(
-                    _single_point(grad), hess, ref, 1e-10, 60, polish=2, escape=escape
-                )
-                new_t = damped_newton(
-                    grad, hess, ref, 1e-10, 60, polish=2, escape=escape
-                )
-                assert _same_bits(ref_t, new_t)
+        # the polish stage, whose residual is inf off the domain
+        polished = damped_newton(
+            grad, hess, np.stack(rough), 1e-10, 60, polish=2, escape=escape
+        )
+        for t0, new_t in zip(rough, polished):
+            ref_t = _sequential_damped_newton(
+                _single_point(grad), hess, t0, 1e-10, 60, polish=2, escape=escape
+            )
+            assert _same_bits(ref_t, new_t)
     assert compared >= 200
     assert exhausted > 0 and late > 0
 
 
+# a toy system x^3 = 1 with a domain (real part at most 100), a wrong-sign
+# Jacobian above the line Im x = 5, and a zero Jacobian within 1e-6 of the
+# root w = exp(2 pi i / 3)
+_W = np.exp(2j * np.pi / 3)
+
+
+def _toy_residual(x):
+    F = x**3 - 1.0
+    norm = np.abs(F).max(axis=-1)
+    return F, np.where((x.real > 100.0).any(axis=-1), np.inf, norm)
+
+
+def _toy_jacobian(x):
+    J = 3.0 * x**2
+    J = np.where(x.imag > 5.0, -J, J)
+    J = np.where(np.abs(x - _W) < 1e-6, 0.0, J)
+    return J[..., None]
+
+
+def test_stacked_rows_match_their_single_start_runs():
+    tol, escape = 1e-12, 50.0
+    late_start = np.array([1.5 + 0.5j])
+
+    def sequential(x0, max_iter):
+        return _sequential_damped_newton(
+            _single_point(_toy_residual), _toy_jacobian, x0, tol, max_iter,
+            polish=2, escape=escape,
+        )
+
+    # the first iteration cap at which late_start reaches tol: it gets
+    # there on its last iteration, so it is returned unpolished
+    max_iter = next(m for m in range(1, 60) if sequential(late_start, m) is not None)
+    starts = {
+        "outside the domain": np.array([200.0 + 0j]),
+        "singular": np.array([0.0 + 0j]),
+        "escapes": np.array([60.0 + 0j]),
+        "stalls": np.array([0.1 + 10j]),
+        "late": late_start,
+        "converges": np.array([1.2 + 0.1j]),
+        "singular polish": np.array([_W]),
+        "exact root": np.array([1.0 + 0j]),
+    }
+    X0 = np.stack(list(starts.values()))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(_toy_jacobian(X0), _toy_residual(X0)[0][..., None])
+    got = dict(zip(starts, damped_newton(
+        _toy_residual, _toy_jacobian, X0, tol, max_iter, polish=2, escape=escape
+    )))
+    for name, x0 in starts.items():
+        assert _same_bits(got[name], sequential(x0, max_iter)), name
+    none = {"outside the domain", "singular", "escapes", "stalls"}
+    assert {name for name, x in got.items() if x is None} == none
+    assert got["singular polish"].tobytes() == starts["singular polish"].tobytes()
+
+
 def test_rejected_line_search_makes_two_residual_calls():
-    # the first start of the (2, 2) case: its first line search fails at
-    # every halving, and the solve stalls there
+    # three starts of the (2, 2) case whose first line search fails at
+    # every halving, so each solve stalls there
     z, sizes, starts = _bethe_starts((2, 2), 17)
+    stalling = [starts[i] for i in (0, 1, 3)]
     calls = []
 
     def jacobian(t):
         calls.append("jac")
-        return mf._cleared_system(z, sizes, t, None, jac=True)[2]
+        return mf._cleared_jacobian(z, sizes, t, None)
 
     def residual(t):
         calls.append(t.shape[:-1])
         return mf._cleared_residual(z, sizes, t, None)
 
-    assert damped_newton(residual, jacobian, starts[0], 1e-9, 45, accept=1e-6) is None
-    # the start, then the full step and the 39 halvings as one stack
-    assert calls == [(), "jac", (), (39,)]
+    X0 = np.stack(stalling)
+    assert damped_newton(residual, jacobian, X0, 1e-9, 45, accept=1e-6) == [None] * 3
+    # the starts, then the full steps and the 39 halvings each, as stacks
+    assert calls == [(3,), "jac", (3,), (3, 39)]
 
-    calls.clear()
     old = _single_point(residual)
-    assert _sequential_damped_newton(old, jacobian, starts[0], 1e-9, 45, 1e-6) is None
-    assert calls == [(), "jac"] + [()] * 40
+    for t0 in stalling:
+        calls.clear()
+        assert _sequential_damped_newton(old, jacobian, t0, 1e-9, 45, 1e-6) is None
+        assert calls == [(), "jac"] + [()] * 40

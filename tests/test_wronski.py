@@ -271,10 +271,12 @@ def test_stacked_wronski_rows_match_single_points_bit_for_bit(n):
         m = len(random_poly_tuple(lam, rng).vector())
         for k in (1, 2, 39):
             V = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
-            W = _expanded_w(lam, V)
-            assert W.shape == (k, n)
+            W, J = _expanded_w(lam, V, jac=True)
+            assert W.shape == (k, n) and J.shape == (k, n, m)
             for row in range(k):
-                assert W[row].tobytes() == _expanded_w(lam, V[row]).tobytes()
+                w, j = _expanded_w(lam, V[row], jac=True)
+                assert W[row].tobytes() == w.tobytes()
+                assert J[row].tobytes() == j.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -429,3 +431,136 @@ def test_poly_tuple_json_round_trip():
     op = fundamental_operator(lam, x)
     dense = op.as_dense()
     assert len(dense) == 4 and len(dense[0]) == 4
+
+
+def _hex_coords(values):
+    return tuple(f"{float(c.real).hex()} {float(c.imag).hex()}" for c in values)
+
+
+# wronski_fiber on every partition with n <= 4, pinned bit for bit: the free
+# coefficients of each tuple as hex floats; the target is the elementary
+# symmetric data of sample_generic_z(n, rng) with rng seeded by the parts
+FIBER_PINS = {
+    (1,): [
+        (
+            "-0x1.5cb1b559606a2p-1 0x1.c0b3b4a5af989p-3",
+        ),
+    ],
+    (2,): [
+        (
+            "-0x1.f9caa95e77d68p-1 0x1.085fe1fd4a72fp-2",
+            "0x1.64b9d39d02dd1p-1 -0x1.dd6a781a16b0ap-2",
+        ),
+    ],
+    (1, 1): [
+        (
+            "0x1.62c17ca6bffc8p-3 0x1.7aab3e7c85561p-3",
+            "-0x1.a0d3b59b219b5p-3 0x1.6389358591fcep-5",
+        ),
+    ],
+    (3,): [
+        (
+            "0x1.1cf004a8cf21ep+0 -0x1.a3d856819f7b8p-1",
+            "-0x1.8c1b3e60c8961p-1 -0x1.2d435ea159c2bp-1",
+            "-0x1.f8718c0e6b96dp-1 -0x1.9e3654623dbdfp-1",
+        ),
+    ],
+    (2, 1): [
+        (
+            "-0x1.87ebe418f915fp+1 -0x1.8605aa88df93ap-1",
+            "-0x1.6a5eee7aa3444p+0 -0x1.1a931531f6c56p+2",
+            "0x1.fd03675701a0dp-4 0x1.4cc43b4e55a11p-1",
+        ),
+        (
+            "0x1.fd03675701a0fp-3 0x1.4cc43b4e55a11p+0",
+            "-0x1.6a5eee7aa3444p+0 -0x1.1a931531f6c56p+2",
+            "-0x1.87ebe418f915fp+0 -0x1.8605aa88df93ap-2",
+        ),
+    ],
+    (1, 1, 1): [
+        (
+            "0x1.caa94893bc294p-4 0x1.9935f93c17392p-6",
+            "-0x1.05065e3a10ea3p-5 0x1.17549b933cd21p-3",
+            "-0x1.0491189317457p-3 0x1.876b2d32948bfp-4",
+        ),
+    ],
+    (4,): [
+        (
+            "0x1.7070b138a8e1dp+0 0x1.614f7a7c01ffdp+0",
+            "0x1.27e2951a8dd46p+0 0x1.3d0636510f742p+1",
+            "0x1.b0cc9bd55a2f4p-1 0x1.0cd0b5e0e80dep+2",
+            "0x1.a76c46917af52p+2 -0x1.afc9d8a311270p+0",
+        ),
+    ],
+    (3, 1): [
+        (
+            "-0x1.578aeead01325p+1 -0x1.e3cec8b845048p+0",
+            "0x1.74a19f7802e5cp+0 0x1.19cdf1fdcd20ap+2",
+            "-0x1.7994661dead75p+2 0x1.10cd65559ec49p+1",
+            "0x1.3cbb14d1bca7fp-1 0x1.b26a224aa62afp+0",
+        ),
+        (
+            "-0x1.fca40fe39a6d8p-1 0x1.e54724369465cp-1",
+            "0x1.d393df68621afp-2 -0x1.553911cafd8dcp+2",
+            "-0x1.7994661dead75p+2 0x1.10cd65559ec49p+1",
+            "-0x1.12664aff56d9ep+0 -0x1.24083888e90c6p+0",
+        ),
+        (
+            "-0x1.d0230259e217dp-2 0x1.1cc3d3837a3d3p-1",
+            "0x1.0f8257ccd0785p+1 -0x1.0d49e682c356ep+2",
+            "-0x1.7994661dead75p+2 0x1.10cd65559ec49p+1",
+            "-0x1.9caf925aab8abp+0 -0x1.7f8d205eb7f04p-1",
+        ),
+    ],
+    (2, 2): [
+        (
+            "0x1.b36bb8185d12ap-2 -0x1.4e9c16a2da67cp-1",
+            "-0x1.40a01b93a1ad2p-3 0x1.8db1403f4680cp+0",
+            "-0x1.d3a92d5b8936ap-2 0x1.9f4b3353113aap-1",
+            "-0x1.89b967d65fd00p-2 -0x1.08935d79fac6dp-2",
+        ),
+        (
+            "0x1.481a8132a52d6p-1 0x1.b8f59bcb4ca0bp-2",
+            "-0x1.40a01b93a1ad2p-3 0x1.8db1403f4680cp+0",
+            "-0x1.d3a92d5b8936ap-2 0x1.9f4b3353113aap-1",
+            "-0x1.0540a1a837d7ep-2 0x1.91881b29d2e2dp-2",
+        ),
+    ],
+    (2, 1, 1): [
+        (
+            "-0x1.476b4a2e1f846p+1 0x1.de5d77a7e4525p-2",
+            "0x1.c2bc7ee106103p-1 -0x1.0ab8916ede95bp+1",
+            "-0x1.e62ffe081c916p-3 0x1.3a23e5b2b92e0p-2",
+            "0x1.0a0b7d4cddf3bp-1 -0x1.2582bc8658b1ap-3",
+        ),
+        (
+            "0x1.02c8e765c46b1p-1 -0x1.61ea1d927163ep+0",
+            "0x1.c2bc7ee106103p-1 -0x1.0ab8916ede95bp+1",
+            "0x1.5bff2ccb1a3a0p-1 0x1.64b9182da1ee0p-4",
+            "-0x1.7d2dc8fcadf6dp-4 0x1.d0193c40b80f2p-3",
+        ),
+        (
+            "0x1.0bdc22c6a455dp+1 0x1.54f0cf7cf3e9cp-1",
+            "0x1.c2bc7ee106103p-1 -0x1.0ab8916ede95bp+1",
+            "0x1.3e0b810349a23p-4 -0x1.cf8eda7e036f1p-2",
+            "-0x1.a45b4d544a429p-2 -0x1.76eacc40c07eep-3",
+        ),
+    ],
+    (1, 1, 1, 1): [
+        (
+            "-0x1.da49c91dd4b3fp-4 0x1.a1b9651a5e9e2p-2",
+            "-0x1.31ddd5b31e1aep-4 -0x1.ebed2b82caef6p-3",
+            "0x1.4a2bd2c0df76fp-5 -0x1.ce610e29166c5p-6",
+            "0x1.472362c1680abp-2 0x1.9c841b564fc00p-3",
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("parts", list(FIBER_PINS))
+def test_wronski_fiber_roots_are_pinned(parts):
+    lam = Partition(parts)
+    rng = np.random.default_rng(int("".join(map(str, parts))))
+    sigma = elementary_symmetric(sample_generic_z(lam.n, rng))
+    sols = wronski_fiber(lam, sigma, seed=lam.n)
+    assert [_hex_coords(x.vector()) for x in sols] == FIBER_PINS[parts]
