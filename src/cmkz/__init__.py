@@ -27,7 +27,6 @@ from .calogero_moser import (
 from .tensor_gaudin import (
     SpectralPoint,
     Subspace,
-    SubspaceOperator,
     WeightBasis,
     apply_eij,
     eij_matrix,

@@ -43,9 +43,6 @@ def _emit(payload: dict, path: str | None) -> None:
 
 def _cmd_spectrum(args) -> int:
     lam = args.lam
-    if args.n is not None and args.n != lam.n:
-        print(f"error: --n {args.n} does not match |lambda| = {lam.n}", file=sys.stderr)
-        return 2
     n = lam.n
     rng = np.random.default_rng(args.seed)
     z = sample_generic_z(n, rng)
@@ -112,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="joint spectrum on a singular subspace")
-    sp.add_argument("--n", type=int, default=None, help="number of tensor slots")
     sp.add_argument(
         "--lambda", dest="lam", type=_parse_partition, required=True,
         help="partition, e.g. 2,1",

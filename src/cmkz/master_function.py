@@ -31,7 +31,7 @@ import numpy as np
 
 from .newton import damped_newton, multistart
 from .partitions import Partition, bethe_levels, irrep_dimension
-from .polyalg import excluded_products, min_gap, require_distinct
+from .polyalg import excluded_products, lexsorted, min_gap, require_distinct
 from .serialize import pair_list
 
 
@@ -315,11 +315,7 @@ def master_value_q(q, z, t) -> complex:
 
 
 def _canonical_levels(tlevels) -> tuple[np.ndarray, ...]:
-    out = []
-    for tk in tlevels:
-        order = np.lexsort((tk.imag, tk.real))
-        out.append(tk[order])
-    return tuple(out)
+    return tuple(lexsorted(tk) for tk in tlevels)
 
 
 def _random_start(rng, z, size, widen: float = 1.0):

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .polyalg import lex_key
+
 # the step lengths a line search tries after the full step: every halving
 # above 1e-12, 2^-1 ... 2^-39, in one stacked residual call
 _HALVINGS = 0.5 ** np.arange(1, 40)
@@ -166,5 +168,5 @@ def multistart(draw, solve, budget, expected) -> list[np.ndarray]:
             if all(np.abs(x - prev).max() > 1e-6 * scale for prev in found):
                 found.append(x)
         k, size = chunk.stop, min(2 * size, 64)
-    found.sort(key=lambda x: tuple(v for c in x for v in (c.real, c.imag)))
+    found.sort(key=lex_key)
     return found

@@ -83,6 +83,12 @@ def lexsorted(values: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
 
 
+def lex_key(values) -> tuple:
+    """Sort key of a complex tuple: the (real, imag) of each entry in turn,
+    the order lexsorted gives single values."""
+    return tuple(x for v in values for x in (v.real, v.imag))
+
+
 def min_gap(values) -> float:
     """Smallest |v_i - v_j| over pairs i != j; inf for fewer than two values.
 

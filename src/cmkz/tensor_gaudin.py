@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .partitions import Partition, irrep_dimension
-from .polyalg import min_gap, require_distinct
+from .polyalg import lex_key, min_gap, require_distinct
 from .serialize import pair_list
 
 # largest weight space weight_basis builds; the tensor power never is
@@ -174,14 +174,6 @@ class Subspace:
         return M
 
 
-@dataclass(eq=False)
-class SubspaceOperator:
-    """An operator restricted to an invariant subspace of a weight space."""
-
-    subspace: Subspace
-    matrix: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]):
     basis = weight_basis(N, n, weight)
@@ -257,7 +249,7 @@ def _swap_interaction_matrix(a: int, z: np.ndarray, basis: WeightBasis) -> np.nd
     return H
 
 
-def gaudin_hamiltonian(a: int, z, subspace: Subspace) -> SubspaceOperator:
+def gaudin_hamiltonian(a: int, z, subspace: Subspace) -> np.ndarray:
     """H_a(z) = sum_{i,j} sum_{b != a} e_ij^(a) e_ji^(b) / (z_a - z_b),
     restricted to an invariant subspace (a weight space or singular space)."""
     basis = subspace.basis
@@ -265,10 +257,10 @@ def gaudin_hamiltonian(a: int, z, subspace: Subspace) -> SubspaceOperator:
     if not (1 <= a <= basis.n):
         raise ValueError("slot index a out of range")
     H = _swap_interaction_matrix(a, z, basis)
-    return SubspaceOperator(subspace, subspace.restrict(H))
+    return subspace.restrict(H)
 
 
-def generalized_gaudin(a: int, z, q, n: int) -> SubspaceOperator:
+def generalized_gaudin(a: int, z, q, n: int) -> np.ndarray:
     """H_a(z, q) = sum_i q_i e_ii^(a) + swap interactions, on V^(x)n[1,...,1]
     with local dimension N = n."""
     basis = weight_basis(n, n, (1,) * n)
@@ -279,7 +271,7 @@ def generalized_gaudin(a: int, z, q, n: int) -> SubspaceOperator:
     H = _swap_interaction_matrix(a, z, basis)
     for col, idx in enumerate(basis.indices):
         H[col, col] += q[idx[a - 1] - 1]
-    return SubspaceOperator(Subspace(basis), H)
+    return H
 
 
 def _commutation_defect(mats) -> float:
@@ -304,7 +296,7 @@ def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
 
     Parameters
     ----------
-    ops : list of square ndarrays (or SubspaceOperator), pairwise commuting.
+    ops : list of square ndarrays, pairwise commuting.
     tol : residual bound ||A v - p v|| <= tol (1 + ||A||) ||v|| per operator.
     seed : seeds the probe combination; up to 8 probes are drawn.
 
@@ -313,7 +305,7 @@ def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
     list of (p, vector, residual), one entry per joint eigenvector, sorted
     lexicographically by tuple.
     """
-    mats = [op.matrix if isinstance(op, SubspaceOperator) else np.asarray(op) for op in ops]
+    mats = [np.asarray(op) for op in ops]
     if not mats:
         raise ValueError("need at least one operator")
     dim = mats[0].shape[0]
@@ -357,9 +349,7 @@ def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
                 break
             entries.append((p, v, float(res)))
         if ok:
-            entries.sort(
-                key=lambda e: tuple(x for pk in e[0] for x in (pk.real, pk.imag))
-            )
+            entries.sort(key=lambda e: lex_key(e[0]))
             return entries
     raise JointDiagonalizationError(
         f"probe retries exhausted: {last_problem}"
@@ -402,7 +392,7 @@ def spectral_points(
     z = _check_z(z, n)
     sub = singular_basis(lam, N)
     ops = [gaudin_hamiltonian(a, z, sub) for a in range(1, n + 1)]
-    entries = joint_eigen([op.matrix for op in ops], tol=tol, seed=seed)
+    entries = joint_eigen(ops, tol=tol, seed=seed)
     return [SpectralPoint(z, p, res) for p, _, res in entries]
 
 
@@ -411,7 +401,7 @@ def generalized_spectrum(z, q, tol: float = 1e-8, seed: int = 0):
     z = np.asarray(z, dtype=complex).ravel()
     n = len(z)
     ops = [generalized_gaudin(a, z, q, n) for a in range(1, n + 1)]
-    entries = joint_eigen([op.matrix for op in ops], tol=tol, seed=seed)
+    entries = joint_eigen(ops, tol=tol, seed=seed)
     return [SpectralPoint(z, p, res) for p, _, res in entries]
 
 
@@ -421,7 +411,7 @@ def joint_eigenspace_dim(ops, p) -> int:
     Counts the singular values of the stacked shifted family
     [A_1 - p_1; ...; A_k - p_k] at most 1e-8 times max(1, the largest).
     """
-    mats = [op.matrix if isinstance(op, SubspaceOperator) else np.asarray(op) for op in ops]
+    mats = [np.asarray(op) for op in ops]
     dim = mats[0].shape[0]
     stack = np.vstack([m - pk * np.eye(dim) for m, pk in zip(mats, p)])
     sv = np.linalg.svd(stack, compute_uv=False)

@@ -1,16 +1,21 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from cmkz import calogero_moser as cm
 from cmkz import harness
 from cmkz import master_function as mf
+from cmkz import wronski as wr
 from cmkz.calogero_moser import l0_residual
 from cmkz.harness import (
+    BOUNDS,
     CHECKS,
     SUITES,
+    TOL,
     VerificationConfig,
     check_seed,
     collision_study,
@@ -18,6 +23,7 @@ from cmkz.harness import (
     run_suite,
 )
 from cmkz.partitions import Partition, irrep_dimension
+from cmkz.serialize import canonical_json
 from cmkz.tensor_gaudin import sample_generic_z, spectral_points
 from conftest import cli_env
 
@@ -173,6 +179,52 @@ def test_starved_bethe_search_undercounts_and_fails_the_check(monkeypatch):
     rec = harness.check_bethe(VerificationConfig())
     assert not rec.passed
     assert rec.counts["2,1,1"]["found"] < rec.counts["2,1,1"]["expected"] == 3
+
+
+def test_nan_first_integrals_fail_l0_membership(monkeypatch):
+    monkeypatch.setattr(
+        cm, "first_integrals", lambda z, p: cm.FirstIntegrals((np.nan,) * len(p))
+    )
+    rec = harness.check_l0_membership(VerificationConfig(n_max=2, trials=1))
+    assert rec.passed is False
+    assert math.isnan(rec.residuals["max_scaled_residual"])
+    # the report keeps the NaN as Python's bare JSON token, not 0.0 or null
+    body = canonical_json(rec.residuals)
+    assert '"max_scaled_residual": NaN' in body
+    assert math.isnan(json.loads(body)["max_scaled_residual"])
+
+
+def test_nan_fla_residual_fails_operator_identities(monkeypatch):
+    monkeypatch.setattr(wr, "fla_residual", lambda lam, x: np.nan)
+    rep = run_suite(VerificationConfig(suites=("identities",)))
+    rec = {r.check: r for r in rep.records}["operator-identities"]
+    assert rec.passed is False and rec.error is None
+    assert math.isnan(rec.residuals["max_fla_residual"])
+    assert rep.passed is False
+
+
+@pytest.mark.parametrize(
+    "value,passed",
+    [(TOL.identity, True), (np.nextafter(TOL.identity, np.inf), False)],
+)
+def test_a_residual_at_its_bound_passes_and_one_past_it_fails(
+    monkeypatch, value, passed
+):
+    monkeypatch.setattr(wr, "fla_residual", lambda lam, x: value)
+    rec = harness.check_operator_identities(VerificationConfig())
+    assert rec.residuals["max_fla_residual"] == value
+    assert rec.passed is passed
+
+
+def test_every_reported_residual_has_a_declared_bound():
+    records = run_suite(VerificationConfig(seed=2024)).records
+    assert len(records) == len(CHECKS)
+    declared = 0
+    for rec in records:
+        bounds = BOUNDS[rec.check]
+        assert set(rec.residuals) - {"tolerance"} == set(bounds)
+        declared += len(bounds)
+    assert declared == 16
 
 
 def _bethe_counts(found_211):

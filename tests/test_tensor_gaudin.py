@@ -81,7 +81,7 @@ def test_gaudin_matches_explicit_generator_composition():
         z = sample_generic_z(n, rng)
         sub = Subspace(basis)
         for a in range(1, n + 1):
-            H = gaudin_hamiltonian(a, z, sub).matrix
+            H = gaudin_hamiltonian(a, z, sub)
             ref = np.zeros((basis.dim, basis.dim), dtype=complex)
             for i in range(1, N + 1):
                 for j in range(1, N + 1):
@@ -153,10 +153,10 @@ def test_singular_basis_rejects_narrow_N():
 def test_gaudin_one_by_one_and_sum_rule():
     z = np.array([0.2 + 0.1j, -0.4 - 0.3j])
     sub = singular_basis(Partition((2,)), 2)
-    H1 = gaudin_hamiltonian(1, z, sub).matrix
+    H1 = gaudin_hamiltonian(1, z, sub)
     assert H1.shape == (1, 1)
     assert abs(H1[0, 0] - 1.0 / (z[0] - z[1])) < 1e-14
-    H2 = gaudin_hamiltonian(2, z, sub).matrix
+    H2 = gaudin_hamiltonian(2, z, sub)
     assert abs(H1[0, 0] + H2[0, 0]) < 1e-14
 
 
@@ -165,7 +165,7 @@ def test_gaudin_sum_vanishes_on_weight_space():
     basis = weight_basis(2, 3, (2, 1))
     z = sample_generic_z(3, rng)
     total = sum(
-        gaudin_hamiltonian(a, z, Subspace(basis)).matrix for a in range(1, 4)
+        gaudin_hamiltonian(a, z, Subspace(basis)) for a in range(1, 4)
     )
     assert np.abs(total).max() < 1e-13
 
@@ -174,7 +174,7 @@ def test_gaudin_commutators_and_gl_symmetry():
     rng = np.random.default_rng(10)
     basis = weight_basis(3, 4, (2, 1, 1))
     z = sample_generic_z(4, rng)
-    mats = [gaudin_hamiltonian(a, z, Subspace(basis)).matrix for a in range(1, 5)]
+    mats = [gaudin_hamiltonian(a, z, Subspace(basis)) for a in range(1, 5)]
     top = max(np.linalg.norm(m) for m in mats)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -187,7 +187,7 @@ def test_gaudin_commutators_and_gl_symmetry():
             if target is None or target.dim == 0:
                 continue
             for a in range(1, 5):
-                Ht = gaudin_hamiltonian(a, z, Subspace(target)).matrix
+                Ht = gaudin_hamiltonian(a, z, Subspace(target))
                 Hs = mats[a - 1]
                 assert np.abs(E @ Hs - Ht @ E).max() < 1e-12
 
@@ -201,13 +201,13 @@ def test_gaudin_rejects_coincident_z():
 def test_generalized_gaudin_two_by_two():
     z = np.array([0.0, 1.0])
     q = np.array([0.3 + 0.1j, -0.9 + 0.4j])
-    H1 = generalized_gaudin(1, z, q, 2).matrix
+    H1 = generalized_gaudin(1, z, q, 2)
     s = 1.0 / (z[0] - z[1])
     # basis order: (1,2), (2,1)
     assert np.abs(H1 - np.array([[q[0], s], [s, q[1]]])).max() < 1e-14
-    H0 = generalized_gaudin(1, z, np.zeros(2), 2).matrix
+    H0 = generalized_gaudin(1, z, np.zeros(2), 2)
     b = weight_basis(2, 2, (1, 1))
-    Hg = gaudin_hamiltonian(1, z, Subspace(b)).matrix
+    Hg = gaudin_hamiltonian(1, z, Subspace(b))
     assert np.abs(H0 - Hg).max() == 0.0
 
 
@@ -216,7 +216,7 @@ def test_generalized_gaudin_trace_identity():
     for n in (2, 3):
         z = sample_generic_z(n, rng)
         q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        total = sum(generalized_gaudin(a, z, q, n).matrix for a in range(1, n + 1))
+        total = sum(generalized_gaudin(a, z, q, n) for a in range(1, n + 1))
         dim = math.factorial(n)
         assert abs(np.trace(total) - np.sum(q) * dim) < 1e-10
         assert np.abs(total - np.sum(q) * np.eye(dim)).max() < 1e-12
@@ -235,7 +235,7 @@ def test_joint_eigen_diagonal_and_identity():
 def test_joint_eigen_generalized_pair():
     z = np.array([0.0, 1.0])
     q = np.array([0.2, 1.4])
-    mats = [generalized_gaudin(a, z, q, 2).matrix for a in (1, 2)]
+    mats = [generalized_gaudin(a, z, q, 2) for a in (1, 2)]
     entries = joint_eigen(mats, seed=2)
     assert len(entries) == 2
     for p, _, _ in entries:
@@ -291,7 +291,7 @@ def test_generalized_spectrum_count_and_eigenspace_dim():
     q = sample_generic_z(n, rng, radius=1.5)
     pts = generalized_spectrum(z, q, seed=4)
     assert len(pts) == 6
-    mats0 = [generalized_gaudin(a, z, np.zeros(n), n).matrix for a in range(1, n + 1)]
+    mats0 = [generalized_gaudin(a, z, np.zeros(n), n) for a in range(1, n + 1)]
     ref = spectral_points(Partition((2, 1)), z, seed=6)
     assert joint_eigenspace_dim(mats0, ref[0].p) == 2
 
