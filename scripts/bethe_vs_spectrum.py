@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare Bethe critical momenta against the joint Gaudin spectrum.
 
-Solves the Bethe equations for one partition at seeded generic positions,
-prints every critical point with its momenta, and matches them against the
-joint spectrum on the singular subspace.
+Reads the Bethe critical points of one partition off the Wronski fiber at
+seeded generic positions, prints every critical point with its momenta,
+and matches them against the joint spectrum on the singular subspace.
+Exits 1 unless all d_lambda points are found and matched.
 
     python3 scripts/bethe_vs_spectrum.py --lambda 2,1 --seed 4
 """

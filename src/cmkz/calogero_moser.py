@@ -78,11 +78,15 @@ def _degree_scale(p, q=None) -> float:
     return s
 
 
+def _scaled_max(values, s: float) -> float:
+    """max_a |values[a]| / s^(a+1), a = 0, 1, ...; NaN if any value is NaN
+    (np.max, where max would keep whichever value came first)."""
+    return float(np.max([abs(v) / s ** (a + 1) for a, v in enumerate(values)]))
+
+
 def l0_residual(z, p) -> float:
     """max_a |Q_a(z, p)| with each degree scaled by max(1, |p|_inf)^a."""
-    fi = first_integrals(z, p)
-    s = _degree_scale(p)
-    return max(abs(v) / s ** (a + 1) for a, v in enumerate(fi.values))
+    return _scaled_max(first_integrals(z, p).values, _degree_scale(p))
 
 
 def lq_residual(z, p, q) -> float:
@@ -91,12 +95,9 @@ def lq_residual(z, p, q) -> float:
     q = np.asarray(q, dtype=complex).ravel()
     if len(q) != len(p):
         raise ValueError("q must have the same length as p")
-    fi = first_integrals(z, p)
     sigma = elementary_symmetric(q)
-    s = _degree_scale(p, q)
-    return max(
-        abs(v - sigma[a]) / s ** (a + 1) for a, v in enumerate(fi.values)
-    )
+    values = [v - sigma[a] for a, v in enumerate(first_integrals(z, p).values)]
+    return _scaled_max(values, _degree_scale(p, q))
 
 
 @dataclass(eq=False)

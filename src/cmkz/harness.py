@@ -363,10 +363,7 @@ def check_l0_membership(config, rng):
             pts = spectral_points(lam, z, tol=TOL.eigen, seed=int(rng.integers(2**31)))
             found.add(len(pts))
             counted = counted and len(pts) == d
-            for sp in pts:
-                fi = cm.first_integrals(sp.z, sp.p)
-                scale = 1.0 + np.abs(sp.p).max()
-                scaled += [abs(v) / scale ** (a + 1) for a, v in enumerate(fi.values)]
+            scaled += [cm.l0_residual(sp.z, sp.p) for sp in pts]
         count_rows[",".join(map(str, lam.trimmed))] = {
             "expected": d,
             "found": sorted(found),

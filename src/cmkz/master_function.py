@@ -13,8 +13,17 @@ Only level 1 interacts with z, and cross terms couple adjacent levels
 only.  Critical points in t solve the Bethe equations; the momenta are
 p_a = dPhi/dz_a.  The deformed variant adds linear terms
 (q_{k+1} - q_k) per level-k variable and q_1 per z_a, with level sizes
-fixed at (n-1, n-2, ..., 1).  The gradient in t, its Hessian, the
-domain check and the cleared system all read one pole list, _pole_table.
+fixed at (n-1, n-2, ..., 1).  The gradient in t, its Hessian and the
+domain check all read one pole list, _pole_table.
+
+Critical points are not searched for directly.  They are read off the
+populations of a Wronski fiber (Mukhin and Varchenko, "Critical points
+of master functions and flag varieties"): for a tuple (f_1, ..., f_n) in
+the fiber over prod_a (u - z_a), the level-a roots are the roots of the
+tail Wronskian Wr(f_{a+1}, ..., f_n), polynomial tuples for lam and
+quasi-exponentials e^(q_i u)(u + c_i) for the deformed case.  So the
+d_lambda fiber points give the d_lambda critical points, and Newton on
+dPhi/dt only polishes them.
 
 Phi itself is defined modulo 2*pi*i.  The value and dPhi/dz below are
 plain loops, kept apart from _pole_table as finite-difference references;
@@ -25,19 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
-from .newton import damped_newton, multistart
-from .partitions import Partition, bethe_levels, irrep_dimension
-from .polyalg import excluded_products, lexsorted, min_gap, require_distinct
+from . import polyalg as pa
+from .newton import damped_newton
+from .partitions import Partition, bethe_levels
+from .polyalg import lex_key, lexsorted, min_gap, require_distinct
 from .serialize import pair_list
-
-
-# starts per multistart search, undeformed and deformed
-BETHE_BUDGET = 1344
-DEFORMED_BETHE_BUDGET = 480
+from .wronski import wronski_fiber, wronski_fiber_q, wronskian
 
 
 def level_sizes(lam: Partition) -> tuple[int, ...]:
@@ -163,23 +168,6 @@ def _poles(z, sizes, t, linear=None):
     return d, coef, delta, idx, mask
 
 
-def _chain(dG, idx, mask, nz) -> np.ndarray:
-    """dF/dt of row functions F_r = G_r(d_r), given dG[..., r, u] = dG_r/dd_u,
-    for one point or row by row for a stack.
-
-    Every d_u of row r moves with t_r; a pole that is some t_v gives -dG
-    against t_v, and the columns of the fixed z are dropped.  Padded
-    slots must carry dG = 0.
-    """
-    l = dG.shape[-2]
-    J = np.zeros(dG.shape[:-1] + (nz + l,), dtype=complex)
-    J[..., np.nonzero(mask)[0], idx[mask]] = -dG[..., mask]
-    J = J[..., nz:]
-    diag = np.arange(l)
-    J[..., diag, diag] += dG.sum(axis=-1)
-    return J
-
-
 def _grad_t_raw(z, sizes, t, linear=None):
     """dPhi/dt at flat t and its sup norm, row by row for a stack of t.
 
@@ -199,9 +187,20 @@ def _grad_t_raw(z, sizes, t, linear=None):
 
 
 def _hess_t_raw(z, sizes, t) -> np.ndarray:
-    # d/dd_u of coef_u / d_u is -coef_u / d_u**2; row by row for a stack of t
+    """d(dPhi/dt)/dt at flat t, row by row for a stack of t.
+
+    Every pole distance d_u of row r moves with t_r; a pole that is some
+    t_v moves against t_v, and the fixed z have no column.
+    """
     d, coef, _, idx, mask = _poles(z, sizes, t)
-    return _chain(-coef / d**2, idx, mask, len(z))
+    dG = -coef / d**2  # d/dd_u of coef_u / d_u, 0 in padded slots
+    nz, l = len(z), t.shape[-1]
+    H = np.zeros(dG.shape[:-1] + (nz + l,), dtype=complex)
+    H[..., np.nonzero(mask)[0], idx[mask]] = -dG[..., mask]
+    H = H[..., nz:]
+    diag = np.arange(l)
+    H[..., diag, diag] += dG.sum(axis=-1)
+    return H
 
 
 def _grad_z_raw(z, tlevels, q1: complex = 0.0) -> np.ndarray:
@@ -314,112 +313,37 @@ def master_value_q(q, z, t) -> complex:
     return _value_raw(z, tlevels, linear, qz=q[0])
 
 
-def _canonical_levels(tlevels) -> tuple[np.ndarray, ...]:
-    return tuple(lexsorted(tk) for tk in tlevels)
+def _population(funcs, levels: int) -> np.ndarray:
+    """Flat t of the population of a fiber tuple (f_1, ..., f_n): level a
+    holds the roots of the tail Wronskian Wr(f_{a+1}, ..., f_n)."""
+    tails = (wronskian(funcs[a:]) for a in range(1, levels + 1))
+    return np.concatenate(
+        [pa.roots(w.coeffs if isinstance(w, pa.ExpPoly) else w) for w in tails]
+    )
 
 
-def _random_start(rng, z, size, widen: float = 1.0):
-    center = np.mean(z)
-    radius = widen * (1.4 * max(np.abs(z - center).max(), 0.25) + 0.3)
-    r = radius * np.sqrt(rng.uniform(size=size))
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    return center + r * np.exp(1j * theta)
+def _level_key(tlevels) -> np.ndarray:
+    """The level polynomials prod_i (u - t_i^(k)) as one coefficient vector:
+    continuous, and the same for every order of the roots in a level."""
+    return np.concatenate([pa.from_roots(tk) for tk in tlevels])
 
 
-def _hull_start(rng, z, size):
-    # undeformed critical points interlace the z cloud (Gauss-Lucas for the
-    # top level), so convex combinations of z with jitter cover their basins
-    # far more densely than a uniform disc
-    weights = rng.dirichlet(np.ones(len(z)), size=size)
-    pts = weights @ z
-    spread = max(np.abs(z - np.mean(z)).max(), 0.2)
-    jitter = 0.2 * spread * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    return pts + jitter
+def _critical_points(z, sizes, linear, q1, tol, fiber):
+    """Critical points from the populations of a Wronski fiber.
 
-
-def _cleared_system(z, sizes, tflat, linear):
-    """Denominator-cleared critical equations F and their scales S, row by
-    row for a stack of flat t.
-
-    Each gradient component sum_w c_w/(t_r - w) + delta_r is multiplied by
-    the product of its pole distances d_w = t_r - w, so near-pole
-    evaluations stay finite and cancellation-free; padded slots carry
-    d = 1 and c = 0.
+    ``fiber()`` solves the fiber and returns each tuple's functions; it is
+    not called when there are no levels.  Each population is polished by
+    damped Newton on dPhi/dt, all of them as one stack.  Configurations
+    are deduplicated on their level polynomials at 1e-6 relative to
+    max(1, sup norm), so no two returned points are one configuration in
+    another root order.  Each level is sorted by (re, im), and the points
+    come back in (re, im) lexicographic order of their flat t.
     """
-    d, coef, delta, _, _ = _poles(z, sizes, tflat, linear)
-    partial = excluded_products(d)
-    full = partial[..., 0] * d[..., 0]
-    terms = coef * partial
-    # delta spelled out to full's shape: numpy multiplies a broadcast complex
-    # operand in another loop, which can round differently, and for a single
-    # variable that loop would differ between one point and a stack
-    linear_terms = np.broadcast_to(delta, full.shape).copy() * full
-    F = terms.sum(axis=-1) + linear_terms
-    S = np.abs(terms).sum(axis=-1) + np.abs(linear_terms) + 1e-300
-    return F, S
-
-
-def _cleared_jacobian(z, sizes, tflat, linear) -> np.ndarray:
-    """dF/dt of the cleared system, row by row for a stack of flat t.
-
-    With G_r(d) = F_r, dG_r/dd_u = sum_{w != u} c_w prod_{s not in {w, u}}
-    d_s + delta_r prod_{s != u} d_s, and dF_r/dt_r = sum_u dG_r/dd_u while
-    dF_r/dt_v = -dG_r/dd_u when pole u is t_v (z is fixed).
-    """
-    d, coef, delta, idx, mask = _poles(z, sizes, tflat, linear)
-    # pair[..., r, u, w] = prod_{s not in {u, w}} d_s (and prod_{s != u} at
-    # w = u), from the row with d_u set to 1; charge delta_r stands in at w = u
-    eye = np.eye(d.shape[-1], dtype=bool)
-    pair = excluded_products(np.where(eye, 1.0, d[..., None, :]))
-    charge = np.where(eye, delta[:, None, None], coef[:, None, :])
-    dG = np.einsum("ruw,...ruw->...ru", charge, pair) * mask
-    return _chain(dG, idx, mask, len(z))
-
-
-def _cleared_residual(z, sizes, t, linear):
-    """The cleared system and its sup norm relative to the scales S, row by
-    row for a stack of flat t; the system is defined everywhere."""
-    F, S = _cleared_system(z, sizes, t, linear)
-    return F, np.abs(F / S).max(axis=-1)
-
-
-def _poly_newton(z, sizes, T0, linear, rel_tol=1e-9, max_iter=45):
-    """Globalizing stage: damped Newton on the cleared polynomial system,
-    from each row of the stack T0.
-
-    The polynomial residual grows at infinity, so the escape ray of the
-    rational system is repelling here.  The Jacobian is analytic (see
-    _cleared_jacobian); a returned point is only a candidate for
-    polishing, and a stall below 1e-6 still counts as one.
-    """
-
-    def residual(T):
-        return _cleared_residual(z, sizes, T, linear)
-
-    def jacobian(T):
-        return _cleared_jacobian(z, sizes, T, linear)
-
-    return damped_newton(residual, jacobian, T0, rel_tol, max_iter, accept=1e-6)
-
-
-def _critical_points(z, sizes, linear, q1, budget, tol, seed, expected):
-    """Multistart two-stage Newton: cleared system, then dPhi/dt itself."""
     if not sizes:
         return [CriticalPoint(BetheConfiguration(z, ()), 0.0, _grad_z_raw(z, (), q1))]
-    rng = np.random.default_rng(seed)
-    total = sum(sizes)
-
-    # deformed roots scale like charge / |q gap|, so cover wider shells too
-    widths = [1.0]
-    if linear is not None:
-        gap = min(abs(d) for d in linear) if linear else 1.0
-        wide = min(60.0, 1.0 + 2.0 * (len(z) + total) / max(gap, 1e-3))
-        widths = [1.0, wide / 3.0, wide]
-    # without linear terms the gradient decays like 1/t, so Newton has an
-    # escape ray t -> 2t; cut those iterates off early.  With linear terms
-    # the gradient tends to a nonzero constant instead, and genuine roots
-    # can sit far out when the q gaps are small, so no cutoff applies.
-    escape = 25.0 * (1.0 + np.abs(z).max()) if linear is None else np.inf
+    starts = [_population(funcs, len(sizes)) for funcs in fiber()]
+    if not starts:
+        return []
 
     def grad(t):
         return _grad_t_raw(z, sizes, t, linear)
@@ -427,71 +351,56 @@ def _critical_points(z, sizes, linear, q1, budget, tol, seed, expected):
     def hess(t):
         return _hess_t_raw(z, sizes, t)
 
-    def draw(k):
-        if linear is None and k % 2 == 0:
-            return _hull_start(rng, z, total)
-        return _random_start(rng, z, total, widen=widths[k % len(widths)])
-
-    def solve(T0):
-        out = [None] * len(T0)
-        rough = _poly_newton(z, sizes, T0, linear)
-        rows = [r for r, t in enumerate(rough) if t is not None]
-        if not rows:
-            return out
-        R = np.stack([rough[r] for r in rows])
-        # a cleared-system root with a large gradient lies on an excluded
-        # diagonal
-        on_domain = ~(grad(R)[1] > 1e-5)
-        if not on_domain.any():
-            return out
-        # the two polish steps push each root from the loose tolerance to
-        # machine precision along the quadratic tail
-        polished = damped_newton(
-            grad, hess, R[on_domain], tol, 60, polish=2, escape=escape
-        )
-        for r, t in zip(np.asarray(rows)[on_domain], polished):
-            if t is not None:
-                out[r] = np.concatenate(_canonical_levels(_split(t, sizes)))
-        return out
-
+    found, keys = [], []
+    for t in damped_newton(grad, hess, np.stack(starts), tol, 60, polish=2):
+        if t is None:
+            continue
+        tl = tuple(lexsorted(tk) for tk in _split(t, sizes))
+        key = _level_key(tl)
+        scale = max(1.0, np.abs(key).max())
+        if all(np.abs(key - prev).max() > 1e-6 * scale for prev in keys):
+            found.append(tl)
+            keys.append(key)
     out = []
-    for t in multistart(draw, solve, budget, expected):
-        tl = _split(t, sizes)
-        gn = float(_grad_t_raw(z, sizes, t, linear)[1])
-        p = _grad_z_raw(z, tl, q1)
-        out.append(CriticalPoint(BetheConfiguration(z, tl), gn, p))
+    for tl in sorted(found, key=lambda tl: lex_key(_flat(tl))):
+        gn = float(_grad_t_raw(z, sizes, _flat(tl), linear)[1])
+        out.append(CriticalPoint(BetheConfiguration(z, tl), gn, _grad_z_raw(z, tl, q1)))
     return out
 
 
 def solve_bethe(
     lam: Partition, z, tol: float = 1e-10, seed: int = 0
 ) -> list[CriticalPoint]:
-    """Multistart damped Newton on dPhi/dt = 0.
+    """Bethe critical points from the Wronski fiber over prod_a (u - z_a).
 
-    Critical points are canonicalized by sorting each level by (re, im)
-    and deduplicated at 1e-6 relative.  For generic z the count equals
-    irrep_dimension(lam): the search stops there or after BETHE_BUDGET
-    starts, and the caller compares.
+    The fiber is solved with wronski_fiber at this seed; its d_lambda
+    tuples have d_lambda populations, each one critical point.  A fiber
+    search that undercounts returns a short list, and the caller compares
+    with irrep_dimension(lam).
     """
     z = np.asarray(z, dtype=complex).ravel()
     if len(z) != lam.n:
         raise ValueError(f"need {lam.n} positions for {lam!r}")
-    expected = irrep_dimension(lam)
-    return _critical_points(
-        z, level_sizes(lam), None, 0.0, BETHE_BUDGET, tol, seed, expected
-    )
+
+    def fiber():
+        sols = wronski_fiber(lam, pa.elementary_symmetric(z), seed=seed)
+        return [x.polys() for x in sols]
+
+    return _critical_points(z, level_sizes(lam), None, 0.0, tol, fiber)
 
 
 def solve_bethe_q(q, z, tol: float = 1e-10, seed: int = 0) -> list[CriticalPoint]:
-    """Critical points of the deformed master function.
+    """Critical points of the deformed master function, from the fiber of
+    the tuples e^(q_i u)(u + c_i) over prod_a (u - z_a) (wronski_fiber_q).
 
-    The search stops at the expected count n! or after
-    DEFORMED_BETHE_BUDGET starts; the caller compares the count.
+    The expected count is n!; the caller compares.
     """
     z = np.asarray(z, dtype=complex).ravel()
     n = len(z)
     q, linear = _checked_q(q, n)
-    expected = factorial(n)
-    return _critical_points(
-        z, q_level_sizes(n), linear, q[0], DEFORMED_BETHE_BUDGET, tol, seed, expected
-    )
+
+    def fiber():
+        sols = wronski_fiber_q(q, pa.elementary_symmetric(z), seed=seed)
+        return [x.functions() for x in sols]
+
+    return _critical_points(z, q_level_sizes(n), linear, q[0], tol, fiber)

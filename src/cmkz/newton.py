@@ -4,9 +4,10 @@ multistart loop that collects distinct roots.
 
 Both kernels are policy only.  Callers supply the residual, the Jacobian,
 the start generator and every constant (tolerances, iteration caps,
-start budget, escape radius, polish steps), so each route keeps its own
-numerics.  Residual and Jacobian are vectorised over a leading axis:
-given a stack X of shape (B, l), ``residual(X)`` returns ``(F, norm)``
+start budget, polish steps), so each route keeps its own numerics.  The
+Wronski fibers run both; the Bethe routes polish fiber populations with
+damped Newton alone.  Residual and Jacobian are vectorised over a leading
+axis: given a stack X of shape (B, l), ``residual(X)`` returns ``(F, norm)``
 row by row, with norm = inf for a point outside the domain, and
 ``jacobian(X)`` returns the (B, l, l) stack of Jacobians.  Row k of
 either must equal the value at X[k] alone, bit for bit, so a start
@@ -55,9 +56,7 @@ def _take(mask, *arrays):
     return tuple(a[mask] for a in arrays)
 
 
-def damped_newton(
-    residual, jacobian, X0, tol, max_iter, accept=None, polish=0, escape=np.inf
-) -> list:
+def damped_newton(residual, jacobian, X0, tol, max_iter, polish=0) -> list:
     """Damped Newton from each row of X0, shape (B, l); one root or None per row.
 
     ``residual(X)`` returns ``(F, norm)`` row by row, with norm the sup
@@ -67,16 +66,15 @@ def damped_newton(
     or reaches tol.  The full step is tried first, for all live rows in
     one call; the rows it fails evaluate the halvings alpha = 2^-1 ...
     2^-39 as one stack and take the longest that passes, the step a
-    sequential halving would take; a row with none stalls.  A singular
-    Jacobian or an iterate beyond ``escape`` in sup norm gives None.  A
-    row whose norm is at most tol leaves the loop; at the end such rows
-    get, as one stack, up to ``polish`` undamped steps each, while the
-    steps keep lowering the norm.  A stalled or exhausted row returns its
-    iterate only when the norm is at most ``accept`` (default: tol).
+    sequential halving would take; a row with none stalls and gives None,
+    as does a singular Jacobian.  A row whose norm is at most tol leaves
+    the loop; at the end such rows get, as one stack, up to ``polish``
+    undamped steps each, while the steps keep lowering the norm.  A row
+    still in the loop after max_iter steps returns its iterate only when
+    its last step took the norm to tol.
     """
     X0 = np.asarray(X0)
     out = [None] * len(X0)
-    final = tol if accept is None else accept
 
     def keep(rows, X):
         for r, x in zip(rows, X):
@@ -90,9 +88,6 @@ def damped_newton(
         stop = fn <= tol
         if stop.any():
             tails.append(_take(stop, rows, X, F, fn))
-        if escape < np.inf:  # skips a test no iterate can fail
-            stop |= np.abs(X).max(axis=-1) > escape
-        if stop.any():
             rows, X, F, fn = _take(~stop, rows, X, F, fn)
         if not len(rows):
             break
@@ -115,10 +110,9 @@ def damped_newton(
             if stall.any():
                 moving = np.ones(len(rows), dtype=bool)
                 moving[miss[stall]] = False
-                keep(*_take(~moving & (fn <= final), rows, X))
                 rows, cand, cand_F, cand_fn = _take(moving, rows, cand, cand_F, cand_fn)
         X, F, fn = cand, cand_F, cand_fn
-    keep(*_take(fn <= final, rows, X))
+    keep(*_take(fn <= tol, rows, X))
 
     if not tails:
         return out

@@ -27,7 +27,10 @@ wronski_map stay on the exact poly_det, as the independent route.
 Quasi-exponential tuples e^(q_i u)(u + c_i) follow the same scheme with
 the exponential and Vandermonde-of-q prefactors stripped; their operator
 has full (n+1) x (n+1) coefficient support and is built from poly_det
-minors.
+minors.  Their Wronski map is multi-affine in the shifts c as well, and
+wronski_fiber_q solves it from a table of principal minors built per q,
+through the same Newton and multistart core as wronski_fiber;
+wronski_map_q stays on poly_det.
 """
 
 from __future__ import annotations
@@ -491,11 +494,42 @@ def _w_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
     return w, support[keep]
 
 
-def _expanded_w(lam: Partition, vec, jac: bool = False):
-    """W_1..W_n at free coefficients vec, from the Wronski rows of the cached
-    operator table, row by row for a stack of vec; on request also the
+def _w_expansion_q(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Wronski map of the tuples e^(q_i u)(u + c_i) as a multi-affine
+    table in the shifts c, in the (coef, support) layout of _w_expansion.
+
+    With the prefactors divided out, W(u) = det(u + diag(c) + K), where
+    K_ij = l_j'(q_i) is the derivative at q_i of the j-th Lagrange basis
+    polynomial of the nodes q.  Over principal minors, W(u) = sum_S
+    det(K_S) prod_{i not in S} (u + c_i), so the term of the shifts c_i,
+    i in R, has W_a = (-1)^a sum det(K_S) over the S disjoint from R with
+    |S| = a - |R|.
+    """
+    n = len(q)
+    d = q[:, None] - q[None, :]
+    np.fill_diagonal(d, 1.0)
+    w = d.prod(axis=1)  # w_i = prod_{k != i} (q_i - q_k)
+    K = w[:, None] / (w[None, :] * d)
+    np.fill_diagonal(K, (1.0 / d).sum(axis=1) - 1.0)
+    subsets = [
+        frozenset(S) for k in range(n + 1) for S in itertools.combinations(range(n), k)
+    ]
+    minor = {S: np.linalg.det(K[np.ix_(sorted(S), sorted(S))]) for S in subsets if S}
+    minor[frozenset()] = 1.0
+    coef = np.zeros((n, len(subsets)), dtype=complex)
+    for T, R in enumerate(subsets):
+        for S in subsets:
+            a = len(S) + len(R)
+            if a and not S & R:
+                coef[a - 1, T] += (-1) ** a * minor[S]
+    support = np.array([[k in R for k in range(n)] for R in subsets])
+    return coef, support
+
+
+def _expanded_w(coef, support, vec, jac: bool = False):
+    """W_1..W_n of the multi-affine table (coef, support) at free
+    coefficients vec, row by row for a stack of vec; on request also the
     Jacobian dW/dvec, likewise."""
-    coef, support = _w_expansion(lam)
     factors = np.where(support, np.asarray(vec, dtype=complex)[..., None, :], 1.0)
     # matrix products per row, bit-identical for one vec or a stack
     w = np.matmul(coef, factors.prod(axis=-1)[..., None])[..., 0]
@@ -504,32 +538,28 @@ def _expanded_w(lam: Partition, vec, jac: bool = False):
     return w, np.matmul(coef, support * pa.excluded_products(factors))
 
 
-def wronski_fiber(
-    lam: Partition, sigma_target, tol: float = 1e-9, seed: int = 0
-) -> list[PolyTuple]:
-    """All tuples mapping to the target elementary symmetric data.
+def _fiber(coef, support, sigma_target, tol, seed, expected) -> list[np.ndarray]:
+    """The free coefficients of all tuples whose table W equals the target.
 
-    Seeded multistart Newton on the n free coefficients.  Residual and
-    Jacobian come from row 0 of the cached exact operator table
-    (_operator_expansion), two small matrix products per call; the gates
-    that check the result evaluate wronski_map, on poly_det.  The search
-    stops at the Wronski-map degree or after WRONSKI_BUDGET starts; an
-    undercount is the caller's signal.  The distinct roots then get, as one
-    stack, up to two undamped polish steps each, which take their W
-    residual from the loose tolerance to roundoff.
+    Seeded multistart Newton, with residual and Jacobian from the table,
+    two small matrix products per call.  The search stops at the expected
+    count or after WRONSKI_BUDGET starts; an undercount is the caller's
+    signal.  The distinct roots then get, as one stack, up to two undamped
+    polish steps each, which take their W residual from the loose
+    tolerance to roundoff.
     """
-    n = lam.n
+    n = support.shape[1]
     sigma = np.asarray(sigma_target, dtype=complex).ravel()
     if len(sigma) != n:
         raise ValueError(f"need {n} target coordinates")
     rng = np.random.default_rng(seed)
 
     def residual(vec):
-        F = _expanded_w(lam, vec) - sigma
+        F = _expanded_w(coef, support, vec) - sigma
         return F, np.abs(F).max(axis=-1)
 
     def jacobian(vec):
-        return _expanded_w(lam, vec, jac=True)[1]
+        return _expanded_w(coef, support, vec, jac=True)[1]
 
     scale = max(1.0, np.abs(sigma).max())
 
@@ -539,10 +569,34 @@ def wronski_fiber(
     def solve(V0, polish=0):
         return damped_newton(residual, jacobian, V0, tol, 60, polish=polish)
 
-    roots = multistart(draw, solve, WRONSKI_BUDGET, irrep_dimension(lam))
+    roots = multistart(draw, solve, WRONSKI_BUDGET, expected)
     if not roots:
         return []
-    return [poly_tuple_from_vector(lam, v) for v in solve(np.stack(roots), polish=2)]
+    return solve(np.stack(roots), polish=2)
+
+
+def wronski_fiber(
+    lam: Partition, sigma_target, tol: float = 1e-9, seed: int = 0
+) -> list[PolyTuple]:
+    """All tuples mapping to the target elementary symmetric data.
+
+    Solves row 0 of the cached exact operator table (_operator_expansion)
+    with _fiber, expecting the Wronski-map degree d_lambda; the gates that
+    check the result evaluate wronski_map, on poly_det.
+    """
+    vecs = _fiber(*_w_expansion(lam), sigma_target, tol, seed, irrep_dimension(lam))
+    return [poly_tuple_from_vector(lam, v) for v in vecs]
+
+
+def wronski_fiber_q(
+    q, sigma_target, tol: float = 1e-9, seed: int = 0
+) -> list[QuasiExpTuple]:
+    """All tuples e^(q_i u)(u + c_i) mapping to the target elementary
+    symmetric data, from the table of _w_expansion_q; n! for a generic
+    target."""
+    q = pa.require_distinct(q, 1e-12, "exponents q")
+    vecs = _fiber(*_w_expansion_q(q), sigma_target, tol, seed, math.factorial(len(q)))
+    return [QuasiExpTuple(q, c) for c in vecs]
 
 
 def wronski_map_q(x: QuasiExpTuple) -> MonicPoly:

@@ -173,7 +173,9 @@ def test_direct_check_call_raises(monkeypatch):
 
 
 def test_starved_bethe_search_undercounts_and_fails_the_check(monkeypatch):
-    monkeypatch.setattr(mf, "BETHE_BUDGET", 1)
+    # the Bethe routes read their critical points off the Wronski fiber, so
+    # a starved fiber search starves them
+    monkeypatch.setattr(wr, "WRONSKI_BUDGET", 1)
     z = sample_generic_z(4, np.random.default_rng(0))
     assert len(mf.solve_bethe(Partition((2, 1, 1)), z, seed=0)) < 3
     rec = harness.check_bethe(VerificationConfig())
@@ -227,10 +229,10 @@ def test_every_reported_residual_has_a_declared_bound():
     assert declared == 16
 
 
-def _bethe_counts(found_211):
-    expected = {"1,1": 1, "2,1": 2, "2,2": 2, "3,1": 3, "2,1,1": 3}
-    found = dict(expected, **{"2,1,1": found_211})
-    return {k: {"expected": d, "found": found[k]} for k, d in expected.items()}
+_BETHE_COUNTS = {
+    k: {"expected": d, "found": d}
+    for k, d in {"1,1": 1, "2,1": 2, "2,2": 2, "3,1": 3, "2,1,1": 3}.items()
+}
 
 
 _FIBER_COUNTS = {
@@ -242,15 +244,16 @@ _FIBER_COUNTS = {
 }
 
 # Solver records frozen bit for bit, residuals as hex floats; seed 1000205
-# is one of the seeds where the Bethe search finds 2 of 3 points for (2,1,1)
+# is one of the seeds where a direct multistart on the Bethe equations found
+# 2 of the 3 points of (2,1,1), and the fiber populations find all 3
 PINNED_RECORDS = {
     (2024, "bethe-correspondence"): (
         True,
-        _bethe_counts(3),
+        _BETHE_COUNTS,
         {
             "max_grad_norm": "0x1.6a09e667f3bcdp-45",
             "max_match_distance": "0x1.99ccc999fff00p-46",
-            "midpoint_deviation": "0x1.0000000000000p-54",
+            "midpoint_deviation": "0x1.0000000000000p-56",
         },
     ),
     (2024, "wronski-degree"): (
@@ -262,12 +265,12 @@ PINNED_RECORDS = {
         },
     ),
     (1000205, "bethe-correspondence"): (
-        False,
-        _bethe_counts(2),
+        True,
+        _BETHE_COUNTS,
         {
-            "max_grad_norm": "0x1.0000000000000p-50",
-            "max_match_distance": "0x1.854bfb363dc38p-50",
-            "midpoint_deviation": "0x1.1e3779b97f4a8p-54",
+            "max_grad_norm": "0x1.e8368ba3e13b2p-46",
+            "max_match_distance": "0x1.439479381ecbdp-46",
+            "midpoint_deviation": "0x0.0p+0",
         },
     ),
     (1000205, "wronski-degree"): (

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cmkz.calogero_moser import lq_residual
-from cmkz.harness import match_points
+from cmkz.harness import TOL, match_points
 from cmkz.master_function import (
-    _cleared_jacobian,
-    _cleared_residual,
-    _cleared_system,
+    _checked_q,
     _grad_t_raw,
     _hess_t_raw,
+    _level_key,
+    _population,
     _split,
     grad_t,
     grad_t_q,
@@ -22,8 +22,10 @@ from cmkz.master_function import (
     solve_bethe,
     solve_bethe_q,
 )
-from cmkz.partitions import Partition
-from cmkz.tensor_gaudin import sample_generic_z, spectral_points
+from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension
+from cmkz.polyalg import elementary_symmetric
+from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
+from cmkz.wronski import wronski_fiber, wronski_fiber_q
 
 
 def test_level_sizes():
@@ -87,7 +89,7 @@ def test_gradients_match_finite_differences():
 
 
 # (level sizes, number of positions, linear terms)
-CLEARED_CASES = [
+POLE_CASES = [
     ((2, 1), 3, None),
     ((3, 1), 4, None),
     ((2, 1, 1), 4, None),
@@ -95,65 +97,16 @@ CLEARED_CASES = [
 ]
 
 
-def _cleared_point(sizes, nz, seed):
+def _random_point(sizes, nz, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(nz) + 1j * rng.standard_normal(nz)
     t = rng.standard_normal(sum(sizes)) + 1j * rng.standard_normal(sum(sizes))
     return z, t
 
 
-def _cleared_reference(z, sizes, t, linear):
-    """One equation at a time, straight from the gradient's pole list."""
-    tl = _split(t, sizes)
-    F, S, prods = [], [], []
-    for k, tk in enumerate(tl):
-        for i, ti in enumerate(tk):
-            poles = [(w, -1.0) for w in z] if k == 0 else []
-            poles += [(w, 2.0) for j, w in enumerate(tk) if j != i]
-            for kk in (k + 1, k - 1):
-                if 0 <= kk < len(tl):
-                    poles += [(w, -1.0) for w in tl[kk]]
-            d = np.array([ti - w for w, _ in poles])
-            c = np.array([cw for _, cw in poles])
-            delta = 0.0 if linear is None else linear[k]
-            part = np.array([np.prod(np.delete(d, w)) for w in range(len(d))])
-            F.append(np.sum(c * part) + delta * np.prod(d))
-            S.append(np.sum(np.abs(c * part)) + abs(delta * np.prod(d)))
-            prods.append(np.prod(d))
-    return np.array(F), np.array(S), np.array(prods)
-
-
-@pytest.mark.parametrize("sizes,nz,linear", CLEARED_CASES)
-def test_cleared_system_matches_per_equation_reference(sizes, nz, linear):
-    z, t = _cleared_point(sizes, nz, seed=sum(sizes) + nz)
-    F, S = _cleared_system(z, sizes, t, linear)
-    F_ref, S_ref, prods = _cleared_reference(z, sizes, t, linear)
-    assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
-    assert np.abs(S - S_ref).max() <= 1e-12 * S_ref.max()
-    # dividing out the pole distances gives back dPhi/dt
-    g = _grad_t_raw(z, sizes, t, linear)[0]
-    assert np.abs(F / prods - g).max() <= 1e-10 * max(1.0, np.abs(g).max())
-
-
-@pytest.mark.parametrize("sizes,nz,linear", CLEARED_CASES)
-def test_cleared_system_jacobian_matches_central_differences(sizes, nz, linear):
-    z, t = _cleared_point(sizes, nz, seed=100 + sum(sizes) + nz)
-    J = _cleared_jacobian(z, sizes, t, linear)
-    h = 1e-6
-    fd = np.empty_like(J)
-    for c in range(len(t)):
-        e = np.zeros(len(t), dtype=complex)
-        e[c] = h
-        fd[:, c] = (
-            _cleared_system(z, sizes, t + e, linear)[0]
-            - _cleared_system(z, sizes, t - e, linear)[0]
-        ) / (2.0 * h)
-    assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
-
-
-@pytest.mark.parametrize("sizes,nz,linear", CLEARED_CASES)
+@pytest.mark.parametrize("sizes,nz,linear", POLE_CASES)
 def test_hessian_matches_central_differences_of_gradient(sizes, nz, linear):
-    z, t = _cleared_point(sizes, nz, seed=200 + sum(sizes) + nz)
+    z, t = _random_point(sizes, nz, seed=200 + sum(sizes) + nz)
     H = _hess_t_raw(z, sizes, t)
     h = 1e-6
     fd = np.empty_like(H)
@@ -172,10 +125,8 @@ def _bits(*arrays):
 
 
 # one auxiliary variable gives a one-row pole table, whose stacked layout
-# numpy would otherwise lay out differently; with a linear term, a stack of
-# one such point multiplies in another numpy loop unless the linear term is
-# spelled out to the stack's shape
-STACK_CASES = CLEARED_CASES + [((1,), 4, None), ((1,), 2, (0.7 - 0.2j,))]
+# numpy would otherwise lay out differently
+STACK_CASES = POLE_CASES + [((1,), 4, None), ((1,), 2, (0.7 - 0.2j,))]
 # one-point stacks are repeated: a loop that rounds differently shows on
 # some inputs only
 STACK_SIZES = (1,) * 40 + (2, 39)
@@ -183,41 +134,32 @@ STACK_SIZES = (1,) * 40 + (2, 39)
 
 @pytest.mark.parametrize("sizes,nz,linear", STACK_CASES)
 def test_stacked_bethe_residuals_match_single_points_bit_for_bit(sizes, nz, linear):
-    # the cleared stage and the polish stage, over stacks of 1, 2 and 39 points
-    z, _ = _cleared_point(sizes, nz, seed=300 + sum(sizes) + nz)
+    # dPhi/dt and its norm, over stacks of 1, 2 and 39 points
+    z, _ = _random_point(sizes, nz, seed=300 + sum(sizes) + nz)
     rng = np.random.default_rng(301)
-    for residual in (_cleared_residual, _grad_t_raw):
-        for k in STACK_SIZES:
-            T = rng.standard_normal((k, sum(sizes))) + 1j * rng.standard_normal(
-                (k, sum(sizes))
-            )
-            F, norms = residual(z, sizes, T, linear)
-            assert F.shape == T.shape and norms.shape == (k,)
-            for row in range(k):
-                f, norm = residual(z, sizes, T[row], linear)
-                assert _bits(F[row], norms[row]) == _bits(f, norm)
+    for k in STACK_SIZES:
+        T = rng.standard_normal((k, sum(sizes))) + 1j * rng.standard_normal(
+            (k, sum(sizes))
+        )
+        F, norms = _grad_t_raw(z, sizes, T, linear)
+        assert F.shape == T.shape and norms.shape == (k,)
+        for row in range(k):
+            f, norm = _grad_t_raw(z, sizes, T[row], linear)
+            assert _bits(F[row], norms[row]) == _bits(f, norm)
 
 
 @pytest.mark.parametrize("sizes,nz,linear", STACK_CASES)
 def test_stacked_bethe_jacobians_match_single_points_bit_for_bit(sizes, nz, linear):
-    # the cleared-system Jacobian and the Hessian, over stacks of 1, 2 and
-    # 39 points and a stack of stacks
-    z, _ = _cleared_point(sizes, nz, seed=400 + sum(sizes) + nz)
+    # the Hessian, over stacks of 1, 2 and 39 points and a stack of stacks
+    z, _ = _random_point(sizes, nz, seed=400 + sum(sizes) + nz)
     rng = np.random.default_rng(401)
-    jacobians = (
-        lambda T: _cleared_jacobian(z, sizes, T, linear),
-        lambda T: _hess_t_raw(z, sizes, T),
-    )
     l = sum(sizes)
-    for jacobian in jacobians:
-        for shape in [(k,) for k in STACK_SIZES] + [(3, 5)]:
-            T = rng.standard_normal(shape + (l,)) + 1j * rng.standard_normal(
-                shape + (l,)
-            )
-            J = jacobian(T)
-            assert J.shape == shape + (l, l)
-            for row in np.ndindex(shape):
-                assert _bits(J[row]) == _bits(jacobian(T[row]))
+    for shape in [(k,) for k in STACK_SIZES] + [(3, 5)]:
+        T = rng.standard_normal(shape + (l,)) + 1j * rng.standard_normal(shape + (l,))
+        J = _hess_t_raw(z, sizes, T)
+        assert J.shape == shape + (l, l)
+        for row in np.ndindex(shape):
+            assert _bits(J[row]) == _bits(_hess_t_raw(z, sizes, T[row]))
 
 
 def test_polish_residual_is_inf_on_a_collision_row():
@@ -288,6 +230,55 @@ def test_solve_bethe_matches_spectra():
     assert res.ok
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_solve_bethe_is_complete_and_matched_for_every_partition(n):
+    rng = np.random.default_rng(20 + n)
+    for lam in enumerate_partitions(n, n):
+        z = sample_generic_z(n, rng)
+        crits = solve_bethe(lam, z, seed=n)
+        assert len(crits) == irrep_dimension(lam), lam
+        assert max(c.grad_norm for c in crits) <= TOL.bethe
+        pts = spectral_points(lam, z, seed=n)
+        res = match_points([c.p for c in crits], [sp.p for sp in pts], TOL.match)
+        assert res.ok, lam
+
+
+def test_real_positions_give_distinct_configurations():
+    # at real z the roots of a level come in conjugate pairs, so one
+    # configuration sorted by (re, im) can come out in either order; the
+    # level polynomials do not depend on that order
+    z = np.sort(np.random.default_rng(9).uniform(-1, 1, 4))
+    crits = solve_bethe(Partition((2, 2)), z, seed=0)
+    assert len(crits) == 2
+    a, b = (_level_key(c.config.t) for c in crits)
+    assert np.abs(a - b).max() > 1e-6
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_fiber_populations_are_critical_before_any_polish(n):
+    rng = np.random.default_rng(30 + n)
+    for lam in enumerate_partitions(n, n):
+        sizes = level_sizes(lam)
+        if not sizes:
+            continue
+        z = sample_generic_z(n, rng)
+        fiber = wronski_fiber(lam, elementary_symmetric(z), seed=1)
+        assert len(fiber) == irrep_dimension(lam)
+        T = np.stack([_population(x.polys(), len(sizes)) for x in fiber])
+        assert _grad_t_raw(z, sizes, T)[1].max() <= 1e-8, lam
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_deformed_fiber_populations_are_critical_before_any_polish(n):
+    q, z = _deformed_input(n, 60 + n)
+    q, linear = _checked_q(q, n)
+    sizes = q_level_sizes(n)
+    fiber = wronski_fiber_q(q, elementary_symmetric(z), seed=1)
+    assert len(fiber) == math.factorial(n)
+    T = np.stack([_population(x.functions(), len(sizes)) for x in fiber])
+    assert _grad_t_raw(z, sizes, T, linear)[1].max() <= 1e-8
+
+
 def test_sum_of_momenta_vanishes_at_critical_points():
     rng = np.random.default_rng(3)
     lam = Partition((2, 2))
@@ -313,16 +304,37 @@ def test_solve_bethe_q_two_particle_quadratic():
         assert lq_residual(c.config.z, c.p, q) < 1e-10
 
 
+def _assert_deformed_complete(q, z, crits):
+    """n! critical points at the gradient bound, matched to the deformed
+    joint spectrum."""
+    assert len(crits) == math.factorial(len(z))
+    for c in crits:
+        assert c.grad_norm <= TOL.bethe
+        assert abs(np.sum(c.p) - q.sum()) < 1e-9
+        assert lq_residual(c.config.z, c.p, q) < 1e-9
+    pts = generalized_spectrum(z, q)
+    assert match_points([c.p for c in crits], [sp.p for sp in pts], TOL.match).ok
+
+
 def test_solve_bethe_q_three_particles():
     rng = np.random.default_rng(8)
     z = sample_generic_z(3, rng)
     q = np.array([1.1 + 0.4j, -0.8 - 0.2j, 0.1 + 1.3j])
-    crits = solve_bethe_q(q, z, seed=9)
-    assert 1 <= len(crits) <= math.factorial(3)
-    for c in crits:
-        assert c.grad_norm <= 1e-10
-        assert abs(np.sum(c.p) - q.sum()) < 1e-9
-        assert lq_residual(c.config.z, c.p, q) < 1e-9
+    _assert_deformed_complete(q, z, solve_bethe_q(q, z, seed=9))
+
+
+def _deformed_input(n, z_seed):
+    rng = np.random.default_rng(z_seed)
+    z = sample_generic_z(n, rng)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n), z
+
+
+# z seeds 40..47 at n = 3 are inputs on which a direct multistart on the
+# deformed Bethe equations found 0 to 3 of the 6 points
+@pytest.mark.parametrize("n,z_seed", [(3, 40 + s) for s in range(8)] + [(4, 50)])
+def test_solve_bethe_q_is_complete(n, z_seed):
+    q, z = _deformed_input(n, z_seed)
+    _assert_deformed_complete(q, z, solve_bethe_q(q, z, seed=3))
 
 
 def test_q_gradients_match_finite_differences():
@@ -375,27 +387,42 @@ def _hex_coords(values):
 BETHE_Q_PINS = {
     (2, 42): [
         (
-            "0x1.027944351af64p-3 -0x1.3b73b23f13892p-1",
+            "0x1.027944351af65p-3 -0x1.3b73b23f13892p-1",
         ),
         (
-            "0x1.2801fdfb86fa1p+1 0x1.7c9f92c6ad7e9p-1",
+            "0x1.2801fdfb86fa1p+1 0x1.7c9f92c6ad7eap-1",
         ),
     ],
     (3, 40): [
         (
-            "0x1.283bcfdfd1075p-4 -0x1.954fd2d690edbp-1",
-            "0x1.8f6977e070bd4p-1 -0x1.b82d4844bbbebp-8",
-            "0x1.ea1aac96c4c54p-2 -0x1.cc7ad84727b79p-4",
+            "-0x1.2b39470ada119p+0 -0x1.12a3e50d6f074p+1",
+            "0x1.c0cf6adb8e5bep+0 -0x1.4a5d7048e2ca5p-1",
+            "-0x1.a6f3eea22cc89p+0 -0x1.0df91cbe5cdbbp+1",
         ),
         (
-            "0x1.389d73b3e4cfap-1 -0x1.27366d32d3c84p-1",
-            "0x1.1fa61a4c4a737p+0 -0x1.edb6a42d228eep-3",
-            "-0x1.8c1a9634adcb8p-5 -0x1.ec4a4bed2d65ep-2",
+            "-0x1.ccd716ede34f9p-1 -0x1.15b72537907bfp+1",
+            "0x1.d1a97074d5800p-1 0x1.a0497b45c9ea3p-6",
+            "-0x1.5ffcd36bf100dp+0 -0x1.0de14249fc3abp+1",
         ),
         (
-            "0x1.46e5db44b839ep-1 -0x1.4d107c39829afp-3",
-            "0x1.27b67024bab25p+0 -0x1.76cd803a25fd3p-1",
-            "0x1.97346b8ac4118p-7 -0x1.109a83e4da152p-2",
+            "-0x1.567568ccff003p-4 -0x1.01121869dbd03p+1",
+            "-0x1.4b35f017cf1ebp-9 -0x1.646547e75cbb6p-1",
+            "-0x1.0b90663565bcfp-1 -0x1.d608ba62d24b0p+0",
+        ),
+        (
+            "0x1.283bcfdfd1072p-4 -0x1.954fd2d690edap-1",
+            "0x1.8f6977e070bd4p-1 -0x1.b82d4844bbbe9p-8",
+            "0x1.ea1aac96c4c54p-2 -0x1.cc7ad84727b78p-4",
+        ),
+        (
+            "0x1.389d73b3e4cf9p-1 -0x1.27366d32d3c84p-1",
+            "0x1.1fa61a4c4a738p+0 -0x1.edb6a42d228efp-3",
+            "-0x1.8c1a9634adcb9p-5 -0x1.ec4a4bed2d65ep-2",
+        ),
+        (
+            "0x1.46e5db44b839cp-1 -0x1.4d107c39829b2p-3",
+            "0x1.27b67024bab25p+0 -0x1.76cd803a25fd0p-1",
+            "0x1.97346b8ac4085p-7 -0x1.109a83e4da152p-2",
         ),
     ],
 }
@@ -403,8 +430,6 @@ BETHE_Q_PINS = {
 
 @pytest.mark.parametrize("n,z_seed", list(BETHE_Q_PINS))
 def test_solve_bethe_q_roots_are_pinned(n, z_seed):
-    rng = np.random.default_rng(z_seed)
-    z = sample_generic_z(n, rng)
-    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q, z = _deformed_input(n, z_seed)
     crits = solve_bethe_q(q, z, seed=n)
     assert [_hex_coords(c.config.flat_t) for c in crits] == BETHE_Q_PINS[(n, z_seed)]

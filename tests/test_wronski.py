@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from cmkz.wronski import (
     _expanded_w,
     _int_det,
     _operator_expansion,
+    _w_expansion,
+    _w_expansion_q,
     _operator_from_rows,
     _pairwise_product,
     QuasiExpTuple,
@@ -29,10 +32,16 @@ from cmkz.wronski import (
     psi_q,
     random_poly_tuple,
     wronski_fiber,
+    wronski_fiber_q,
     wronski_map,
     wronski_map_q,
     wronskian,
 )
+
+
+def _table_w(lam, vec, jac=False):
+    """W (and dW/dvec) from the Wronski rows of lam's operator table."""
+    return _expanded_w(*_w_expansion(lam), vec, jac)
 
 
 def test_free_positions_examples():
@@ -244,7 +253,7 @@ def test_wronski_expansion_matches_wronski_map(n):
         for _ in range(3):
             x = random_poly_tuple(lam, rng)
             w = wronski_map(lam, x).w
-            assert np.abs(_expanded_w(lam, x.vector()) - w).max() <= 1e-12 * max(
+            assert np.abs(_table_w(lam, x.vector()) - w).max() <= 1e-12 * max(
                 1.0, np.abs(w).max()
             )
 
@@ -254,13 +263,13 @@ def test_wronski_expansion_jacobian_matches_finite_differences(parts):
     lam = Partition(parts)
     rng = np.random.default_rng(sum(parts))
     x = random_poly_tuple(lam, rng).vector()
-    w, J = _expanded_w(lam, x, jac=True)
-    assert np.array_equal(w, _expanded_w(lam, x))
+    w, J = _table_w(lam, x, jac=True)
+    assert np.array_equal(w, _table_w(lam, x))
     h = 1e-6
     for k in range(len(x)):
         e = np.zeros(len(x), dtype=complex)
         e[k] = h
-        fd = (_expanded_w(lam, x + e) - _expanded_w(lam, x - e)) / (2.0 * h)
+        fd = (_table_w(lam, x + e) - _table_w(lam, x - e)) / (2.0 * h)
         assert np.abs(J[:, k] - fd).max() <= 1e-6 * max(1.0, np.abs(J).max())
 
 
@@ -271,12 +280,56 @@ def test_stacked_wronski_rows_match_single_points_bit_for_bit(n):
         m = len(random_poly_tuple(lam, rng).vector())
         for k in (1, 2, 39):
             V = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
-            W, J = _expanded_w(lam, V, jac=True)
+            W, J = _table_w(lam, V, jac=True)
             assert W.shape == (k, n) and J.shape == (k, n, m)
             for row in range(k):
-                w, j = _expanded_w(lam, V[row], jac=True)
+                w, j = _table_w(lam, V[row], jac=True)
                 assert W[row].tobytes() == w.tobytes()
                 assert J[row].tobytes() == j.tobytes()
+
+
+def _random_q_shifts(n, rng):
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return q, c
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quasi_exponential_table_matches_wronski_map_q(n):
+    # the principal-minor table against the poly_det Wronskian
+    rng = np.random.default_rng(90 + n)
+    for _ in range(5):
+        q, c = _random_q_shifts(n, rng)
+        w = wronski_map_q(QuasiExpTuple(q, c)).w
+        got = _expanded_w(*_w_expansion_q(q), c)
+        assert np.abs(got - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_quasi_exponential_rows_match_single_points_bit_for_bit(n):
+    rng = np.random.default_rng(95 + n)
+    q, _ = _random_q_shifts(n, rng)
+    coef, support = _w_expansion_q(q)
+    for k in (1, 2, 39):
+        C = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        W, J = _expanded_w(coef, support, C, jac=True)
+        assert W.shape == (k, n) and J.shape == (k, n, n)
+        for row in range(k):
+            w, j = _expanded_w(coef, support, C[row], jac=True)
+            assert W[row].tobytes() == w.tobytes()
+            assert J[row].tobytes() == j.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wronski_fiber_q_counts_and_residuals(n):
+    rng = np.random.default_rng(100 + n)
+    z = sample_generic_z(n, rng)
+    q, _ = _random_q_shifts(n, rng)
+    sigma = elementary_symmetric(z)
+    sols = wronski_fiber_q(q, sigma, seed=1)
+    assert len(sols) == math.factorial(n)
+    for x in sols:
+        assert np.abs(wronski_map_q(x).w - sigma).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 8))
