@@ -7,6 +7,7 @@ from cmkz.calogero_moser import lq_residual
 from cmkz.harness import TOL, match_points
 from cmkz.master_function import (
     _checked_q,
+    _critical_points,
     _grad_t_raw,
     _hess_t_raw,
     _level_key,
@@ -252,6 +253,22 @@ def test_real_positions_give_distinct_configurations():
     assert len(crits) == 2
     a, b = (_level_key(c.config.t) for c in crits)
     assert np.abs(a - b).max() > 1e-6
+
+
+def test_a_repeated_fiber_tuple_gives_one_point():
+    z = sample_generic_z(4, np.random.default_rng(5))
+    lam = Partition((2, 2))
+    sizes = level_sizes(lam)
+    funcs = [x.polys() for x in wronski_fiber(lam, elementary_symmetric(z), seed=0)]
+    once = _critical_points(z, sizes, None, 0.0, 1e-10, lambda: funcs)
+    twice = _critical_points(z, sizes, None, 0.0, 1e-10, lambda: funcs + funcs[:1])
+    assert len(once) == len(twice) == 2
+    for a, b in zip(once, twice):
+        assert np.array_equal(a.config.flat_t, b.config.flat_t)
+    # the key is the same for every order of the roots in a level
+    t = once[0].config.t
+    swapped = (t[0][::-1],) + t[1:]
+    assert np.allclose(_level_key(t), _level_key(swapped), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
