@@ -243,7 +243,7 @@ _FIBER_COUNTS = {
     "3,1": {"expected": 3, "found": [3] * 5},
 }
 
-# Solver records frozen bit for bit, residuals as hex floats; seed 1000205
+# Check records frozen bit for bit, residuals as hex floats; seed 1000205
 # is one of the seeds where a direct multistart on the Bethe equations found
 # 2 of the 3 points of (2,1,1), and the fiber populations find all 3
 PINNED_RECORDS = {
@@ -262,6 +262,24 @@ PINNED_RECORDS = {
         {
             "max_w_residual": "0x1.6a09e667f3bcdp-51",
             "tolerance": "0x1.12e0be826d695p-30",
+        },
+    ),
+    (2024, "operator-identities"): (
+        True,
+        {"partition_sets": "n <= 5 (diagonal), n <= 4 (bivariate)"},
+        {
+            "max_fla_residual": "0x0.0p+0",
+            "max_bivariate_residual": "0x1.8b853193429f1p-47",
+            "max_annihilation_residual": "0x1.0576aa60890bdp-52",
+        },
+    ),
+    (2024, "structural-invariants"): (
+        True,
+        {"rank_one_trials": 1000, "gradient_trials": 100},
+        {
+            "max_rank_one_residual": "0x1.99afe5da93ad4p-51",
+            "max_hamiltonian_mismatch": "0x1.333349f6f33eep-45",
+            "max_gradient_fd_mismatch": "0x1.049afe64c994ep-29",
         },
     ),
     (1000205, "bethe-correspondence"): (
