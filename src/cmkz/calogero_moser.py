@@ -6,6 +6,11 @@ Writing det(u - Q) = u^n - Q_1 u^{n-1} + ... +- Q_n, the coefficient Q_a
 is the a-th elementary symmetric function of the eigenvalues of Q; these
 are the commuting first integrals.  The zero level set of all Q_a is the
 variety the Gaudin joint spectra fill out.
+
+cm_matrix, xi, rank_one_residual, first_integrals and cm_hamiltonian take
+leading batch axes: for a stack of (z, p), with z and p of shape
+(..., n), they return one result per row, and a single point is the
+unbatched case of the same code.
 """
 
 from __future__ import annotations
@@ -20,29 +25,35 @@ from .serialize import pair_list, pair_matrix
 
 
 def _check_positions(z):
-    z = np.asarray(z, dtype=complex).ravel()
-    if len(z) == 0:
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if z.shape[-1] == 0:
         raise ValueError("need at least one position")
     return require_distinct(z, 1e-8, "positions z")
+
+
+def _check_momenta(p, z) -> np.ndarray:
+    p = np.atleast_1d(np.asarray(p, dtype=complex))
+    if p.shape != z.shape:
+        raise ValueError("z and p must have equal length")
+    return p
 
 
 def cm_matrix(z, p) -> np.ndarray:
     """Momenta on the diagonal, 1/(z_a - z_b) off the diagonal."""
     z = _check_positions(z)
-    p = np.asarray(p, dtype=complex).ravel()
-    if len(p) != len(z):
-        raise ValueError("z and p must have equal length")
-    n = len(z)
-    Q = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            Q[a, b] = p[a] if a == b else 1.0 / (z[a] - z[b])
+    p = _check_momenta(p, z)
+    diag = np.arange(z.shape[-1])
+    d = z[..., :, None] - z[..., None, :]
+    d[..., diag, diag] = 1.0
+    Q = 1.0 / d
+    Q[..., diag, diag] = p
     return Q
 
 
 @dataclass(frozen=True)
 class FirstIntegrals:
-    """Characteristic-polynomial coefficients Q_1, ..., Q_n of the CM matrix."""
+    """Characteristic-polynomial coefficients Q_1, ..., Q_n of the CM matrix;
+    for a stack of points, values[a] holds Q_(a+1) of every row."""
 
     values: tuple[complex, ...]
 
@@ -54,21 +65,28 @@ class FirstIntegrals:
 
 
 def first_integrals(z, p) -> FirstIntegrals:
-    """Elementary symmetric functions of the eigenvalues of cm_matrix(z, p)."""
+    """Elementary symmetric functions of the eigenvalues of cm_matrix(z, p).
+
+    One eigvals call takes the whole stack.  The symmetric functions are
+    then read off row by row with elementary_symmetric, whose convolutions
+    a stacked recurrence matches only to the last bit.
+    """
     eigs = np.linalg.eigvals(cm_matrix(z, p))
-    return FirstIntegrals(tuple(elementary_symmetric(eigs)))
+    rows = eigs.reshape(-1, eigs.shape[-1])
+    e = np.array([elementary_symmetric(row) for row in rows]).reshape(eigs.shape)
+    return FirstIntegrals(tuple(np.moveaxis(e, -1, 0)))
 
 
-def cm_hamiltonian(z, p) -> complex:
-    """sum_a p_a^2 - sum_{a<b} 2/(z_a - z_b)^2."""
+def cm_hamiltonian(z, p):
+    """sum_a p_a^2 - sum_{a<b} 2/(z_a - z_b)^2, summed pair by pair."""
     z = _check_positions(z)
-    p = np.asarray(p, dtype=complex).ravel()
-    h = np.sum(p**2)
-    n = len(z)
+    p = _check_momenta(p, z)
+    h = np.sum(p**2, axis=-1)
+    n = z.shape[-1]
     for a in range(n):
         for b in range(a + 1, n):
-            h -= 2.0 / (z[a] - z[b]) ** 2
-    return complex(h)
+            h -= 2.0 / (z[..., a] - z[..., b]) ** 2
+    return h[()]
 
 
 def _degree_scale(p, q=None) -> float:
@@ -102,21 +120,24 @@ def lq_residual(z, p, q) -> float:
 
 @dataclass(eq=False)
 class CMPoint:
-    """Normal-form representative: Z diagonal, Q full, rank([Z,Q]+1) = 1."""
+    """Normal-form representative: Z diagonal, Q full, rank([Z,Q]+1) = 1.
+
+    A stack of points holds Z of shape (..., n) and Q of shape (..., n, n).
+    """
 
     Z: np.ndarray
     Q: np.ndarray
 
     def __post_init__(self):
-        self.Z = np.asarray(self.Z, dtype=complex).ravel()
+        self.Z = np.atleast_1d(np.asarray(self.Z, dtype=complex))
         self.Q = np.asarray(self.Q, dtype=complex)
-        n = len(self.Z)
-        if self.Q.shape != (n, n):
+        n = self.Z.shape[-1]
+        if self.Q.shape != self.Z.shape + (n,):
             raise ValueError("Q must be n x n for n diagonal entries of Z")
 
     @property
     def n(self) -> int:
-        return len(self.Z)
+        return self.Z.shape[-1]
 
     def as_dict(self) -> dict:
         return {"Z": pair_list(self.Z), "Q": pair_matrix(self.Q)}
@@ -128,17 +149,26 @@ def xi(z, p) -> CMPoint:
     return CMPoint(z, cm_matrix(z, p))
 
 
-def rank_one_residual(point: CMPoint) -> float:
-    """Second singular value of [Z, Q] + 1 over the largest; 0 means rank one."""
+def rank_one_residual(point: CMPoint):
+    """Second singular value of [Z, Q] + 1 over the largest; 0 means rank one,
+    and a zero [Z, Q] + 1 reads 1.
+
+    A stacked point gets one value per row from one batched SVD; each row's
+    commutator is the same matrix product as a single point's, so the
+    values agree bit for bit.
+    """
     n = point.n
+    lead = point.Z.shape[:-1]
     if n == 1:
-        return 0.0
-    Zm = np.diag(point.Z)
+        return np.zeros(lead)[()]
+    Zm = np.zeros(point.Q.shape, dtype=complex)
+    diag = np.arange(n)
+    Zm[..., diag, diag] = point.Z
     comm = Zm @ point.Q - point.Q @ Zm + np.eye(n, dtype=complex)
     sv = np.linalg.svd(comm, compute_uv=False)
-    if sv[0] == 0.0:
-        return 1.0
-    return float(sv[1] / sv[0])
+    out = np.ones(lead)
+    np.divide(sv[..., 1], sv[..., 0], out=out, where=sv[..., 0] != 0.0)
+    return out[()]
 
 
 def bivariate_char(point: CMPoint, u, v) -> complex:

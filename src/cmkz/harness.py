@@ -566,13 +566,18 @@ def check_wronski_degree(config, rng):
 )
 def check_operator_identities(config, rng):
     """Diagonal coefficient identity, bivariate determinant identity, and
-    annihilation of the source tuple."""
+    annihilation of the source tuple.
+
+    Per partition, the 100 diagonal-identity tuples are drawn as one stack,
+    in the order of 100 random_poly_tuple draws, and fla_residual takes the
+    stack in one call.
+    """
     counted = True
     fla, bivariate, annihilation = [], [], []
     for n in range(1, 6):
         for lam in enumerate_partitions(n, n):
-            for _ in range(100):
-                fla.append(wr.fla_residual(lam, wr.random_poly_tuple(lam, rng)))
+            vecs = wr.random_free_coefficients(lam, rng, (100,))
+            fla.append(wr.fla_residual(lam, vecs))
             x = wr.random_poly_tuple(lam, rng)
             op = wr.fundamental_operator(lam, x)
             annihilation += [op.annihilation_residual(f) for f in x.polys()]
@@ -596,7 +601,7 @@ def check_operator_identities(config, rng):
         counted,
         {"partition_sets": "n <= 5 (diagonal), n <= 4 (bivariate)"},
         {
-            "max_fla_residual": fla,
+            "max_fla_residual": np.concatenate(fla),
             "max_bivariate_residual": bivariate,
             "max_annihilation_residual": annihilation,
         },
@@ -604,17 +609,17 @@ def check_operator_identities(config, rng):
 
 
 def _fd_gradient(value_fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.zeros(len(x), dtype=complex)
-    for k in range(len(x)):
-        e = np.zeros(len(x), dtype=complex)
-        e[k] = h
-        g[k] = (value_fn(x + e) - value_fn(x - e)) / (2.0 * h)
-    return g
+    """Central differences of value_fn at x, which evaluates the stack of
+    the 2 * len(x) points x + h e_k, then x - h e_k, in one call."""
+    steps = h * np.eye(len(x))
+    values = value_fn(np.concatenate([x + steps, x - steps]))
+    return (values[: len(x)] - values[len(x) :]) / (2.0 * h)
 
 
 def _on_flat(value_fn, n: int, sizes):
-    """value_fn(z, t) as a function of the flat vector (z, t_1, t_2, ...)."""
-    return lambda v: value_fn(v[:n], mf._split(v[n:], sizes))
+    """value_fn(z, t) as a function of flat vectors (z, t_1, t_2, ...),
+    row by row for a stack of them."""
+    return lambda v: value_fn(v[..., :n], mf._split(v[..., n:], sizes))
 
 
 @_check(
@@ -629,19 +634,30 @@ def _on_flat(value_fn, n: int, sizes):
     },
 )
 def check_structural_invariants(config, rng):
-    """Rank-one lift, Hamiltonian identities, and gradient consistency."""
-    rank_one, hamiltonian, gradient = [], [], []
+    """Rank-one lift, Hamiltonian identities, and gradient consistency.
+
+    The 1000 rank-one trials are drawn one after another as before, then
+    evaluated as one stack per n.  Each gradient trial takes its finite
+    differences from one stacked evaluation of Phi, whose domain rule
+    rejects the trial if any perturbed point falls outside.
+    """
+    by_n: dict[int, list] = {n: [] for n in range(2, 7)}
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         z = sample_generic_z(n, rng)
-        p = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        by_n[n].append((z, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    rank_one, hamiltonian, gradient = [], [], []
+    for draws in by_n.values():
+        if not draws:
+            continue
+        z, p = (np.array(a) for a in zip(*draws))
         point = cm.xi(z, p)
         rank_one.append(cm.rank_one_residual(point))
         h = cm.cm_hamiltonian(z, p)
         q1, q2 = cm.first_integrals(z, p).values[:2]
-        tr2 = complex(np.trace(point.Q @ point.Q))
-        scale = max(1.0, abs(h))
-        hamiltonian += [abs(h - tr2) / scale, abs(h - (q1**2 - 2.0 * q2)) / scale]
+        tr2 = np.trace(point.Q @ point.Q, axis1=-2, axis2=-1)
+        scale = np.maximum(1.0, np.abs(h))
+        hamiltonian += [np.abs(h - tr2) / scale, np.abs(h - (q1**2 - 2.0 * q2)) / scale]
 
     for _ in range(100):
         n = int(rng.integers(2, 5))
@@ -686,8 +702,8 @@ def check_structural_invariants(config, rng):
         True,
         {"rank_one_trials": 1000, "gradient_trials": 100},
         {
-            "max_rank_one_residual": rank_one,
-            "max_hamiltonian_mismatch": hamiltonian,
+            "max_rank_one_residual": np.concatenate(rank_one),
+            "max_hamiltonian_mismatch": np.concatenate(hamiltonian),
             "max_gradient_fd_mismatch": gradient,
         },
     )

@@ -28,6 +28,10 @@ dPhi/dt only polishes them.
 Phi itself is defined modulo 2*pi*i.  The value and dPhi/dz below are
 plain loops, kept apart from _pole_table as finite-difference references;
 the value uses principal-branch logarithms, not branch-consistent ones.
+The value and gradient functions also take stacks of (z, t), z of shape
+(..., n) and each level of shape (..., l_k) with the same leading axes,
+and evaluate every row in one pass of the same loops; a single point is
+the unbatched case.
 """
 
 from __future__ import annotations
@@ -97,10 +101,11 @@ class CriticalPoint:
 
 
 def _split(flat: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
+    """The levels of flat t along its last axis."""
     out = []
     pos = 0
     for s in sizes:
-        out.append(flat[pos : pos + s])
+        out.append(flat[..., pos : pos + s])
         pos += s
     return tuple(out)
 
@@ -153,13 +158,13 @@ def _poles(z, sizes, t, linear=None):
     row's linear term delta_r; and the pole indices and real-slot mask of
     _pole_table.  Row r of dPhi/dt is sum_u coef_u / d_u + delta_r.
     """
-    idx, coef, mask, level = _pole_table(len(z), sizes)
+    nz = z.shape[-1]
+    idx, coef, mask, level = _pole_table(nz, sizes)
     delta = (
         np.zeros(t.shape[-1], dtype=complex)
         if linear is None
         else np.asarray(linear, dtype=complex)[level]
     )
-    nz = len(z)
     args = np.empty(t.shape[:-1] + (nz + t.shape[-1],), dtype=complex)
     args[..., :nz] = z
     args[..., nz:] = t
@@ -169,7 +174,8 @@ def _poles(z, sizes, t, linear=None):
 
 
 def _grad_t_raw(z, sizes, t, linear=None):
-    """dPhi/dt at flat t and its sup norm, row by row for a stack of t.
+    """dPhi/dt at flat t and its sup norm, row by row for a stack of t, or
+    of (z, t).
 
     The norm is inf outside the domain of Phi, which asks every argument
     pair to lie 1e-8 * max(1, |z|, |t|) apart; the gradient there is not
@@ -178,7 +184,8 @@ def _grad_t_raw(z, sizes, t, linear=None):
     d, coef, delta, _, mask = _poles(z, sizes, t, linear)
     gap = np.minimum(np.abs(d[..., mask]).min(axis=-1, initial=np.inf), min_gap(z))
     scale = np.maximum(
-        max(1.0, np.abs(z).max(initial=0.0)), np.abs(t).max(axis=-1, initial=0.0)
+        np.maximum(1.0, np.abs(z).max(axis=-1, initial=0.0)),
+        np.abs(t).max(axis=-1, initial=0.0),
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (coef / d).sum(axis=-1) + delta
@@ -194,7 +201,7 @@ def _hess_t_raw(z, sizes, t) -> np.ndarray:
     """
     d, coef, _, idx, mask = _poles(z, sizes, t)
     dG = -coef / d**2  # d/dd_u of coef_u / d_u, 0 in padded slots
-    nz, l = len(z), t.shape[-1]
+    nz, l = z.shape[-1], t.shape[-1]
     H = np.zeros(dG.shape[:-1] + (nz + l,), dtype=complex)
     H[..., np.nonzero(mask)[0], idx[mask]] = -dG[..., mask]
     H = H[..., nz:]
@@ -204,61 +211,69 @@ def _hess_t_raw(z, sizes, t) -> np.ndarray:
 
 
 def _grad_z_raw(z, tlevels, q1: complex = 0.0) -> np.ndarray:
-    n = len(z)
-    p = np.zeros(n, dtype=complex)
-    t1 = tlevels[0] if tlevels else np.zeros(0, dtype=complex)
+    """dPhi/dz, row by row for stacks of z and t."""
+    n = z.shape[-1]
+    p = np.zeros(z.shape, dtype=complex)
+    t1 = tlevels[0] if tlevels else np.zeros(z.shape[:-1] + (0,), dtype=complex)
     for a in range(n):
-        others = np.delete(z, a)
-        if len(others):
-            p[a] += np.sum(1.0 / (z[a] - others))
-        if len(t1):
-            p[a] += np.sum(1.0 / (t1 - z[a]))
-        p[a] += q1
+        za = z[..., a, None]
+        if n > 1:
+            p[..., a] += np.sum(1.0 / (za - np.delete(z, a, axis=-1)), axis=-1)
+        if t1.shape[-1]:
+            p[..., a] += np.sum(1.0 / (t1 - za), axis=-1)
+        p[..., a] += q1
     return p
 
 
-def _value_raw(z, tlevels, linear=None, qz: complex = 0.0) -> complex:
-    val = 0.0 + 0j
-    n = len(z)
+def _value_raw(z, tlevels, linear=None, qz: complex = 0.0):
+    """Phi at z and t grouped by level, row by row for stacks of them: one
+    log per argument pair, each taken over the whole stack."""
+    val = np.zeros(z.shape[:-1], dtype=complex)
+    n = z.shape[-1]
     for a in range(n):
         for b in range(a + 1, n):
-            val += np.log(z[a] - z[b])
-    if tlevels and len(tlevels[0]):
-        for ti in tlevels[0]:
-            val -= np.sum(np.log(ti - z))
+            val += np.log(z[..., a] - z[..., b])
+    if tlevels:
+        for i in range(tlevels[0].shape[-1]):
+            val -= np.sum(np.log(tlevels[0][..., i, None] - z), axis=-1)
     for tk in tlevels:
-        for i in range(len(tk)):
-            for j in range(i + 1, len(tk)):
-                val += 2.0 * np.log(tk[i] - tk[j])
+        for i in range(tk.shape[-1]):
+            for j in range(i + 1, tk.shape[-1]):
+                val += 2.0 * np.log(tk[..., i] - tk[..., j])
     for k in range(len(tlevels) - 1):
-        for ti in tlevels[k]:
-            for tj in tlevels[k + 1]:
-                val -= np.log(ti - tj)
+        for i in range(tlevels[k].shape[-1]):
+            for j in range(tlevels[k + 1].shape[-1]):
+                val -= np.log(tlevels[k][..., i] - tlevels[k + 1][..., j])
     if linear is not None:
         for k, tk in enumerate(tlevels):
-            val += linear[k] * np.sum(tk)
-    val += qz * np.sum(z)
-    return complex(val)
+            val += linear[k] * np.sum(tk, axis=-1)
+    val += qz * np.sum(z, axis=-1)
+    return val[()]
 
 
-def _flat(tlevels) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype=complex), *tlevels])
+def _flat(tlevels, lead=()) -> np.ndarray:
+    """The levels concatenated along the last axis, for a stack of shape lead."""
+    return np.concatenate([np.zeros(lead + (0,), dtype=complex), *tlevels], axis=-1)
 
 
 def _checked_levels(z, t, sizes) -> tuple[np.ndarray, ...]:
-    """t grouped by level, if the level sizes match and Phi is defined there."""
-    tlevels = tuple(np.asarray(tk, dtype=complex).ravel() for tk in t)
-    got = tuple(len(tk) for tk in tlevels)
+    """t grouped by level, if the level sizes match and Phi is defined
+    there, at every row of a stack."""
+    tlevels = tuple(np.atleast_1d(np.asarray(tk, dtype=complex)) for tk in t)
+    got = tuple(tk.shape[-1] for tk in tlevels)
     if got != sizes:
         raise ValueError(f"level sizes {got} do not match {sizes}")
-    if _grad_t_raw(z, sizes, _flat(tlevels))[1] == np.inf:
+    lead = z.shape[:-1]
+    if any(tk.shape[:-1] != lead for tk in tlevels):
+        raise ValueError("z and each level of t must share their leading axes")
+    if np.any(_grad_t_raw(z, sizes, _flat(tlevels, lead))[1] == np.inf):
         raise ValueError("argument collision inside the master function domain")
     return tlevels
 
 
 def _coerce_levels(lam: Partition, z, t):
-    z = np.asarray(z, dtype=complex).ravel()
-    if len(z) != lam.n:
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if z.shape[-1] != lam.n:
         raise ValueError(f"need {lam.n} positions for {lam!r}")
     return z, _checked_levels(z, t, level_sizes(lam))
 
@@ -266,7 +281,7 @@ def _coerce_levels(lam: Partition, z, t):
 def grad_t(lam: Partition, z, t) -> np.ndarray:
     """dPhi/dt for all auxiliary variables, level 1 first."""
     z, tlevels = _coerce_levels(lam, z, t)
-    return _grad_t_raw(z, level_sizes(lam), _flat(tlevels))[0]
+    return _grad_t_raw(z, level_sizes(lam), _flat(tlevels, z.shape[:-1]))[0]
 
 
 def grad_z(lam: Partition, z, t) -> np.ndarray:
@@ -291,15 +306,17 @@ def _checked_q(q, n: int) -> tuple[np.ndarray, tuple]:
 
 
 def _coerce_levels_q(q, z, t):
-    z = np.asarray(z, dtype=complex).ravel()
-    q, linear = _checked_q(q, len(z))
-    return q, z, _checked_levels(z, t, q_level_sizes(len(z))), linear
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    n = z.shape[-1]
+    q, linear = _checked_q(q, n)
+    return q, z, _checked_levels(z, t, q_level_sizes(n)), linear
 
 
 def grad_t_q(q, z, t) -> np.ndarray:
     """dPhi_q/dt: the undeformed gradient plus (q_{k+1} - q_k) per level."""
     q, z, tlevels, linear = _coerce_levels_q(q, z, t)
-    return _grad_t_raw(z, q_level_sizes(len(z)), _flat(tlevels), linear)[0]
+    n = z.shape[-1]
+    return _grad_t_raw(z, q_level_sizes(n), _flat(tlevels, z.shape[:-1]), linear)[0]
 
 
 def grad_z_q(q, z, t) -> np.ndarray:

@@ -89,26 +89,30 @@ def lex_key(values) -> tuple:
     return tuple(x for v in values for x in (v.real, v.imag))
 
 
-def min_gap(values) -> float:
-    """Smallest |v_i - v_j| over pairs i != j; inf for fewer than two values.
+def min_gap(values):
+    """Smallest |v_i - v_j| over pairs i != j of the last axis, row by row
+    for a stack of value tuples; inf for fewer than two values.
 
     Reads the full distance matrix with its diagonal set to inf, which is
     cheaper than gathering the upper triangle and gives the same minimum.
     """
-    v = np.asarray(values).ravel()
-    d = np.abs(v[:, None] - v[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min(initial=np.inf))
+    v = np.atleast_1d(np.asarray(values))
+    n = v.shape[-1]
+    d = np.abs(v[..., :, None] - v[..., None, :]).reshape(v.shape[:-1] + (n * n,))
+    d[..., :: n + 1] = np.inf
+    return d.min(axis=-1, initial=np.inf)[()]
 
 
 def require_distinct(values, min_sep_rel: float, what: str) -> np.ndarray:
-    """The values as a complex array, if pairwise separated.
+    """The values as a complex array, if pairwise separated, row by row for
+    a stack of value tuples along the last axis.
 
-    Raises ValueError when two values lie closer than min_sep_rel times
-    max(1, largest modulus).
+    Raises ValueError when two values of one row lie closer than
+    min_sep_rel times max(1, largest modulus in that row).
     """
-    v = np.asarray(values, dtype=complex).ravel()
-    if min_gap(v) < min_sep_rel * max(1.0, np.abs(v).max(initial=0.0)):
+    v = np.atleast_1d(np.asarray(values, dtype=complex))
+    scale = np.maximum(1.0, np.abs(v).max(axis=-1, initial=0.0))
+    if np.any(min_gap(v) < min_sep_rel * scale):
         raise ValueError(f"{what} must be pairwise distinct")
     return v
 

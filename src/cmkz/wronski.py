@@ -62,8 +62,10 @@ MIN_SEP_REL = 1e-6
 BIVARIATE_GRID = 5
 
 
+@lru_cache(maxsize=None)
 def free_positions(lam: Partition) -> tuple[tuple[int, int], ...]:
-    """Free coefficient slots (i, j): degree d_i - j, with d_i - j not a d."""
+    """Free coefficient slots (i, j): degree d_i - j, with d_i - j not a d;
+    cached per partition, since every PolyTuple reads them."""
     entries = shifted(lam).entries
     occupied = set(entries)
     out = []
@@ -134,10 +136,17 @@ def poly_tuple_from_vector(lam: Partition, vec) -> PolyTuple:
     return PolyTuple(lam, dict(zip(pos, vec)))
 
 
+def random_free_coefficients(lam: Partition, rng, size=()) -> np.ndarray:
+    """Free-coefficient vectors of shape size + (n,): real parts, then
+    imaginary parts, standard normal.  A stack of them reads the generator
+    exactly as that many random_poly_tuple draws in turn."""
+    shape = np.broadcast_shapes(size) + (2, len(free_positions(lam)))
+    v = rng.standard_normal(shape)
+    return v[..., 0, :] + 1j * v[..., 1, :]
+
+
 def random_poly_tuple(lam: Partition, rng) -> PolyTuple:
-    pos = free_positions(lam)
-    vals = rng.standard_normal(len(pos)) + 1j * rng.standard_normal(len(pos))
-    return PolyTuple(lam, dict(zip(pos, vals)))
+    return poly_tuple_from_vector(lam, random_free_coefficients(lam, rng))
 
 
 @dataclass(eq=False)
@@ -395,24 +404,48 @@ def fundamental_operator(lam: Partition, x: PolyTuple) -> DiffOpCoeffs:
     return DiffOpCoeffs(lam.n, np.tensordot(terms, coef, axes=1))
 
 
-def fla_residual(lam: Partition, x: PolyTuple) -> float:
+@lru_cache(maxsize=None)
+def _fla_sides(lam: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed parts of lam's diagonal identity, read-only: the diagonal
+    P_ii of each term of the operator table, the tails prod_{j>i}(s+j) as
+    rows padded to degree n, and the right side prod_j (s - lambda_j + j)."""
+    n = lam.n
+    coef, _ = _operator_expansion(lam)
+    diag = np.arange(n + 1)
+    tails = np.zeros((n + 1, n + 1), dtype=complex)
+    for i in range(n + 1):
+        tail = pa.from_roots([-float(j) for j in range(i + 1, n + 1)])
+        tails[i, : len(tail)] = tail
+    parts = lam.padded(n)
+    rhs = pa.from_roots([parts[j - 1] - j for j in range(1, n + 1)])
+    sides = (coef[:, diag, diag], tails, rhs)
+    for arr in sides:
+        arr.setflags(write=False)  # cached: shared by every caller
+    return sides
+
+
+def fla_residual(lam: Partition, x):
     """Deviation in sum_{i>=0} P_ii prod_{j>i}(s+j) = prod_j (s - lambda_j + j).
+
+    x is a PolyTuple, or free-coefficient vectors of shape (..., n), one
+    residual per row.  The diagonals P_ii of the whole stack come from one
+    contraction of the term products with the cached operator table, and
+    are summed against the cached tails in order of i.
 
     The sum starts at i = 0, where P_00 = 1.  The residual is the largest
     coefficient mismatch in s.  It depends only on the partition: every
     x-dependent term of the operator table has an exactly zero diagonal,
     so this measures the table's constant term and the float arithmetic.
     """
-    n = lam.n
-    op = fundamental_operator(lam, x)
-    lhs = np.zeros(1, dtype=complex)
-    for i in range(n + 1):
-        tail = pa.from_roots([-float(j) for j in range(i + 1, n + 1)])
-        lhs = pa.padd(lhs, op.P[i, i] * tail)
-    parts = lam.padded(n)
-    rhs = pa.from_roots([parts[j - 1] - j for j in range(1, n + 1)])
-    diff = pa.padd(lhs, -rhs)
-    return float(np.abs(diff).max())
+    _, support = _operator_expansion(lam)
+    diag_coef, tails, rhs = _fla_sides(lam)
+    vec = x.vector() if isinstance(x, PolyTuple) else np.asarray(x, dtype=complex)
+    terms = np.where(support, vec[..., None, :], 1.0).prod(axis=-1)
+    diag = terms @ diag_coef
+    lhs = np.zeros(diag.shape, dtype=complex)
+    for i in range(lam.n + 1):
+        lhs += diag[..., i, None] * tails[i]
+    return np.abs(lhs - rhs).max(axis=-1)[()]
 
 
 def _momenta_from_operator(

@@ -180,3 +180,70 @@ def test_cm_point_json_shape():
     d = pt.as_dict()
     assert d["Z"] == [[0.0, 0.0], [1.0, 0.0]]
     assert len(d["Q"]) == 2 and len(d["Q"][0]) == 2 and len(d["Q"][0][0]) == 2
+
+
+def _stack(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    z = np.array([sample_generic_z(n, rng) for _ in range(rows)])
+    p = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    return z, p
+
+
+def _cm_matrix_loop(z, p):
+    """The entry-by-entry construction, as reference."""
+    n = len(z)
+    Q = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            Q[a, b] = p[a] if a == b else 1.0 / (z[a] - z[b])
+    return Q
+
+
+def test_cm_matrix_equals_the_entry_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10 ** rng.uniform(-2, 2)
+        p = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(cm_matrix(z, p), _cm_matrix_loop(z, p))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_calls_equal_per_point_calls_bit_for_bit(n):
+    z, p = _stack(n, 25, n)
+    Q = cm_matrix(z, p)
+    point = xi(z, p)
+    rank_one = rank_one_residual(point)
+    fi = first_integrals(z, p)
+    h = cm_hamiltonian(z, p)
+    assert Q.shape == (25, n, n) and rank_one.shape == (25,)
+    assert [v.shape for v in fi.values] == [(25,)] * n
+    for row in range(25):
+        one = xi(z[row], p[row])
+        assert np.array_equal(Q[row], cm_matrix(z[row], p[row]))
+        assert np.array_equal(point.Z[row], one.Z)
+        assert np.array_equal(point.Q[row], one.Q)
+        assert rank_one[row] == rank_one_residual(one)
+        single = first_integrals(z[row], p[row]).values
+        assert [v[row] for v in fi.values] == list(single)
+        ref = cm_hamiltonian(z[row], p[row])
+        assert abs(h[row] - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_stack_with_one_near_collision_row_is_rejected():
+    z, p = _stack(4, 10, 0)
+    z[7, 2] = z[7, 0] + 1e-10
+    for fn in (cm_matrix, xi, first_integrals, cm_hamiltonian):
+        with pytest.raises(ValueError, match="positions z must be pairwise distinct"):
+            fn(z, p)
+    cm_matrix(np.delete(z, 7, axis=0), np.delete(p, 7, axis=0))  # the rest pass
+
+
+def test_stacked_rank_one_residual_keeps_each_row_apart():
+    # a zero Q leaves [Z, Q] + 1 the identity, of full rank
+    Z = np.array([[0.0, 1.0], [0.0, 1.0]])
+    Q = np.stack([np.zeros((2, 2)), cm_matrix([0.0, 1.0], [-1.0, 1.0])])
+    r = rank_one_residual(CMPoint(Z, Q))
+    assert r[0] == 1.0 and r[1] < 1e-14
+    one = CMPoint([[0.7], [0.2]], [[[2.0]], [[1.0]]])
+    assert rank_one_residual(one).tolist() == [0.0, 0.0]

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cmkz.master_function import (
     grad_z_q,
     level_sizes,
     master_value,
+    master_value_q,
     q_level_sizes,
     solve_bethe,
     solve_bethe_q,
@@ -384,6 +386,86 @@ def test_q_gradients_match_finite_differences():
         zm, tm = split(flat - e)
         fd = (master_value_q(q, zp, tp) - master_value_q(q, zm, tm)) / (2.0 * h)
         assert abs(analytic[k] - fd) < 1e-5 * max(1.0, abs(analytic[k]))
+
+
+def _perturbed_stack(n, sizes, seed):
+    """(z, t) at a random point and its 2 * dim central-difference
+    neighbours, as one stack of rows."""
+    rng = np.random.default_rng(seed)
+    z = sample_generic_z(n, rng)
+    t = [3.0 * (rng.standard_normal(s) + 1j * rng.standard_normal(s)) for s in sizes]
+    flat = np.concatenate([z] + t)
+    steps = 1e-6 * np.eye(len(flat))
+    X = np.concatenate([flat[None], flat + steps, flat - steps])
+    return X[:, :n], _split(X[:, n:], sizes)
+
+
+def _per_row(value_fn, Z, T):
+    """value_fn at each row, or None where it rejects the row."""
+    out = []
+    for row in range(len(Z)):
+        try:
+            out.append(value_fn(Z[row], [tk[row] for tk in T]))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+def _assert_rows_agree(value_fn, Z, T):
+    rows = _per_row(value_fn, Z, T)
+    assert None not in rows
+    stacked = value_fn(Z, T)
+    assert stacked.shape == (len(Z),)
+    for v, ref in zip(stacked, rows):
+        assert abs(v - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_master_values_match_single_points(n):
+    for lam in enumerate_partitions(n, n):
+        sizes = level_sizes(lam)
+        Z, T = _perturbed_stack(n, sizes, n)
+        _assert_rows_agree(lambda z, t: master_value(lam, z, t), Z, T)
+    q = sample_generic_z(n, np.random.default_rng(n + 10), radius=1.5)
+    Z, T = _perturbed_stack(n, q_level_sizes(n), n + 20)
+    _assert_rows_agree(lambda z, t: master_value_q(q, z, t), Z, T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_gradients_match_single_points_bit_for_bit(n):
+    q = sample_generic_z(n, np.random.default_rng(n + 30), radius=1.5)
+    cases = [
+        (level_sizes(lam), partial(grad_z, lam), partial(grad_t, lam))
+        for lam in enumerate_partitions(n, n)
+    ]
+    cases.append((q_level_sizes(n), partial(grad_z_q, q), partial(grad_t_q, q)))
+    for sizes, gz, gt in cases:
+        Z, T = _perturbed_stack(n, sizes, n + 40)
+        stacked_z, stacked_t = gz(Z, T), gt(Z, T)
+        for row in range(len(Z)):
+            t = [tk[row] for tk in T]
+            assert np.array_equal(stacked_z[row], gz(Z[row], t))
+            assert np.array_equal(stacked_t[row], gt(Z[row], t))
+
+
+def test_stacked_domain_verdicts_match_single_points():
+    lam = Partition((2, 1, 1))
+    sizes = level_sizes(lam)
+    Z, T = _perturbed_stack(4, sizes, 5)
+    T[0][3, 1] = Z[3, 2] + 1e-10  # one row: a level-1 root on a position
+    rows = _per_row(lambda z, t: master_value(lam, z, t), Z, T)
+    assert [r is None for r in rows] == [row == 3 for row in range(len(Z))]
+    norms = _grad_t_raw(Z, sizes, np.concatenate(T, axis=-1))[1]
+    assert list(norms == np.inf) == [row == 3 for row in range(len(Z))]
+    with pytest.raises(ValueError, match="argument collision"):
+        master_value(lam, Z, T)
+    q = sample_generic_z(4, np.random.default_rng(3), radius=1.5)
+    Zq, Tq = _perturbed_stack(4, q_level_sizes(4), 6)
+    Zq[5, 1] = Zq[5, 0] + 1e-10  # one row: two positions together
+    rows = _per_row(lambda z, t: master_value_q(q, z, t), Zq, Tq)
+    assert [r is None for r in rows] == [row == 5 for row in range(len(Zq))]
+    with pytest.raises(ValueError, match="argument collision"):
+        master_value_q(q, Zq, Tq)
 
 
 def test_critical_point_json():

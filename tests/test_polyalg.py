@@ -41,6 +41,18 @@ def test_min_gap_matches_the_upper_triangle_minimum():
     assert min_gap([3.0 + 1j]) == np.inf
 
 
+def test_stacked_separation_is_read_row_by_row():
+    rng = np.random.default_rng(13)
+    V = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    assert min_gap(V).tolist() == [min_gap(row) for row in V]
+    assert min_gap(np.zeros((3, 1))).tolist() == [np.inf] * 3
+    # each row is measured against its own scale
+    rows = np.array([[1e3, 1e3 + 2e-5], [0.0, 1.0]])
+    assert require_distinct(rows, 1e-8, "values").shape == (2, 2)
+    with pytest.raises(ValueError, match="values must be pairwise distinct"):
+        require_distinct(np.array([[0.0, 1.0], [1.0, 1.0 + 2e-9]]), 1e-8, "values")
+
+
 def _psi_pair(e):
     # (2, 0) tuple with Wronskian (u - 1)(u - 1 - e)
     lam = Partition((2, 0))

@@ -8,7 +8,7 @@ import pytest
 from cmkz.calogero_moser import l0_residual, lq_residual
 from cmkz.harness import FIBER_CASES, match_points
 from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension, shifted
-from cmkz.polyalg import ExpPoly, elementary_symmetric, peval
+from cmkz.polyalg import ExpPoly, elementary_symmetric, from_roots, padd, peval
 from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
 from cmkz.wronski import (
     PolyTuple,
@@ -30,6 +30,7 @@ from cmkz.wronski import (
     poly_tuple_from_vector,
     psi,
     psi_q,
+    random_free_coefficients,
     random_poly_tuple,
     wronski_fiber,
     wronski_fiber_q,
@@ -156,6 +157,49 @@ def test_fla_identity_frozen_and_random():
         for lam in enumerate_partitions(n, n):
             vals = [fla_residual(lam, random_poly_tuple(lam, rng)) for _ in range(5)]
             assert max(vals) < 1e-10  # independent of the free coefficients
+
+
+def _fla_from_operator(lam, x):
+    """The diagonal identity summed from fundamental_operator's full P, as
+    reference."""
+    n = lam.n
+    P = fundamental_operator(lam, x).P
+    lhs = np.zeros(1, dtype=complex)
+    for i in range(n + 1):
+        lhs = padd(lhs, P[i, i] * from_roots([-float(j) for j in range(i + 1, n + 1)]))
+    parts = lam.padded(n)
+    rhs = from_roots([parts[j - 1] - j for j in range(1, n + 1)])
+    return float(np.abs(padd(lhs, -rhs)).max())
+
+
+def test_stacked_fla_residual_equals_per_tuple_calls():
+    rng = np.random.default_rng(4)
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n, n):
+            vecs = random_free_coefficients(lam, rng, (30,))
+            stacked = fla_residual(lam, vecs)
+            assert stacked.shape == (30,)
+            for vec, r in zip(vecs, stacked):
+                x = poly_tuple_from_vector(lam, vec)
+                assert r == fla_residual(lam, x) == _fla_from_operator(lam, x)
+            assert fla_residual(lam, vecs[None, :3]).shape == (1, 3)
+
+
+def test_stacked_draw_reads_the_generator_as_successive_tuples():
+    lam = Partition((2, 1, 1))
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    stack = random_free_coefficients(lam, a, (7,))
+    singles = [random_poly_tuple(lam, b).vector() for _ in range(7)]
+    assert np.array_equal(stack, np.array(singles))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_cached_free_positions_equal_a_fresh_computation():
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n, n):
+            assert free_positions(lam) == free_positions.__wrapped__(lam)
+    # equal partitions share one entry: trailing zeros are inert
+    assert free_positions(Partition((2, 0))) is free_positions(Partition((2,)))
 
 
 def test_psi_row_pair_closed_form():
