@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .polyalg import elementary_symmetric, require_distinct
+from .polyalg import elementary_symmetric, match_within, require_distinct
 from .serialize import pair_list, pair_matrix
 
 
@@ -186,16 +185,13 @@ def pi_image(point: CMPoint) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cm_points_close(a: CMPoint, b: CMPoint, tol: float = 1e-8) -> bool:
-    """Equality of normal-form points: permutation matching of Z entries
-    with the aligned Q blocks compared entrywise."""
+    """Equality of normal-form points: the Z entries matched on their
+    tolerance graph |a.Z_i - b.Z_j| <= tol (match_within), then the Q
+    blocks aligned by that matching and compared entrywise."""
     if a.n != b.n:
         return False
-    n = a.n
-    cost = np.abs(a.Z[:, None] - b.Z[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    if cost[rows, cols].max() > tol:
+    perm = match_within(np.abs(a.Z[:, None] - b.Z[None, :]) <= tol)
+    if (perm < 0).any():
         return False
-    perm = np.empty(n, dtype=int)
-    perm[rows] = cols
     q_aligned = b.Q[np.ix_(perm, perm)]
     return bool(np.abs(a.Q - q_aligned).max() <= tol * max(1.0, np.abs(a.Q).max()))

@@ -23,14 +23,13 @@ from functools import partial, wraps
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from . import calogero_moser as cm
 from . import master_function as mf
 from . import wronski as wr
 from .partitions import Partition, enumerate_partitions, irrep_dimension
-from .polyalg import elementary_symmetric, lex_key, require_distinct
+from .polyalg import elementary_symmetric, lex_key, match_within, require_distinct
 from .serialize import canonical_json, pair_list
 from .tensor_gaudin import (
     generalized_gaudin,
@@ -109,41 +108,28 @@ class MatchResult:
 
 
 def match_points(A, B, tol: float) -> MatchResult:
-    """Bipartite nearest matching of complex tuples under the sup metric.
+    """Match two sets of complex tuples on their tolerance graph.
 
-    Succeeds iff the sets have equal size and an assignment exists with
-    every distance at most tol; failures list the unmatched entries.
+    A_i and B_j are joined when their tuples have one length and their
+    sup distance is at most tol; match_within picks a maximum matching of
+    that graph.  Succeeds iff the sets have equal size and some assignment
+    keeps every distance within tol.  The pairs (i, j, distance) come in
+    row order; a failure lists the entries each side left unmatched.
     """
     A = [np.asarray(a, dtype=complex).ravel() for a in A]
     B = [np.asarray(b, dtype=complex).ravel() for b in B]
-    if not A and not B:
-        return MatchResult(True, (), (), ())
-    if not A or not B:
-        return MatchResult(False, (), tuple(range(len(A))), tuple(range(len(B))))
-    cost = np.zeros((len(A), len(B)))
+    cost = np.full((len(A), len(B)), np.inf)
     for i, a in enumerate(A):
         for j, b in enumerate(B):
-            if len(a) != len(b):
-                cost[i, j] = np.inf
-            else:
+            if len(a) == len(b):
                 cost[i, j] = np.abs(a - b).max()
-    finite = np.where(np.isfinite(cost), cost, 1e300)
-    rows, cols = linear_sum_assignment(finite)
-    pairs = []
-    bad_a, bad_b = [], []
-    for i, j in zip(rows, cols):
-        d = cost[i, j]
-        if np.isfinite(d) and d <= tol:
-            pairs.append((int(i), int(j), float(d)))
-        else:
-            bad_a.append(int(i))
-            bad_b.append(int(j))
-    matched_a = {i for i, _, _ in pairs}
-    matched_b = {j for _, j, _ in pairs}
-    bad_a += [i for i in range(len(A)) if i not in matched_a and i not in bad_a]
-    bad_b += [j for j in range(len(B)) if j not in matched_b and j not in bad_b]
-    ok = len(A) == len(B) and not bad_a and not bad_b
-    return MatchResult(ok, tuple(pairs), tuple(sorted(bad_a)), tuple(sorted(bad_b)))
+    partner = match_within(cost <= tol)
+    rows = np.flatnonzero(partner >= 0)
+    pairs = tuple((int(i), int(partner[i]), float(cost[i, partner[i]])) for i in rows)
+    unmatched_a = tuple(np.flatnonzero(partner < 0).tolist())
+    unmatched_b = tuple(sorted(set(range(len(B))).difference(partner.tolist())))
+    ok = len(A) == len(B) and not unmatched_a and not unmatched_b
+    return MatchResult(ok, pairs, unmatched_a, unmatched_b)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +186,13 @@ def collision_study(
     Only that scale is solved; the report lists every scale.  Its n!
     tuples are clustered by single linkage with cutoff
     CUTOFF_COEFF * s^CUTOFF_EXPONENT (square-root splitting is the generic
-    branching rate), clusters are matched against the
-    per-partition spectra at q = 0 within TOL.collision_match, and the
-    joint eigenspace dimension at q = 0 is measured for each limiting tuple.
+    branching rate), and the cluster centroids are matched against the
+    per-partition spectra at q = 0 by match_points within
+    TOL.collision_match.  The joint eigenspace dimension at q = 0 is
+    measured at each matched limit; an unmatched cluster reports no
+    partition, dimension 0 and its distance to the nearest limit.  The
+    study is resolved iff the match succeeds and every cluster's size and
+    eigenspace dimension equal the irrep dimension of its partition.
     """
     if n > 4:
         raise ValueError("collision study supports n <= 4")
@@ -232,48 +222,29 @@ def collision_study(
 
     mats0 = [generalized_gaudin(a, z, np.zeros(n), n) for a in range(1, n + 1)]
 
+    centroids = [np.mean([final[i] for i in group], axis=0) for group in groups]
+    ref_points = [p_ref for _, p_ref in reference]
+    match = match_points(centroids, ref_points, TOL.collision_match)
+    partner = {i: (j, d) for i, j, d in match.pairs}
     clusters = []
-    used_refs: set[int] = set()
-    resolved = True
+    resolved = match.ok
     per_lambda: dict[tuple[int, ...], list[int]] = {}
-    for group in groups:
-        centroid = np.mean([final[i] for i in group], axis=0)
-        best, best_d = None, np.inf
-        for ridx, (lam, p_ref) in enumerate(reference):
-            if ridx in used_refs:
-                continue
-            d = np.abs(centroid - p_ref).max()
-            if d < best_d:
-                best, best_d = ridx, d
-        if best is None or best_d > TOL.collision_match:
-            resolved = False
-            lam_match = None
-            dim = 0
+    for k, (group, centroid) in enumerate(zip(groups, centroids)):
+        if k not in partner:
+            lam_match, dim = None, 0
+            dist = min((np.abs(centroid - r).max() for r in ref_points), default=np.inf)
         else:
-            used_refs.add(best)
-            lam_match, p_ref = reference[best]
-            dim = joint_eigenspace_dim(mats0, p_ref)
-            if len(group) != irrep_dimension(lam_match) or dim != irrep_dimension(
-                lam_match
-            ):
-                resolved = False
-        clusters.append(
-            ClusterRecord(
-                centroid,
-                len(group),
-                lam_match,
-                float(best_d if best is not None else np.inf),
-                dim,
-            )
-        )
-        if lam_match is not None:
+            j, dist = partner[k]
+            lam_match = reference[j][0]
+            dim = joint_eigenspace_dim(mats0, ref_points[j])
+            d_lam = irrep_dimension(lam_match)
+            resolved = resolved and len(group) == d_lam and dim == d_lam
             per_lambda.setdefault(lam_match.trimmed, []).append(len(group))
-    if len(used_refs) != len(reference):
-        resolved = False
+        clusters.append(
+            ClusterRecord(centroid, len(group), lam_match, float(dist), dim)
+        )
     clusters.sort(key=lambda c: lex_key(c.centroid))
-    return CollisionReport(
-        n, z, q0, scales, clusters, resolved, per_lambda
-    )
+    return CollisionReport(n, z, q0, scales, clusters, resolved, per_lambda)
 
 
 # ---------------------------------------------------------------------------

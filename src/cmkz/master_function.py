@@ -44,7 +44,7 @@ import numpy as np
 from . import polyalg as pa
 from .newton import damped_newton
 from .partitions import Partition, bethe_levels
-from .polyalg import lex_key, lexsorted, min_gap, require_distinct
+from .polyalg import is_new_point, lex_key, lexsorted, min_gap, require_distinct
 from .serialize import pair_list
 from .wronski import wronski_fiber, wronski_fiber_q, wronskian
 
@@ -351,10 +351,10 @@ def _critical_points(z, sizes, linear, q1, tol, fiber):
     ``fiber()`` solves the fiber and returns each tuple's functions; it is
     not called when there are no levels.  Each population is polished by
     damped Newton on dPhi/dt, all of them as one stack.  Configurations
-    are deduplicated on their level polynomials at 1e-6 relative to
-    max(1, sup norm), so no two returned points are one configuration in
-    another root order.  Each level is sorted by (re, im), and the points
-    come back in (re, im) lexicographic order of their flat t.
+    are deduplicated on their level polynomials with is_new_point, so no
+    two returned points are one configuration in another root order.  Each
+    level is sorted by (re, im), and the points come back in (re, im)
+    lexicographic order of their flat t.
     """
     if not sizes:
         return [CriticalPoint(BetheConfiguration(z, ()), 0.0, _grad_z_raw(z, (), q1))]
@@ -374,8 +374,7 @@ def _critical_points(z, sizes, linear, q1, tol, fiber):
             continue
         tl = tuple(lexsorted(tk) for tk in _split(t, sizes))
         key = _level_key(tl)
-        scale = max(1.0, np.abs(key).max())
-        if all(np.abs(key - prev).max() > 1e-6 * scale for prev in keys):
+        if is_new_point(key, keys):
             found.append(tl)
             keys.append(key)
     out = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polyalg import lex_key
+from .polyalg import is_new_point, lex_key
 
 # the step lengths a line search tries after the full step: every halving
 # above 1e-12, 2^-1 ... 2^-39, in one stacked residual call
@@ -141,10 +141,10 @@ def multistart(draw, solve, budget, expected) -> list[np.ndarray]:
     Draws the starts ``draw(k)`` for k = 0, 1, ... in chunks of 1, 2, 4,
     ... 64, capped by the budget left, and solves each chunk as one stack:
     ``solve(X)`` returns one root or None per row.  Results are read in
-    start order: a None is skipped, a root within 1e-6 of a kept one,
-    relative to max(1, its sup norm), is a duplicate, and reading stops
-    once ``expected`` roots are kept, so the kept roots are those of a
-    loop that solves one start at a time.  The starts after that one in
+    start order: a None is skipped, a root that is not is_new_point
+    against the kept ones is a duplicate, and reading stops once
+    ``expected`` roots are kept, so the kept roots are those of a loop
+    that solves one start at a time.  The starts after that one in
     its chunk are solved and discarded.  The search ends there or once
     ``budget`` starts are spent; a list shorter than ``expected`` means
     it undercounted.  Roots come back in (re, im) lexicographic order.
@@ -156,10 +156,7 @@ def multistart(draw, solve, budget, expected) -> list[np.ndarray]:
         for x in solve(np.stack([draw(j) for j in chunk])):
             if len(found) >= expected:
                 break
-            if x is None:
-                continue
-            scale = max(1.0, np.abs(x).max())
-            if all(np.abs(x - prev).max() > 1e-6 * scale for prev in found):
+            if x is not None and is_new_point(x, found):
                 found.append(x)
         k, size = chunk.stop, min(2 * size, 64)
     found.sort(key=lex_key)

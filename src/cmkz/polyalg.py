@@ -1,4 +1,5 @@
-"""Dense polynomial arithmetic over complex coefficients.
+"""Dense polynomial arithmetic over complex coefficients, and the point-set
+rules every route shares: separation, deduplication and matching.
 
 Polynomials are 1-D numpy arrays ordered low degree to high, so ``c[k]``
 is the coefficient of ``u**k``.  Quasi-exponentials ``exp(rate*u)*g(u)``
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
 def as_poly(c) -> np.ndarray:
@@ -115,6 +118,25 @@ def require_distinct(values, min_sep_rel: float, what: str) -> np.ndarray:
     if np.any(min_gap(v) < min_sep_rel * scale):
         raise ValueError(f"{what} must be pairwise distinct")
     return v
+
+
+def is_new_point(x, kept) -> bool:
+    """Whether x lies farther than 1e-6 * max(1, |x|_inf) from every kept
+    point in the sup norm: the one rule that deduplicates found roots."""
+    scale = max(1.0, np.abs(x).max())
+    return all(np.abs(x - prev).max() > 1e-6 * scale for prev in kept)
+
+
+def match_within(close) -> np.ndarray:
+    """Partner column of each row in a maximum matching of the bipartite
+    graph ``close`` (close[i, j] true where row i may pair with column j),
+    or -1 for a row left unmatched.
+
+    Hopcroft-Karp, via scipy.sparse.csgraph: every row gets a partner iff
+    some assignment of the rows to distinct columns stays inside the graph.
+    """
+    close = np.asarray(close, dtype=bool)
+    return maximum_bipartite_matching(csr_array(close), perm_type="column")
 
 
 def excluded_products(values: np.ndarray) -> np.ndarray:

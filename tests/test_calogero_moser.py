@@ -96,6 +96,16 @@ def test_xi_permutation_conjugation():
     assert cm_points_close(xi(z, p), xi(z[perm], p[perm]))
 
 
+def test_cm_points_close_rejects_moved_z_or_q():
+    rng = np.random.default_rng(3)
+    z = sample_generic_z(4, rng)
+    p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    a = xi(z, p)
+    assert not cm_points_close(a, xi(z + np.array([0, 0, 0, 1e-6]), p))
+    assert not cm_points_close(a, xi(z, p + np.array([0, 1e-6, 0, 0])))
+    assert not cm_points_close(a, xi(z[:3], p[:3]))
+
+
 def test_rank_one_residual_cases():
     rng = np.random.default_rng(4)
     z = sample_generic_z(3, rng)

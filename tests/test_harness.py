@@ -59,6 +59,49 @@ def test_match_points_size_mismatch():
     assert res.unmatched_b
 
 
+def test_match_points_finds_a_within_tolerance_assignment_min_sum_misses():
+    # cost [[0.9, 0], [1.5, 0.9]]: the min-sum assignment is the swap, whose
+    # 1.5 is past tol, while the identity keeps both distances at 0.9
+    c = -0.63 / 1.62
+    A = [np.array([0.0]), np.array([0.9 * (c + 1j * math.sqrt(1.0 - c * c))])]
+    B = [np.array([0.9]), np.array([0.0])]
+    res = match_points(A, B, tol=1.0)
+    assert res.ok
+    assert [(i, j) for i, j, _ in res.pairs] == [(0, 0), (1, 1)]
+    assert res.unmatched_a == () and res.unmatched_b == ()
+    assert res.max_distance == pytest.approx(0.9)
+
+
+def test_match_points_lists_what_each_side_left_unmatched():
+    # A_0 and A_1 can both only take B_0
+    A = [np.array([0.0]), np.array([0.1]), np.array([5.0])]
+    B = [np.array([0.05]), np.array([9.0]), np.array([5.0])]
+    res = match_points(A, B, tol=0.2)
+    assert not res.ok
+    assert [(i, j) for i, j, _ in res.pairs] == [(0, 0), (2, 2)]
+    assert res.unmatched_a == (1,) and res.unmatched_b == (1,)
+
+
+def test_match_points_never_joins_tuples_of_different_length():
+    res = match_points([np.zeros(2)], [np.zeros(3)], tol=1.0)
+    assert not res.ok
+    assert res.pairs == () and res.unmatched_a == (0,) and res.unmatched_b == (0,)
+    assert match_points([], [], 1e-6).ok
+
+
+def test_importing_cmkz_leaves_scipy_optimize_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cmkz; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=cli_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_collision_study_two_particles():
     rep = collision_study(2, np.array([1.0, -0.5 + 0.4j]), seed=3)
     assert rep.resolved
@@ -78,6 +121,30 @@ def test_collision_study_three_particles():
     assert sorted(rep.per_lambda_sizes[(2, 1)]) == [2, 2]
     assert rep.per_lambda_sizes[(3,)] == [1]
     assert rep.per_lambda_sizes[(1, 1, 1)] == [1]
+
+
+def test_collision_study_unresolved_when_the_clusters_miss_the_limits():
+    # at s = 1e-3 the first-order drift keeps every centroid about 2.36e-4
+    # from its limit, past TOL.collision_match
+    q0 = np.array([1.0 + 0.3j, -0.7 + 0.1j, 0.2 - 0.9j])
+    rep = collision_study(3, q0, scales=(1e-3,), seed=5)
+    assert not rep.resolved
+    assert [c.size for c in rep.clusters] == [2, 1, 1, 2]
+    assert rep.per_lambda_sizes == {}
+    for c in rep.clusters:
+        assert c.lam is None and c.eigenspace_dim == 0
+        assert TOL.collision_match < c.match_distance < 3e-4
+        assert c.as_dict()["lambda"] is None
+
+
+def test_collision_study_unresolved_when_every_tuple_is_one_cluster():
+    q0 = np.array([1.0 + 0.3j, -0.7 + 0.1j, 0.2 - 0.9j])
+    rep = collision_study(3, q0, scales=(1.0,), seed=5)
+    assert not rep.resolved
+    assert [c.size for c in rep.clusters] == [6]
+    (c,) = rep.clusters
+    assert c.lam is None and c.eigenspace_dim == 0
+    assert c.match_distance > TOL.collision_match
 
 
 def test_collision_study_solves_only_the_smallest_scale(monkeypatch):

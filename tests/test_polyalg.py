@@ -9,6 +9,8 @@ from cmkz.master_function import grad_t_q, solve_bethe_q
 from cmkz.partitions import Partition
 from cmkz.polyalg import (
     excluded_products,
+    is_new_point,
+    match_within,
     min_gap,
     pder,
     poly_det,
@@ -188,3 +190,26 @@ def test_excluded_products():
     expected = np.array([[np.prod(np.delete(row, w)) for w in range(4)] for row in v])
     assert np.array_equal(excluded_products(v), expected)
     assert np.array_equal(excluded_products(np.array([7.0])), np.ones(1))
+
+
+def test_is_new_point_threshold_is_relative():
+    assert is_new_point(np.array([0.1]), [])
+    assert not is_new_point(np.array([0.1]), [np.array([0.1 + 5e-7])])
+    assert is_new_point(np.array([0.1]), [np.array([0.1 + 2e-6])])
+    # at sup norm 1e3 the threshold is 1e-3
+    x = np.array([1e3, 1.0j])
+    assert not is_new_point(x, [x + 5e-4])
+    assert is_new_point(x, [x + 2e-3])
+    assert not is_new_point(x, [x + 2e-3, x - 5e-4j])
+
+
+def test_match_within_is_a_maximum_matching():
+    # the greedy pick 0 -> 0 would strand row 1
+    close = np.array([[True, True], [True, False]])
+    assert match_within(close).tolist() == [1, 0]
+    # rows 0 and 1 compete for column 0; row 2 has no edge
+    close = np.array([[True, False, False], [True, False, False], [False] * 3])
+    partner = match_within(close)
+    assert sorted(partner.tolist()) == [-1, -1, 0]
+    for rows, cols in ((0, 0), (2, 0), (0, 3)):
+        assert match_within(np.zeros((rows, cols), dtype=bool)).tolist() == [-1] * rows
