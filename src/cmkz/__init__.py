@@ -28,7 +28,6 @@ from .tensor_gaudin import (
     SpectralPoint,
     Subspace,
     WeightBasis,
-    apply_eij,
     eij_matrix,
     gaudin_hamiltonian,
     generalized_gaudin,

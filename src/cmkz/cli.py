@@ -28,7 +28,10 @@ from .wronski import wronski_fiber, wronski_map
 def _parse_partition(text: str) -> Partition:
     try:
         parts = tuple(int(p) for p in text.split(",") if p.strip() != "")
-        return Partition(parts)
+        lam = Partition(parts)
+        if lam.n == 0:
+            raise ValueError("it has no boxes")
+        return lam
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from exc
 

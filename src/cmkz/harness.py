@@ -80,6 +80,11 @@ class VerificationConfig:
     seed: int = 2024
     suites: tuple[str, ...] = SUITES
 
+    def __post_init__(self):
+        # below these a sweep is empty or its n! totals are never checked
+        if self.n_max < 2 or self.trials < 1:
+            raise ValueError("n_max must be at least 2 and trials at least 1")
+
     def digest(self) -> str:
         return hashlib.sha256(canonical_json(asdict(self)).encode()).hexdigest()[:16]
 

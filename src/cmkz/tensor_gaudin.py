@@ -8,15 +8,17 @@ makes the Gaudin Hamiltonians
 
     H_a(z) = sum_{b != a} P_ab / (z_a - z_b)
 
-cheap to realize directly on multi-indices; the generalized family adds
-the diagonal term sum_i q_i e_ii^(a).
+combinations of transpositions.  A singular space of weight lambda is the
+irreducible S_n representation lambda, so each Subspace holds one table of
+d x d matrices T_ab = S^H P_ab S, and both Gaudin families are sums over
+it; the generalized family adds the diagonal term sum_i q_i e_ii^(a).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -31,7 +33,7 @@ MAX_FULL_DIM = 4096
 
 
 class NumericalRankError(RuntimeError):
-    """A computed kernel or restriction has unexpected dimension."""
+    """A kernel has unexpected dimension, or a subspace is not invariant."""
 
 
 class NonCommutingOperatorsError(ValueError):
@@ -52,16 +54,27 @@ class WeightBasis:
     indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_lookup", {idx: k for k, idx in enumerate(self.indices)}
-        )
+        # sorted indices read as base-(N+1) numbers give increasing codes
+        array = np.array(self.indices, dtype=np.int64).reshape(self.dim, self.n)
+        array.setflags(write=False)
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "_radix", (self.N + 1) ** np.arange(self.n)[::-1])
+        object.__setattr__(self, "_codes", array @ self._radix)
 
     @property
     def dim(self) -> int:
         return len(self.indices)
 
+    def positions(self, rows) -> np.ndarray:
+        """Basis positions of the multi-indices along the last axis of rows."""
+        codes = np.asarray(rows) @ self._radix
+        pos = np.searchsorted(self._codes, codes)
+        if not np.array_equal(self._codes[np.minimum(pos, self.dim - 1)], codes):
+            raise KeyError("multi-index outside this weight space")
+        return pos
+
     def index_of(self, idx: tuple[int, ...]) -> int:
-        return self._lookup[idx]
+        return int(self.positions(idx))
 
 
 @lru_cache(maxsize=None)
@@ -93,15 +106,6 @@ def weight_basis(N: int, n: int, weight) -> WeightBasis:
     return _weight_basis_cached(N, n, weight)
 
 
-def _shifted_weight(weight: tuple[int, ...], i: int, j: int) -> tuple[int, ...] | None:
-    w = list(weight)
-    w[j - 1] -= 1
-    w[i - 1] += 1
-    if w[j - 1] < 0:
-        return None
-    return tuple(w)
-
-
 def eij_matrix(i: int, j: int, a: int, basis: WeightBasis):
     """Matrix of e_ij acting in tensor slot a.
 
@@ -113,29 +117,18 @@ def eij_matrix(i: int, j: int, a: int, basis: WeightBasis):
         raise ValueError("letters i, j must lie in 1..N")
     if not (1 <= a <= basis.n):
         raise ValueError("slot a must lie in 1..n")
-    target_weight = _shifted_weight(basis.weight, i, j)
-    if target_weight is None:
+    shifted = list(basis.weight)
+    shifted[i - 1] += 1
+    shifted[j - 1] -= 1
+    if shifted[j - 1] < 0:
         return np.zeros((0, basis.dim), dtype=complex), None
-    target = weight_basis(basis.N, basis.n, target_weight)
+    target = weight_basis(basis.N, basis.n, shifted)
+    cols = np.flatnonzero(basis.array[:, a - 1] == j)
+    moved = basis.array[cols]
+    moved[:, a - 1] = i
     mat = np.zeros((target.dim, basis.dim), dtype=complex)
-    for col, idx in enumerate(basis.indices):
-        if idx[a - 1] == j:
-            moved = idx[: a - 1] + (i,) + idx[a:]
-            mat[target.index_of(moved), col] += 1.0
+    mat[target.positions(moved), cols] = 1.0
     return mat, target
-
-
-def apply_eij(i: int, j: int, a: int, vec, basis: WeightBasis):
-    """Apply e_ij^(a) to a coefficient vector on the weight basis.
-
-    Returns (out_vec, target_basis); target_basis is None when the shifted
-    weight does not exist (the result is then the zero vector of length 0).
-    """
-    vec = np.asarray(vec, dtype=complex).ravel()
-    if len(vec) != basis.dim:
-        raise ValueError("vector length does not match basis dimension")
-    mat, target = eij_matrix(i, j, a, basis)
-    return mat @ vec, target
 
 
 def summed_eij(i: int, j: int, basis: WeightBasis):
@@ -146,7 +139,11 @@ def summed_eij(i: int, j: int, basis: WeightBasis):
 
 @dataclass(eq=False)
 class Subspace:
-    """A subspace of a weight space; columns orthonormal, None = the whole space."""
+    """An S_n-invariant subspace of a weight space and its transposition table.
+
+    columns holds an orthonormal basis S of the subspace on the weight basis;
+    None means the whole weight space (S = identity).
+    """
 
     basis: WeightBasis
     columns: np.ndarray | None = None
@@ -155,27 +152,38 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.dim if self.columns is None else self.columns.shape[1]
 
-    def restrict(self, full_matrix: np.ndarray) -> np.ndarray:
-        """Compress an operator on the weight space onto this subspace.
+    @cached_property
+    def transpositions(self) -> np.ndarray:
+        """Read-only (n, n, dim, dim) table, [a, b] = T_ab = S^H P_ab S for
+        the swap P_ab of slots a != b (0-based); [a, a] is zero.
 
-        The subspace must be invariant: the off-subspace defect is checked
-        against 1e-12 times the restricted norm.
+        Built on first read from one index map of swapped multi-indices.
+        Raises NumericalRankError unless every pair has ||P_ab S - S T_ab||
+        <= 1e-12 max(1, ||T_ab||): then every Gaudin operator keeps S.
         """
-        if self.columns is None:
-            return full_matrix
-        S = self.columns
-        M = S.conj().T @ full_matrix @ S
-        defect = np.linalg.norm(full_matrix @ S - S @ M)
-        if defect > 1e-12 * max(1.0, np.linalg.norm(M)):
-            raise NumericalRankError(
-                f"subspace not invariant: defect {defect:.3e} vs norm "
-                f"{np.linalg.norm(M):.3e}"
-            )
-        return M
+        basis, n = self.basis, self.basis.n
+        S = np.eye(basis.dim, dtype=complex) if self.columns is None else self.columns
+        pairs = np.transpose(np.triu_indices(n, 1))
+        orders = np.tile(np.arange(n), (len(pairs), 1))
+        orders[np.arange(len(pairs))[:, None], pairs] = pairs[:, ::-1]
+        # column k: where each basis entry goes under the swap pairs[k]
+        index_map = basis.positions(basis.array[:, orders])
+        table = np.zeros((n, n, self.dim, self.dim), dtype=complex)
+        for k, (a, b) in enumerate(pairs):
+            PS = S[index_map[:, k]]  # contiguous, for BLAS's closer rounding
+            T = S.conj().T @ PS
+            defect = np.linalg.norm(PS - S @ T)
+            if defect > 1e-12 * max(1.0, np.linalg.norm(T)):
+                raise NumericalRankError(
+                    f"subspace not invariant under P_{a + 1}{b + 1}: defect {defect:.3e}"
+                )
+            table[a, b] = table[b, a] = T
+        table.setflags(write=False)
+        return table
 
 
 @lru_cache(maxsize=None)
-def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]):
+def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]) -> Subspace:
     basis = weight_basis(N, n, weight)
     blocks = []
     for i in range(1, N + 1):
@@ -196,7 +204,7 @@ def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]):
         cols = vh[rank:].conj().T
     cols = np.ascontiguousarray(cols)
     cols.setflags(write=False)
-    return basis, cols
+    return Subspace(basis, cols)
 
 
 def singular_basis(lam: Partition, N: int | None = None) -> Subspace:
@@ -204,22 +212,22 @@ def singular_basis(lam: Partition, N: int | None = None) -> Subspace:
 
     These are the weight-lam vectors killed by every raising operator
     sum_a e_ij^(a), i < j; the dimension equals the number of standard
-    tableaux of shape lam.
+    tableaux of shape lam.  The Subspace is cached per (N, n, weight), so
+    its transposition table is built once.
     """
     core = lam.trimmed
     if N is None:
         N = max(1, len(core))
     if len(core) > N:
         raise ValueError(f"{lam!r} needs more than N={N} rows")
-    n = lam.n
-    basis, cols = _singular_basis_cached(N, n, lam.padded(N))
+    sub = _singular_basis_cached(N, lam.n, lam.padded(N))
     expected = irrep_dimension(lam)
-    if cols.shape[1] != expected:
+    if sub.dim != expected:
         raise NumericalRankError(
-            f"singular space of {lam!r} has computed dimension {cols.shape[1]}, "
+            f"singular space of {lam!r} has computed dimension {sub.dim}, "
             f"expected {expected}"
         )
-    return Subspace(basis, cols)
+    return sub
 
 
 def _check_z(z, n: int) -> np.ndarray:
@@ -229,48 +237,33 @@ def _check_z(z, n: int) -> np.ndarray:
     return require_distinct(z, 1e-8, "evaluation points z")
 
 
-def _swap_interaction_matrix(a: int, z: np.ndarray, basis: WeightBasis) -> np.ndarray:
-    """sum_{b != a} P_ab / (z_a - z_b) on the weight basis (a is 1-based)."""
-    n = basis.n
-    dim = basis.dim
-    H = np.zeros((dim, dim), dtype=complex)
-    ai = a - 1
-    for col, idx in enumerate(basis.indices):
-        for b in range(n):
-            if b == ai:
-                continue
-            w = 1.0 / (z[ai] - z[b])
-            if idx[ai] == idx[b]:
-                H[col, col] += w
-            else:
-                swapped = list(idx)
-                swapped[ai], swapped[b] = swapped[b], swapped[ai]
-                H[basis.index_of(tuple(swapped)), col] += w
-    return H
-
-
 def gaudin_hamiltonian(a: int, z, subspace: Subspace) -> np.ndarray:
-    """H_a(z) = sum_{i,j} sum_{b != a} e_ij^(a) e_ji^(b) / (z_a - z_b),
-    restricted to an invariant subspace (a weight space or singular space)."""
-    basis = subspace.basis
-    z = _check_z(z, basis.n)
-    if not (1 <= a <= basis.n):
+    """H_a(z) = sum_{b != a} T_ab / (z_a - z_b) on an invariant subspace (a
+    weight space or a singular space), summed over its transposition table."""
+    n = subspace.basis.n
+    z = _check_z(z, n)
+    if not (1 <= a <= n):
         raise ValueError("slot index a out of range")
-    H = _swap_interaction_matrix(a, z, basis)
-    return subspace.restrict(H)
+    others = np.arange(n) != a - 1
+    w = np.zeros(n, dtype=complex)
+    w[others] = 1.0 / (z[a - 1] - z[others])
+    return np.tensordot(w, subspace.transpositions[a - 1], axes=1)
+
+
+@lru_cache(maxsize=None)
+def _permutation_space(n: int) -> Subspace:
+    return Subspace(weight_basis(n, n, (1,) * n))
 
 
 def generalized_gaudin(a: int, z, q, n: int) -> np.ndarray:
-    """H_a(z, q) = sum_i q_i e_ii^(a) + swap interactions, on V^(x)n[1,...,1]
-    with local dimension N = n."""
-    basis = weight_basis(n, n, (1,) * n)
-    z = _check_z(z, n)
+    """H_a(z, q) = sum_i q_i e_ii^(a) + H_a(z) on V^(x)n[1,...,1], N = n: the
+    Gaudin sum over the cached permutation space's table plus diag(q_{i_a})."""
     q = np.asarray(q, dtype=complex).ravel()
     if len(q) != n:
         raise ValueError(f"q must have {n} entries")
-    H = _swap_interaction_matrix(a, z, basis)
-    for col, idx in enumerate(basis.indices):
-        H[col, col] += q[idx[a - 1] - 1]
+    sub = _permutation_space(n)
+    H = gaudin_hamiltonian(a, z, sub)
+    H[np.diag_indices(sub.dim)] += q[sub.basis.array[:, a - 1] - 1]
     return H
 
 
@@ -388,8 +381,7 @@ def spectral_points(
     For generic z this yields exactly irrep_dimension(lam) points, each with
     sum_a p_a = 0.
     """
-    n = lam.n
-    z = _check_z(z, n)
+    n = lam.n  # each H_a checks z
     sub = singular_basis(lam, N)
     ops = [gaudin_hamiltonian(a, z, sub) for a in range(1, n + 1)]
     entries = joint_eigen(ops, tol=tol, seed=seed)

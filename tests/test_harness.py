@@ -407,10 +407,49 @@ _FIBER_COUNTS = {
     "3,1": {"expected": 3, "found": [3] * 5},
 }
 
+_L0_COUNTS = {
+    "per_lambda": {
+        k: {"expected": d, "found": [d]}
+        for k, d in {
+            "2": 1, "1,1": 1, "3": 1, "2,1": 2, "1,1,1": 1, "4": 1, "3,1": 3,
+            "2,2": 2, "2,1,1": 3, "1,1,1,1": 1, "5": 1, "4,1": 4, "3,2": 5,
+            "3,1,1": 6, "2,2,1": 5,
+        }.items()
+    },
+    "weighted_totals_match_factorial": True,
+}
+
 # Check records frozen bit for bit, residuals as hex floats; seed 1000205
 # is one of the seeds where a direct multistart on the Bethe equations found
-# 2 of the 3 points of (2,1,1), and the fiber populations find all 3
+# 2 of the 3 points of (2,1,1), and the fiber populations find all 3.  The
+# l0, n-independence, closed-forms, lq and collision records read the
+# Gaudin spectra through the transposition tables, so a change to how the
+# tables are built shows here record by record
 PINNED_RECORDS = {
+    (2024, "l0-membership"): (
+        True,
+        _L0_COUNTS,
+        {
+            "max_scaled_residual": "0x1.a16a7ee05ce39p-48",
+            "tolerance": "0x1.5798ee2308c3ap-27",
+        },
+    ),
+    (2024, "n-independence"): (
+        True,
+        {"cases": 15},
+        {
+            "max_match_distance": "0x1.0007ffe000fffp-47",
+            "tolerance": "0x1.5798ee2308c3ap-27",
+        },
+    ),
+    (2024, "closed-forms"): (
+        True,
+        {"n_range": [2, 5]},
+        {
+            "max_deviation": "0x1.0f876ccdf6cdap-49",
+            "tolerance": "0x1.b7cdfd9d7bdbbp-34",
+        },
+    ),
     (2024, "bethe-correspondence"): (
         True,
         _BETHE_COUNTS,
@@ -418,6 +457,14 @@ PINNED_RECORDS = {
             "max_grad_norm": "0x1.6a09e667f3bcdp-45",
             "max_match_distance": "0x1.99ccc999fff00p-46",
             "midpoint_deviation": "0x1.0000000000000p-56",
+        },
+    ),
+    (2024, "lq-membership"): (
+        True,
+        {"trials": 20, "n_values": [2, 3]},
+        {
+            "max_scaled_residual": "0x1.31097c757c02ap-49",
+            "max_trace_deviation": "0x1.1197478ce6947p-48",
         },
     ),
     (2024, "wronski-degree"): (
@@ -446,12 +493,23 @@ PINNED_RECORDS = {
             "max_gradient_fd_mismatch": "0x1.40a36f5e603e1p-29",
         },
     ),
+    (2024, "collision-multiplicity"): (
+        True,
+        {
+            "cluster_sizes": [1, 1, 2, 2],
+            "per_lambda": {"3": [1], "2,1": [2, 2], "1,1,1": [1]},
+        },
+        {
+            "max_match_distance": "0x1.fa2b05c5615f2p-23",
+            "tolerance": "0x1.a36e2eb1c432dp-14",
+        },
+    ),
     (1000205, "bethe-correspondence"): (
         True,
         _BETHE_COUNTS,
         {
             "max_grad_norm": "0x1.e8368ba3e13b2p-46",
-            "max_match_distance": "0x1.439479381ecbdp-46",
+            "max_match_distance": "0x1.36a9ef26f762fp-46",
             "midpoint_deviation": "0x0.0p+0",
         },
     ),
@@ -571,6 +629,32 @@ def test_cli_bad_usage_exits_2():
     assert out.returncode == 2
     out = _run_cli("verify", "--jobs", "2")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("verify", "--trials", "0"), "trials at least 1"),
+        (("verify", "--n-max", "0"), "n_max must be at least 2"),
+        (("verify", "--n-max", "1"), "n_max must be at least 2"),
+        (("fiber", "--lambda", "0"), "bad partition '0'"),
+    ],
+    ids=["trials-0", "n-max-0", "n-max-1", "lambda-0"],
+)
+def test_cli_empty_configs_are_usage_errors(args, message):
+    # a config that leaves nothing to count is a usage error, not a check
+    # result, and a partition of 0 never reaches the fiber solver
+    out = _run_cli(*args)
+    assert out.returncode == 2
+    assert message in out.stderr
+    assert out.stdout == ""
+
+
+def test_config_rejects_empty_sweeps():
+    with pytest.raises(ValueError, match="trials"):
+        VerificationConfig(trials=0)
+    with pytest.raises(ValueError, match="n_max"):
+        VerificationConfig(n_max=1)
 
 
 def test_suite_names_cover_registry():

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from cmkz.calogero_moser import l0_residual
-from cmkz.partitions import Partition, irrep_dimension
+from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension
 from cmkz.tensor_gaudin import (
     NonCommutingOperatorsError,
     NumericalRankError,
     Subspace,
     _singular_basis_cached,
-    apply_eij,
     eij_matrix,
     gaudin_hamiltonian,
     generalized_gaudin,
@@ -55,10 +54,11 @@ def test_weight_basis_cap_is_on_the_weight_space():
         weight_basis(7, 7, (1,) * 7)
 
 
-def test_apply_eij_examples():
+def test_eij_matrix_examples():
     b = weight_basis(2, 2, (2, 0))
     vec = np.array([1.0])  # e1 (x) e1
-    out, target = apply_eij(2, 1, 2, vec, b)
+    mat, target = eij_matrix(2, 1, 2, b)
+    out = mat @ vec
     assert target.weight == (1, 1)
     k = target.index_of((1, 2))  # e1 (x) e2
     assert abs(out[k] - 1.0) < 1e-15 and np.abs(np.delete(out, k)).max() == 0.0
@@ -66,12 +66,12 @@ def test_apply_eij_examples():
     b11 = weight_basis(2, 2, (1, 1))
     e12 = np.zeros(2)
     e12[b11.index_of((1, 2))] = 1.0
-    out, target = apply_eij(1, 2, 1, e12, b11)
-    assert np.abs(out).max() == 0.0  # slot 1 holds letter 1, not 2
+    mat, target = eij_matrix(1, 2, 1, b11)
+    assert np.abs(mat @ e12).max() == 0.0  # slot 1 holds letter 1, not 2
 
-    out, target = apply_eij(1, 1, 1, e12, b11)
+    mat, target = eij_matrix(1, 1, 1, b11)
     assert target is b11 or target.weight == (1, 1)
-    assert np.allclose(out, e12)
+    assert np.allclose(mat @ e12, e12)
 
 
 def test_gaudin_matches_explicit_generator_composition():
@@ -115,8 +115,6 @@ def test_singular_basis_small_cases():
 
 def test_singular_basis_dimension_matches_tableau_count():
     for n in range(2, 6):
-        from cmkz.partitions import enumerate_partitions
-
         for lam in enumerate_partitions(n, min(n, 3)):
             rows = max(1, len(lam.trimmed))
             assert singular_basis(lam, rows).dim == irrep_dimension(lam)
@@ -129,7 +127,7 @@ def test_singular_basis_skips_the_full_left_factor():
     basis = weight_basis(5, 5, weight)  # cached outside the traced window
     tracemalloc.start()
     try:
-        _, cols = _singular_basis_cached.__wrapped__(5, 5, weight)
+        cols = _singular_basis_cached.__wrapped__(5, 5, weight).columns
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -143,6 +141,43 @@ def test_singular_basis_skips_the_full_left_factor():
             mat, target = summed_eij(i, j, basis)
             if target is not None:
                 assert np.abs(mat @ cols).max() < 1e-12
+
+
+@pytest.mark.parametrize("extra_rows", [0, 1])
+def test_transposition_table_is_the_irrep(extra_rows):
+    # T_ab is the irrep lambda of S_n: involutions, braid-conjugation
+    # T_ab T_bc T_ab = T_ac, and Frobenius's character of a transposition
+    for n in range(2, 6):
+        for lam in enumerate_partitions(n, n):
+            sub = singular_basis(lam, len(lam.trimmed) + extra_rows)
+            T = sub.transpositions
+            d = irrep_dimension(lam)
+            eye = np.eye(d)
+            content = sum(j - i for i, row in enumerate(lam.trimmed) for j in range(row))
+            character = d * content / math.comb(n, 2)
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    assert np.abs(T[a, b] @ T[a, b] - eye).max() < 1e-13
+                    assert abs(np.trace(T[a, b]) - character) < 1e-13
+                    for c in range(n):
+                        if c not in (a, b):
+                            conj = T[a, b] @ T[b, c] @ T[a, b]
+                            assert np.abs(conj - T[a, c]).max() < 1e-13
+
+
+def test_transposition_table_rejects_a_non_invariant_subspace():
+    basis = weight_basis(2, 2, (1, 1))
+    sub = Subspace(basis, np.array([[1.0], [0.0]], dtype=complex))  # e1 (x) e2
+    with pytest.raises(NumericalRankError, match="not invariant under P_12"):
+        sub.transpositions
+
+
+def test_transposition_table_is_read_only():
+    T = singular_basis(Partition((2, 1)), 3).transpositions
+    with pytest.raises(ValueError):
+        T[0, 1, 0, 0] = 0.0
 
 
 def test_singular_basis_rejects_narrow_N():
