@@ -7,10 +7,12 @@ is the a-th elementary symmetric function of the eigenvalues of Q; these
 are the commuting first integrals.  The zero level set of all Q_a is the
 variety the Gaudin joint spectra fill out.
 
-cm_matrix, xi, rank_one_residual, first_integrals and cm_hamiltonian take
-leading batch axes: for a stack of (z, p), with z and p of shape
-(..., n), they return one result per row, and a single point is the
-unbatched case of the same code.
+cm_matrix, xi, rank_one_residual, first_integrals, cm_hamiltonian,
+l0_residual and lq_residual take leading batch axes: for a stack of
+(z, p), with z and p of shape (..., n), they return one result per row,
+and a single point is the unbatched case of the same code.  The two
+level-set residuals also take a stack of p at one z, such as the joint
+spectrum of one Gaudin family.
 """
 
 from __future__ import annotations
@@ -88,33 +90,40 @@ def cm_hamiltonian(z, p):
     return h[()]
 
 
-def _degree_scale(p, q=None) -> float:
-    s = max(1.0, np.abs(np.asarray(p, dtype=complex)).max())
-    if q is not None and len(np.atleast_1d(q)):
-        s = max(s, np.abs(np.asarray(q, dtype=complex)).max())
-    return s
+def _scaled_max(values, p, q=()):
+    """Row by row, max_a |values[a]| / s^(a+1) over the leading axis a of
+    values, with s = max(1, |p|_inf, |q|_inf); NaN if any value of the row
+    is NaN.  The powers of s are running products, which round alike for a
+    single point and a stack."""
+    s = np.maximum(1.0, np.abs(p).max(axis=-1))
+    s = np.maximum(s, np.abs(q).max(initial=0.0))
+    values = np.abs(values)
+    powers = np.cumprod(np.broadcast_to(s, values.shape), axis=0)
+    return np.max(values / powers, axis=0)[()]
 
 
-def _scaled_max(values, s: float) -> float:
-    """max_a |values[a]| / s^(a+1), a = 0, 1, ...; NaN if any value is NaN
-    (np.max, where max would keep whichever value came first)."""
-    return float(np.max([abs(v) / s ** (a + 1) for a, v in enumerate(values)]))
+def _integrals_at(z, p):
+    """First integrals of a stack of p, at one z or at a stack of them."""
+    p = np.atleast_1d(np.asarray(p, dtype=complex))
+    z = np.broadcast_to(z, p.shape[:-1] + np.shape(z)[-1:])
+    return first_integrals(z, p).values, p
 
 
-def l0_residual(z, p) -> float:
+def l0_residual(z, p):
     """max_a |Q_a(z, p)| with each degree scaled by max(1, |p|_inf)^a."""
-    return _scaled_max(first_integrals(z, p).values, _degree_scale(p))
+    values, p = _integrals_at(z, p)
+    return _scaled_max(values, p)
 
 
-def lq_residual(z, p, q) -> float:
-    """Degree-scaled max_a |Q_a(z, p) - e_a(q)|; q = 0 recovers l0_residual."""
-    p = np.asarray(p, dtype=complex).ravel()
+def lq_residual(z, p, q):
+    """Degree-scaled max_a |Q_a(z, p) - e_a(q)|; q = 0 recovers l0_residual.
+    One q serves every row of a stack."""
+    values, p = _integrals_at(z, p)
     q = np.asarray(q, dtype=complex).ravel()
-    if len(q) != len(p):
+    if len(q) != p.shape[-1]:
         raise ValueError("q must have the same length as p")
     sigma = elementary_symmetric(q)
-    values = [v - sigma[a] for a, v in enumerate(first_integrals(z, p).values)]
-    return _scaled_max(values, _degree_scale(p, q))
+    return _scaled_max([v - sigma[a] for a, v in enumerate(values)], p, q)
 
 
 @dataclass(eq=False)

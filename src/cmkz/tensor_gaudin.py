@@ -10,8 +10,11 @@ makes the Gaudin Hamiltonians
 
 combinations of transpositions.  A singular space of weight lambda is the
 irreducible S_n representation lambda, so each Subspace holds one table of
-d x d matrices T_ab = S^H P_ab S, and both Gaudin families are sums over
-it; the generalized family adds the diagonal term sum_i q_i e_ii^(a).
+d x d matrices T_ab = S^H P_ab S.  Each Gaudin family H_1, ..., H_n is
+built as one (n, d, d) stack, by one contraction of that table with the
+weights 1/(z_a - z_b), and its z is checked once; the generalized family
+adds the diagonal term sum_i q_i e_ii^(a).  joint_eigen and
+joint_eigenspace_dim take the family as that stack.
 """
 
 from __future__ import annotations
@@ -230,24 +233,21 @@ def singular_basis(lam: Partition, N: int | None = None) -> Subspace:
     return sub
 
 
-def _check_z(z, n: int) -> np.ndarray:
+def gaudin_hamiltonian(z, subspace: Subspace) -> np.ndarray:
+    """The family H_1(z), ..., H_n(z) on an invariant subspace (a weight
+    space or a singular space) as one (n, d, d) stack, [a - 1] = H_a.
+
+    One contraction of the weights 1/(z_a - z_b), zero for a = b, with the
+    transposition table; z is checked once for the whole family.
+    """
+    n = subspace.basis.n
     z = np.asarray(z, dtype=complex).ravel()
     if len(z) != n:
         raise ValueError(f"need {n} points, got {len(z)}")
-    return require_distinct(z, 1e-8, "evaluation points z")
-
-
-def gaudin_hamiltonian(a: int, z, subspace: Subspace) -> np.ndarray:
-    """H_a(z) = sum_{b != a} T_ab / (z_a - z_b) on an invariant subspace (a
-    weight space or a singular space), summed over its transposition table."""
-    n = subspace.basis.n
-    z = _check_z(z, n)
-    if not (1 <= a <= n):
-        raise ValueError("slot index a out of range")
-    others = np.arange(n) != a - 1
-    w = np.zeros(n, dtype=complex)
-    w[others] = 1.0 / (z[a - 1] - z[others])
-    return np.tensordot(w, subspace.transpositions[a - 1], axes=1)
+    require_distinct(z, 1e-8, "evaluation points z")
+    gaps = z[:, None] - z[None, :]
+    np.fill_diagonal(gaps, np.inf)  # weight 1/inf = 0 for b = a
+    return np.einsum("ab,abij->aij", 1.0 / gaps, subspace.transpositions)
 
 
 @lru_cache(maxsize=None)
@@ -255,27 +255,27 @@ def _permutation_space(n: int) -> Subspace:
     return Subspace(weight_basis(n, n, (1,) * n))
 
 
-def generalized_gaudin(a: int, z, q, n: int) -> np.ndarray:
-    """H_a(z, q) = sum_i q_i e_ii^(a) + H_a(z) on V^(x)n[1,...,1], N = n: the
-    Gaudin sum over the cached permutation space's table plus diag(q_{i_a})."""
+def generalized_gaudin(z, q) -> np.ndarray:
+    """The family H_a(z, q) = sum_i q_i e_ii^(a) + H_a(z), a = 1..n, on
+    V^(x)n[1,...,1] with N = n = len(q), as one (n, n!, n!) stack: the
+    Gaudin stack of the cached permutation space plus diag(q_{i_a})."""
     q = np.asarray(q, dtype=complex).ravel()
-    if len(q) != n:
-        raise ValueError(f"q must have {n} entries")
-    sub = _permutation_space(n)
-    H = gaudin_hamiltonian(a, z, sub)
-    H[np.diag_indices(sub.dim)] += q[sub.basis.array[:, a - 1] - 1]
+    sub = _permutation_space(len(q))
+    H = gaudin_hamiltonian(z, sub)
+    diag = np.arange(sub.dim)
+    H[:, diag, diag] += q[sub.basis.array.T - 1]
     return H
 
 
-def _commutation_defect(mats) -> float:
-    norms = [max(np.linalg.norm(m), 1.0) for m in mats]
-    top = max(norms)
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            worst = max(worst, np.linalg.norm(comm) / top**2)
-    return worst
+def _family(ops) -> np.ndarray:
+    """The operators as one (k, d, d) stack."""
+    if len(ops) == 0:
+        raise ValueError("need at least one operator")
+    shape = np.shape(ops[0])
+    square = len(shape) == 2 and shape[0] == shape[1]
+    if not square or any(np.shape(op) != shape for op in ops):
+        raise ValueError("operators must share one square shape")
+    return np.asarray(ops)
 
 
 def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
@@ -283,13 +283,13 @@ def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
 
     A random complex combination of the family is diagonalized; left and
     right eigenvectors read each operator's eigenvalue back through the
-    bilinear quotient w^H A v / w^H v.  Entries are returned with the
-    geometric multiplicity seen by the probe.  A family whose scaled
-    commutator defect exceeds 1e-10 is rejected.
+    bilinear quotient w^H A v / w^H v, for all eigenvectors at once.
+    Entries are returned with the geometric multiplicity seen by the probe.
+    A family whose scaled commutator defect exceeds 1e-10 is rejected.
 
     Parameters
     ----------
-    ops : list of square ndarrays, pairwise commuting.
+    ops : (k, d, d) stack or list of square ndarrays, pairwise commuting.
     tol : residual bound ||A v - p v|| <= tol (1 + ||A||) ||v|| per operator.
     seed : seeds the probe combination; up to 8 probes are drawn.
 
@@ -298,27 +298,25 @@ def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
     list of (p, vector, residual), one entry per joint eigenvector, sorted
     lexicographically by tuple.
     """
-    mats = [np.asarray(op) for op in ops]
-    if not mats:
-        raise ValueError("need at least one operator")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValueError("operators must share one square shape")
+    mats = _family(ops)
+    k, dim = mats.shape[:2]
     if dim == 0:
         return []
-    defect = _commutation_defect(mats)
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    i, j = np.triu_indices(k, 1)
+    comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+    top = max(1.0, norms.max())
+    defect = np.linalg.norm(comm, axis=(1, 2)).max(initial=0.0) / top**2
     if defect > 1e-10:
         raise NonCommutingOperatorsError(
             f"commutator defect {defect:.3e} exceeds 1.0e-10"
         )
-    norms = [np.linalg.norm(m) for m in mats]
     rng = np.random.default_rng(seed)
     last_problem = "no probe attempted"
     for _ in range(8):
-        c = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         c /= np.abs(c).max()
-        probe = sum(ci * m for ci, m in zip(c, mats))
+        probe = (c[:, None, None] * mats).sum(axis=0)
         w, vl, vr = scipy.linalg.eig(probe, left=True, right=True)
         vr /= np.linalg.norm(vr, axis=0, keepdims=True)
         vl /= np.linalg.norm(vl, axis=0, keepdims=True)
@@ -326,24 +324,17 @@ def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
         if np.abs(denoms).min() < 1e-12:
             last_problem = "degenerate left/right pairing"
             continue
-        entries = []
-        ok = True
-        for k in range(dim):
-            v = vr[:, k]
-            wl = vl[:, k]
-            p = np.array([wl.conj() @ (m @ v) for m in mats]) / denoms[k]
-            res = max(
-                np.linalg.norm(m @ v - pk * v) / (1.0 + nm)
-                for m, pk, nm in zip(mats, p, norms)
-            )
-            if res > tol:
-                ok = False
-                last_problem = f"residual {res:.3e} above tol {tol:.1e}"
-                break
-            entries.append((p, v, float(res)))
-        if ok:
-            entries.sort(key=lambda e: lex_key(e[0]))
-            return entries
+        AV = mats @ vr  # [m, :, e] = A_m v_e
+        P = np.einsum("ie,mie->em", vl.conj(), AV) / denoms[:, None]
+        defects = np.linalg.norm(AV - P.T[:, None, :] * vr, axis=1)
+        res = (defects / (1.0 + norms[:, None])).max(axis=0)
+        bad = np.flatnonzero(res > tol)
+        if bad.size:
+            last_problem = f"residual {res[bad[0]]:.3e} above tol {tol:.1e}"
+            continue
+        entries = [(P[e], vr[:, e], float(res[e])) for e in range(dim)]
+        entries.sort(key=lambda e: lex_key(e[0]))
+        return entries
     raise JointDiagonalizationError(
         f"probe retries exhausted: {last_problem}"
     )
@@ -381,19 +372,14 @@ def spectral_points(
     For generic z this yields exactly irrep_dimension(lam) points, each with
     sum_a p_a = 0.
     """
-    n = lam.n  # each H_a checks z
-    sub = singular_basis(lam, N)
-    ops = [gaudin_hamiltonian(a, z, sub) for a in range(1, n + 1)]
+    ops = gaudin_hamiltonian(z, singular_basis(lam, N))
     entries = joint_eigen(ops, tol=tol, seed=seed)
     return [SpectralPoint(z, p, res) for p, _, res in entries]
 
 
 def generalized_spectrum(z, q, tol: float = 1e-8, seed: int = 0):
     """Joint spectrum of H_a(z, q) on V^(x)n[1,...,1]; n! tuples for generic z."""
-    z = np.asarray(z, dtype=complex).ravel()
-    n = len(z)
-    ops = [generalized_gaudin(a, z, q, n) for a in range(1, n + 1)]
-    entries = joint_eigen(ops, tol=tol, seed=seed)
+    entries = joint_eigen(generalized_gaudin(z, q), tol=tol, seed=seed)
     return [SpectralPoint(z, p, res) for p, _, res in entries]
 
 
@@ -403,10 +389,10 @@ def joint_eigenspace_dim(ops, p) -> int:
     Counts the singular values of the stacked shifted family
     [A_1 - p_1; ...; A_k - p_k] at most 1e-8 times max(1, the largest).
     """
-    mats = [np.asarray(op) for op in ops]
-    dim = mats[0].shape[0]
-    stack = np.vstack([m - pk * np.eye(dim) for m, pk in zip(mats, p)])
-    sv = np.linalg.svd(stack, compute_uv=False)
+    mats = _family(ops)
+    dim = mats.shape[1]
+    shifted = mats - np.asarray(p)[:, None, None] * np.eye(dim)
+    sv = np.linalg.svd(shifted.reshape(-1, dim), compute_uv=False)
     cutoff = 1e-8 * max(1.0, sv[0])
     return int(np.sum(sv <= cutoff))
 

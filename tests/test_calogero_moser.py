@@ -257,3 +257,22 @@ def test_stacked_rank_one_residual_keeps_each_row_apart():
     assert r[0] == 1.0 and r[1] < 1e-14
     one = CMPoint([[0.7], [0.2]], [[[2.0]], [[1.0]]])
     assert rank_one_residual(one).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_level_set_residuals_equal_row_calls_bit_for_bit(n):
+    rng = np.random.default_rng(30 + n)
+    z = sample_generic_z(n, rng)
+    q = sample_generic_z(n, rng, radius=1.5)
+    # rows at several sizes: the degree scale is 1 on some and |p|_inf on others
+    size = 10 ** rng.uniform(-1.0, 1.5, size=(40, 1))
+    P = (rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))) * size
+    l0, lq = l0_residual(z, P), lq_residual(z, P, q)
+    assert l0.shape == lq.shape == (40,)
+    for row in range(40):
+        assert l0[row] == l0_residual(z, P[row])
+        assert lq[row] == lq_residual(z, P[row], q)
+    # a stack of z, one per row of p
+    Z, P = _stack(n, 25, n)
+    assert l0_residual(Z, P).tolist() == [l0_residual(a, b) for a, b in zip(Z, P)]
+    assert lq_residual(Z, P, q).tolist() == [lq_residual(a, b, q) for a, b in zip(Z, P)]

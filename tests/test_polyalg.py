@@ -73,10 +73,10 @@ _T3 = [np.array([0.3 + 0.4j, -0.6 + 0.2j]), np.array([0.1 - 0.7j])]
 # every call site of require_distinct, as a function of the separation e
 SITES = {
     "gaudin_hamiltonian": lambda e: gaudin_hamiltonian(
-        1, [0.3, 0.3 + e, -1.0], singular_basis(Partition((2, 1)))
+        [0.3, 0.3 + e, -1.0], singular_basis(Partition((2, 1)))
     ),
     "generalized_gaudin": lambda e: generalized_gaudin(
-        1, [0.3, 0.3 + e, -1.0], [1.0, 2.0, 3.0], 3
+        [0.3, 0.3 + e, -1.0], [1.0, 2.0, 3.0]
     ),
     "cm_matrix": lambda e: cm_matrix([0.3, 0.3 + e], [1.0, 2.0]),
     "psi": _psi_pair,

@@ -6,7 +6,10 @@ import pytest
 
 from cmkz.calogero_moser import l0_residual
 from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension
+from cmkz.polyalg import require_distinct
+from cmkz import tensor_gaudin
 from cmkz.tensor_gaudin import (
+    JointDiagonalizationError,
     NonCommutingOperatorsError,
     NumericalRankError,
     Subspace,
@@ -79,9 +82,9 @@ def test_gaudin_matches_explicit_generator_composition():
     for N, n, weight in ((2, 2, (1, 1)), (2, 3, (2, 1)), (3, 3, (1, 1, 1))):
         basis = weight_basis(N, n, weight)
         z = sample_generic_z(n, rng)
-        sub = Subspace(basis)
+        family = gaudin_hamiltonian(z, Subspace(basis))
+        assert family.shape == (n, basis.dim, basis.dim)
         for a in range(1, n + 1):
-            H = gaudin_hamiltonian(a, z, sub)
             ref = np.zeros((basis.dim, basis.dim), dtype=complex)
             for i in range(1, N + 1):
                 for j in range(1, N + 1):
@@ -95,7 +98,7 @@ def test_gaudin_matches_explicit_generator_composition():
                         if back is None:
                             continue
                         ref += (mij @ mji) / (z[a - 1] - z[b - 1])
-            assert np.abs(H - ref).max() < 1e-12
+            assert np.abs(family[a - 1] - ref).max() < 1e-12
 
 
 def test_singular_basis_small_cases():
@@ -187,21 +190,17 @@ def test_singular_basis_rejects_narrow_N():
 
 def test_gaudin_one_by_one_and_sum_rule():
     z = np.array([0.2 + 0.1j, -0.4 - 0.3j])
-    sub = singular_basis(Partition((2,)), 2)
-    H1 = gaudin_hamiltonian(1, z, sub)
-    assert H1.shape == (1, 1)
-    assert abs(H1[0, 0] - 1.0 / (z[0] - z[1])) < 1e-14
-    H2 = gaudin_hamiltonian(2, z, sub)
-    assert abs(H1[0, 0] + H2[0, 0]) < 1e-14
+    H = gaudin_hamiltonian(z, singular_basis(Partition((2,)), 2))
+    assert H.shape == (2, 1, 1)
+    assert abs(H[0, 0, 0] - 1.0 / (z[0] - z[1])) < 1e-14
+    assert abs(H[0, 0, 0] + H[1, 0, 0]) < 1e-14
 
 
 def test_gaudin_sum_vanishes_on_weight_space():
     rng = np.random.default_rng(9)
     basis = weight_basis(2, 3, (2, 1))
     z = sample_generic_z(3, rng)
-    total = sum(
-        gaudin_hamiltonian(a, z, Subspace(basis)) for a in range(1, 4)
-    )
+    total = gaudin_hamiltonian(z, Subspace(basis)).sum(axis=0)
     assert np.abs(total).max() < 1e-13
 
 
@@ -209,7 +208,7 @@ def test_gaudin_commutators_and_gl_symmetry():
     rng = np.random.default_rng(10)
     basis = weight_basis(3, 4, (2, 1, 1))
     z = sample_generic_z(4, rng)
-    mats = [gaudin_hamiltonian(a, z, Subspace(basis)) for a in range(1, 5)]
+    mats = gaudin_hamiltonian(z, Subspace(basis))
     top = max(np.linalg.norm(m) for m in mats)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -221,29 +220,50 @@ def test_gaudin_commutators_and_gl_symmetry():
             E, target = summed_eij(i, j, basis)
             if target is None or target.dim == 0:
                 continue
-            for a in range(1, 5):
-                Ht = gaudin_hamiltonian(a, z, Subspace(target))
-                Hs = mats[a - 1]
-                assert np.abs(E @ Hs - Ht @ E).max() < 1e-12
+            Ht = gaudin_hamiltonian(z, Subspace(target))
+            assert np.abs(E @ mats - Ht @ E).max() < 1e-12
 
 
 def test_gaudin_rejects_coincident_z():
     sub = singular_basis(Partition((2,)), 2)
     with pytest.raises(ValueError):
-        gaudin_hamiltonian(1, [0.5, 0.5 + 1e-12], sub)
+        gaudin_hamiltonian([0.5, 0.5 + 1e-12], sub)
+    with pytest.raises(ValueError, match="need 2 points, got 3"):
+        gaudin_hamiltonian([0.5, 1.0, 1.5], sub)
+
+
+def test_one_family_checks_z_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return require_distinct(*args)
+
+    monkeypatch.setattr(tensor_gaudin, "require_distinct", counted)
+    z = sample_generic_z(4, 17)
+    assert len(spectral_points(Partition((2, 1, 1)), z, seed=1)) == 3
+    assert len(calls) == 1
 
 
 def test_generalized_gaudin_two_by_two():
     z = np.array([0.0, 1.0])
     q = np.array([0.3 + 0.1j, -0.9 + 0.4j])
-    H1 = generalized_gaudin(1, z, q, 2)
+    H = generalized_gaudin(z, q)
     s = 1.0 / (z[0] - z[1])
     # basis order: (1,2), (2,1)
-    assert np.abs(H1 - np.array([[q[0], s], [s, q[1]]])).max() < 1e-14
-    H0 = generalized_gaudin(1, z, np.zeros(2), 2)
+    assert np.abs(H[0] - np.array([[q[0], s], [s, q[1]]])).max() < 1e-14
+    assert np.abs(H[1] - np.array([[q[1], -s], [-s, q[0]]])).max() < 1e-14
+    H0 = generalized_gaudin(z, np.zeros(2))
     b = weight_basis(2, 2, (1, 1))
-    Hg = gaudin_hamiltonian(1, z, Subspace(b))
+    Hg = gaudin_hamiltonian(z, Subspace(b))
     assert np.abs(H0 - Hg).max() == 0.0
+
+
+def test_generalized_gaudin_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="need 3 points, got 2"):
+        generalized_gaudin([0.0, 1.0], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="need 2 points, got 3"):
+        generalized_gaudin([0.0, 1.0, 2.0], [0.1, 0.2])
 
 
 def test_generalized_gaudin_trace_identity():
@@ -251,7 +271,7 @@ def test_generalized_gaudin_trace_identity():
     for n in (2, 3):
         z = sample_generic_z(n, rng)
         q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        total = sum(generalized_gaudin(a, z, q, n) for a in range(1, n + 1))
+        total = generalized_gaudin(z, q).sum(axis=0)
         dim = math.factorial(n)
         assert abs(np.trace(total) - np.sum(q) * dim) < 1e-10
         assert np.abs(total - np.sum(q) * np.eye(dim)).max() < 1e-12
@@ -270,11 +290,21 @@ def test_joint_eigen_diagonal_and_identity():
 def test_joint_eigen_generalized_pair():
     z = np.array([0.0, 1.0])
     q = np.array([0.2, 1.4])
-    mats = [generalized_gaudin(a, z, q, 2) for a in (1, 2)]
+    mats = generalized_gaudin(z, q)
     entries = joint_eigen(mats, seed=2)
     assert len(entries) == 2
-    for p, _, _ in entries:
+    for p, v, res in entries:
         assert abs(p[0] + p[1] - q.sum()) < 1e-12
+        # the stacked residual against the operator-by-operator loop
+        loop = max(
+            np.linalg.norm(m @ v - pk * v) / (1.0 + np.linalg.norm(m))
+            for m, pk in zip(mats, p)
+        )
+        assert abs(res - loop) < 1e-15
+    # a list of the same operators is the same family
+    as_list = joint_eigen(list(mats), seed=2)
+    for (p, v, res), (pl, vl, resl) in zip(entries, as_list):
+        assert np.array_equal(p, pl) and np.array_equal(v, vl) and res == resl
 
 
 def test_joint_eigen_rejects_non_commuting():
@@ -282,6 +312,29 @@ def test_joint_eigen_rejects_non_commuting():
     b = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(NonCommutingOperatorsError):
         joint_eigen([a, b], seed=0)
+
+
+def test_joint_eigen_rejects_a_defective_operator():
+    # a Jordan block's left and right eigenvectors are orthogonal
+    with pytest.raises(JointDiagonalizationError, match="degenerate left/right pairing"):
+        joint_eigen([np.array([[0.0, 1.0], [0.0, 0.0]])], seed=0)
+
+
+def test_joint_eigen_reports_the_residual_above_tol():
+    op = np.random.default_rng(0).standard_normal((3, 3))
+    with pytest.raises(JointDiagonalizationError, match="residual 2.445e-16 above tol"):
+        joint_eigen([op], tol=1e-300, seed=0)
+
+
+def test_joint_eigen_rejects_ragged_and_empty_families():
+    with pytest.raises(ValueError, match="operators must share one square shape"):
+        joint_eigen([np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError, match="operators must share one square shape"):
+        joint_eigen([np.ones((2, 3))])
+    with pytest.raises(ValueError, match="need at least one operator"):
+        joint_eigen([])
+    with pytest.raises(ValueError, match="need at least one operator"):
+        joint_eigen(np.zeros((0, 2, 2)))
 
 
 def test_spectral_points_closed_forms():
@@ -326,9 +379,10 @@ def test_generalized_spectrum_count_and_eigenspace_dim():
     q = sample_generic_z(n, rng, radius=1.5)
     pts = generalized_spectrum(z, q, seed=4)
     assert len(pts) == 6
-    mats0 = [generalized_gaudin(a, z, np.zeros(n), n) for a in range(1, n + 1)]
+    mats0 = generalized_gaudin(z, np.zeros(n))
     ref = spectral_points(Partition((2, 1)), z, seed=6)
     assert joint_eigenspace_dim(mats0, ref[0].p) == 2
+    assert joint_eigenspace_dim(list(mats0), ref[0].p) == 2
 
 
 def test_sample_generic_z_determinism_and_separation():
