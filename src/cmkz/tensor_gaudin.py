@@ -3,17 +3,14 @@
 Everything is assembled on a fixed weight space, never on the full tensor
 power.  Basis vectors are multi-indices (i_1, ..., i_n) with letters in
 1..N; the letter multiset is the weight.  The slot-swap identity
-sum_{i,j} e_ij^(a) e_ji^(b) = P_ab (transposition of tensor slots a, b)
-makes the Gaudin Hamiltonians
-
-    H_a(z) = sum_{b != a} P_ab / (z_a - z_b)
-
-combinations of transpositions.  A singular space of weight lambda is the
-irreducible S_n representation lambda, so each Subspace holds one table of
-d x d matrices T_ab = S^H P_ab S.  Each Gaudin family H_1, ..., H_n is
-built as one (n, d, d) stack, by one contraction of that table with the
-weights 1/(z_a - z_b), and its z is checked once; the generalized family
-adds the diagonal term sum_i q_i e_ii^(a).  joint_eigen and
+sum_{i,j} e_ij^(a) e_ji^(b) = P_ab makes the Gaudin Hamiltonians
+H_a(z) = sum_{b != a} P_ab / (z_a - z_b) combinations of transpositions.
+A singular space of weight lambda is the irreducible S_n representation
+lambda, the eigenspace of the class sum sum_{a<b} P_ab for the content of
+lambda.  Each Subspace holds one table of d x d matrices T_ab = S^H P_ab S;
+each Gaudin family H_1, ..., H_n is one (n, d, d) stack, one contraction of
+that table with the weights 1/(z_a - z_b) at a z checked once, and the
+generalized family adds sum_i q_i e_ii^(a).  joint_eigen and
 joint_eigenspace_dim take the family as that stack.
 """
 
@@ -36,7 +33,7 @@ MAX_FULL_DIM = 4096
 
 
 class NumericalRankError(RuntimeError):
-    """A kernel has unexpected dimension, or a subspace is not invariant."""
+    """A singular space has unexpected dimension, or a subspace is not invariant."""
 
 
 class NonCommutingOperatorsError(ValueError):
@@ -78,6 +75,17 @@ class WeightBasis:
 
     def index_of(self, idx: tuple[int, ...]) -> int:
         return int(self.positions(idx))
+
+    @cached_property
+    def swaps(self) -> np.ndarray:
+        """Read-only (dim, n(n-1)/2) map: [k, m] is the position of word k
+        with the slots of the m-th pair of triu_indices(n, 1) swapped."""
+        pairs = np.transpose(np.triu_indices(self.n, 1))
+        orders = np.tile(np.arange(self.n), (len(pairs), 1))
+        orders[np.arange(len(pairs))[:, None], pairs] = pairs[:, ::-1]
+        swaps = self.positions(self.array[:, orders])
+        swaps.setflags(write=False)
+        return swaps
 
 
 @lru_cache(maxsize=None)
@@ -160,20 +168,15 @@ class Subspace:
         """Read-only (n, n, dim, dim) table, [a, b] = T_ab = S^H P_ab S for
         the swap P_ab of slots a != b (0-based); [a, a] is zero.
 
-        Built on first read from one index map of swapped multi-indices.
-        Raises NumericalRankError unless every pair has ||P_ab S - S T_ab||
+        Built on first read from the basis's swap map.  Raises
+        NumericalRankError unless every pair has ||P_ab S - S T_ab||
         <= 1e-12 max(1, ||T_ab||): then every Gaudin operator keeps S.
         """
         basis, n = self.basis, self.basis.n
         S = np.eye(basis.dim, dtype=complex) if self.columns is None else self.columns
-        pairs = np.transpose(np.triu_indices(n, 1))
-        orders = np.tile(np.arange(n), (len(pairs), 1))
-        orders[np.arange(len(pairs))[:, None], pairs] = pairs[:, ::-1]
-        # column k: where each basis entry goes under the swap pairs[k]
-        index_map = basis.positions(basis.array[:, orders])
         table = np.zeros((n, n, self.dim, self.dim), dtype=complex)
-        for k, (a, b) in enumerate(pairs):
-            PS = S[index_map[:, k]]  # contiguous, for BLAS's closer rounding
+        for k, (a, b) in enumerate(zip(*np.triu_indices(n, 1))):
+            PS = S[basis.swaps[:, k]]  # contiguous, for BLAS's closer rounding
             T = S.conj().T @ PS
             defect = np.linalg.norm(PS - S @ T)
             if defect > 1e-12 * max(1.0, np.linalg.norm(T)):
@@ -188,36 +191,30 @@ class Subspace:
 @lru_cache(maxsize=None)
 def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]) -> Subspace:
     basis = weight_basis(N, n, weight)
-    blocks = []
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            mat, target = summed_eij(i, j, basis)
-            if target is not None and target.dim > 0:
-                blocks.append(mat)
-    if not blocks:
-        cols = np.eye(basis.dim, dtype=complex)
-    else:
-        stack = np.vstack(blocks)
-        del blocks  # the stack alone is held through the SVD
-        # only vh is read, and it is square either way; a tall stack skips
-        # building its full U
-        _, sv, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
-        tol = max(stack.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
-        rank = int(np.sum(sv > tol))
-        cols = vh[rank:].conj().T
-    cols = np.ascontiguousarray(cols)
+    # C = sum_{a<b} P_ab; entries add up, as a swap of equal letters fixes a
+    # word.  Renormalized, as a norm defect of eigh's vectors enters T_ab
+    C = np.zeros((basis.dim, basis.dim))
+    np.add.at(C, (basis.swaps, np.arange(basis.dim)[:, None]), 1.0)
+    content = sum(j - i for i, row in enumerate(weight) for j in range(row))
+    w, v = np.linalg.eigh(C)
+    cols = v[:, np.abs(w - content) < 1]
+    cols = np.ascontiguousarray(cols / np.linalg.norm(cols, axis=0))
     cols.setflags(write=False)
     return Subspace(basis, cols)
 
 
 def singular_basis(lam: Partition, N: int | None = None) -> Subspace:
-    """Orthonormal basis of the singular vectors of weight lam.
+    """Orthonormal basis of the singular vectors of weight lam, cached per
+    (N, n, weight) with its transposition table.
 
     These are the weight-lam vectors killed by every raising operator
-    sum_a e_ij^(a), i < j; the dimension equals the number of standard
-    tableaux of shape lam.  The Subspace is cached per (N, n, weight), so
-    its transposition table is built once.
-    """
+    sum_a e_ij^(a), i < j: the lam-isotypic part, of dimension the number of
+    standard tableaux of shape lam.  C = sum_{a<b} P_ab acts on an irrep mu
+    as its content c(mu) (the sum of column - row over its boxes), and every
+    other constituent has c(mu) >= c(lam) + 2 (Jucys, "Symmetric polynomials
+    and the center of the symmetric group ring", 1974; Okounkov and Vershik,
+    "A new approach to representation theory of symmetric groups", 1996), so
+    the basis is C's eigenvectors with |w - c(lam)| < 1, an exact cut."""
     core = lam.trimmed
     if N is None:
         N = max(1, len(core))

@@ -423,14 +423,15 @@ _L0_COUNTS = {
 # is one of the seeds where a direct multistart on the Bethe equations found
 # 2 of the 3 points of (2,1,1), and the fiber populations find all 3.  The
 # l0, n-independence, closed-forms, lq and collision records read the
-# Gaudin spectra through the transposition tables, so a change to how the
-# tables are built shows here record by record
+# Gaudin spectra through the transposition tables, and all of them but lq,
+# with the Bethe match distance, read a singular space; so a change to how
+# either is built shows here record by record
 PINNED_RECORDS = {
     (2024, "l0-membership"): (
         True,
         _L0_COUNTS,
         {
-            "max_scaled_residual": "0x1.2012b885c070fp-47",
+            "max_scaled_residual": "0x1.6598337bd6386p-48",
             "tolerance": "0x1.5798ee2308c3ap-27",
         },
     ),
@@ -438,7 +439,7 @@ PINNED_RECORDS = {
         True,
         {"cases": 15},
         {
-            "max_match_distance": "0x1.802ffd005ff10p-48",
+            "max_match_distance": "0x1.00a1ccde56324p-47",
             "tolerance": "0x1.5798ee2308c3ap-27",
         },
     ),
@@ -446,7 +447,7 @@ PINNED_RECORDS = {
         True,
         {"n_range": [2, 5]},
         {
-            "max_deviation": "0x1.cd82b446159f4p-50",
+            "max_deviation": "0x1.1e3779b97f4a8p-50",
             "tolerance": "0x1.b7cdfd9d7bdbbp-34",
         },
     ),
@@ -455,7 +456,7 @@ PINNED_RECORDS = {
         _BETHE_COUNTS,
         {
             "max_grad_norm": "0x1.6a09e667f3bcdp-45",
-            "max_match_distance": "0x1.869c1a85cc346p-46",
+            "max_match_distance": "0x1.90f5773e410e4p-46",
             "midpoint_deviation": "0x1.0000000000000p-56",
         },
     ),
@@ -500,7 +501,7 @@ PINNED_RECORDS = {
             "per_lambda": {"3": [1], "2,1": [2, 2], "1,1,1": [1]},
         },
         {
-            "max_match_distance": "0x1.fa2b05c944fa7p-23",
+            "max_match_distance": "0x1.fa2b05c725eb9p-23",
             "tolerance": "0x1.a36e2eb1c432dp-14",
         },
     ),
@@ -509,7 +510,7 @@ PINNED_RECORDS = {
         _BETHE_COUNTS,
         {
             "max_grad_norm": "0x1.e8368ba3e13b2p-46",
-            "max_match_distance": "0x1.439479381ecbdp-46",
+            "max_match_distance": "0x1.2706821902e9bp-46",
             "midpoint_deviation": "0x0.0p+0",
         },
     ),

@@ -124,10 +124,12 @@ def test_singular_basis_dimension_matches_tableau_count():
 
 
 def test_singular_basis_skips_the_full_left_factor():
-    # the raising-operator stack of (1^5) at N = 5 is 600 x 120; its full
-    # left factor U alone would be 600 x 600 complex, 5.8 MB
+    # (1^5) at N = 5 has a 120 x 120 class sum C; the singular space is one
+    # symmetric eigensolve of C.  These bounds were set against the raising
+    # route that once found it: a 600 x 120 stack of raising operators, whose
+    # SVD's full left factor alone would be 600 x 600 complex, 5.8 MB
     weight = Partition((1,) * 5).padded(5)
-    basis = weight_basis(5, 5, weight)  # cached outside the traced window
+    weight_basis(5, 5, weight)  # cached outside the traced window
     tracemalloc.start()
     try:
         cols = _singular_basis_cached.__wrapped__(5, 5, weight).columns
@@ -135,15 +137,42 @@ def test_singular_basis_skips_the_full_left_factor():
     finally:
         tracemalloc.stop()
     assert peak < 600 * 600 * 16
-    # nor are the raising blocks held beside their stack through the SVD,
-    # which would push the peak past three stacks
     assert peak < 3 * 600 * 120 * 16
     assert cols.shape == (120, 1)
-    for i in range(1, 6):
-        for j in range(i + 1, 6):
-            mat, target = summed_eij(i, j, basis)
-            if target is not None:
-                assert np.abs(mat @ cols).max() < 1e-12
+    # every raising operator sum_a e_ij^(a), i < j, kills the columns
+    for n in range(2, 7):
+        for lam in enumerate_partitions(n, n):
+            for N in (len(lam.trimmed), len(lam.trimmed) + 1):
+                sub = singular_basis(lam, N)
+                for i in range(1, N + 1):
+                    for j in range(i + 1, N + 1):
+                        mat, target = summed_eij(i, j, sub.basis)
+                        if target is not None:
+                            assert np.abs(mat @ sub.columns).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_class_sum_spectrum_has_the_content_gap(n):
+    # C = sum_{a<b} P_ab, built word by word, acts on the irrep mu as its
+    # content c(mu); on the weight space of lam every constituent other than
+    # lam itself dominates it and sits at least 2 higher, so the cut
+    # |w - c(lam)| < 1 in singular_basis is exact
+    for lam in enumerate_partitions(n, n):
+        basis = weight_basis(len(lam.trimmed), n, lam.trimmed)
+        position = {word: k for k, word in enumerate(basis.indices)}
+        C = np.zeros((basis.dim, basis.dim))
+        for k, word in enumerate(basis.indices):
+            for a in range(n):
+                for b in range(a + 1, n):
+                    swapped = list(word)
+                    swapped[a], swapped[b] = word[b], word[a]
+                    C[position[tuple(swapped)], k] += 1.0
+        w = np.linalg.eigvalsh(C)
+        levels = np.round(w)
+        assert np.abs(w - levels).max() < 1e-9
+        content = sum(j - i for i, row in enumerate(lam.trimmed) for j in range(row))
+        assert np.count_nonzero(levels == content) == irrep_dimension(lam)
+        assert levels[levels != content].min(initial=np.inf) >= content + 2
 
 
 @pytest.mark.parametrize("extra_rows", [0, 1])
