@@ -23,13 +23,18 @@ from functools import partial, wraps
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from . import calogero_moser as cm
 from . import master_function as mf
 from . import wronski as wr
 from .partitions import Partition, enumerate_partitions, irrep_dimension
-from .polyalg import elementary_symmetric, lex_key, match_within, require_distinct
+from .polyalg import (
+    components_within,
+    elementary_symmetric,
+    lex_key,
+    match_within,
+    require_distinct,
+)
 from .serialize import canonical_json, pair_list
 from .tensor_gaudin import (
     generalized_gaudin,
@@ -220,10 +225,7 @@ def collision_study(
     # single linkage: the components of the graph max_a |p_i - p_j|_a <= cutoff,
     # labelled in order of their smallest member
     P = np.array(final)
-    n_groups, labels = connected_components(
-        np.abs(P[:, None] - P[None]).max(axis=2) <= cutoff, directed=False
-    )
-    groups = [np.flatnonzero(labels == g) for g in range(n_groups)]
+    groups = components_within(np.abs(P[:, None] - P[None]).max(axis=2) <= cutoff)
 
     mats0 = generalized_gaudin(z, np.zeros(n))
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
 def as_poly(c) -> np.ndarray:
@@ -132,11 +130,59 @@ def match_within(close) -> np.ndarray:
     graph ``close`` (close[i, j] true where row i may pair with column j),
     or -1 for a row left unmatched.
 
-    Hopcroft-Karp, via scipy.sparse.csgraph: every row gets a partner iff
-    some assignment of the rows to distinct columns stays inside the graph.
+    Augmenting paths (Kuhn 1955) after a greedy pass, each found by a
+    breadth-first search over alternating paths, so no path length meets a
+    recursion limit: every row gets a partner iff some assignment of the
+    rows to distinct columns stays inside the graph.
     """
     close = np.asarray(close, dtype=bool)
-    return maximum_bipartite_matching(csr_array(close), perm_type="column")
+    n_rows, n_cols = close.shape
+    edges = [np.flatnonzero(row).tolist() for row in close]
+    partner = [-1] * n_rows  # column of each row
+    owner = [-1] * n_cols  # row of each column
+    for i, cols in enumerate(edges):
+        for j in cols:
+            if owner[j] < 0:
+                partner[i], owner[j] = j, i
+                break
+    for root in range(n_rows):
+        if partner[root] >= 0:
+            continue
+        via = [-1] * n_cols  # row from which the search reached each column
+        queue, free = [root], -1
+        for i in queue:
+            for j in edges[i]:
+                if via[j] < 0:
+                    via[j] = i
+                    if owner[j] < 0:
+                        free = j
+                        break
+                    queue.append(owner[j])
+            if free >= 0:
+                break
+        # flip the alternating path that ends at the free column
+        while free >= 0:
+            i = via[free]
+            partner[i], owner[free], free = free, i, partner[i]
+    return np.array(partner, dtype=np.intp)
+
+
+def components_within(close) -> list[np.ndarray]:
+    """Connected components of the symmetric graph ``close`` (close[i, j]
+    true where points i and j are joined), in order of their smallest
+    member, each as its sorted member indices.
+
+    The reachability matrix is squared until it stops changing; each point
+    is then labelled by the smallest point it reaches.
+    """
+    reach = np.asarray(close, dtype=bool) | np.eye(len(close), dtype=bool)
+    while True:
+        grown = reach @ reach
+        if (grown == reach).all():
+            break
+        reach = grown
+    first = reach.argmax(axis=1)
+    return [np.flatnonzero(first == r) for r in np.unique(first)]
 
 
 def excluded_products(values: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
-import scipy.linalg
 
 from .partitions import Partition, irrep_dimension
 from .polyalg import lex_key, min_gap, require_distinct
@@ -314,8 +313,20 @@ def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         c /= np.abs(c).max()
         probe = (c[:, None, None] * mats).sum(axis=0)
-        w, vl, vr = scipy.linalg.eig(probe, left=True, right=True)
+        _, vr = np.linalg.eig(probe)
         vr /= np.linalg.norm(vr, axis=0, keepdims=True)
+        # vr^-1 probe vr is diagonal, so the rows of vr^-1 are the left
+        # eigenvectors; a singular or non-finite vr pairs no left vector
+        try:
+            left = np.linalg.inv(vr)
+            paired = np.isfinite(left).all()
+        except np.linalg.LinAlgError:
+            paired = False
+        if not paired:
+            last_problem = "degenerate left/right pairing"
+            continue
+        # scaling each row by its largest entry first keeps the norm finite
+        vl = (left / np.abs(left).max(axis=1, keepdims=True)).conj().T
         vl /= np.linalg.norm(vl, axis=0, keepdims=True)
         denoms = np.einsum("ij,ij->j", vl.conj(), vr)
         if np.abs(denoms).min() < 1e-12:

@@ -89,6 +89,21 @@ def test_match_points_never_joins_tuples_of_different_length():
     assert match_points([], [], 1e-6).ok
 
 
+@pytest.mark.parametrize("module", ["cmkz", "cmkz.cli"])
+def test_importing_cmkz_loads_no_scipy(module):
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=cli_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_importing_cmkz_leaves_scipy_optimize_unloaded():
     out = subprocess.run(
         [sys.executable, "-c",
@@ -425,13 +440,14 @@ _L0_COUNTS = {
 # l0, n-independence, closed-forms, lq and collision records read the
 # Gaudin spectra through the transposition tables, and all of them but lq,
 # with the Bethe match distance, read a singular space; so a change to how
-# either is built shows here record by record
+# either is built, or to how joint_eigen reads the eigenvalues back, shows
+# here record by record
 PINNED_RECORDS = {
     (2024, "l0-membership"): (
         True,
         _L0_COUNTS,
         {
-            "max_scaled_residual": "0x1.6598337bd6386p-48",
+            "max_scaled_residual": "0x1.1796cc7a31eb0p-47",
             "tolerance": "0x1.5798ee2308c3ap-27",
         },
     ),
@@ -439,7 +455,7 @@ PINNED_RECORDS = {
         True,
         {"cases": 15},
         {
-            "max_match_distance": "0x1.00a1ccde56324p-47",
+            "max_match_distance": "0x1.007fe00ff6070p-48",
             "tolerance": "0x1.5798ee2308c3ap-27",
         },
     ),
@@ -456,7 +472,7 @@ PINNED_RECORDS = {
         _BETHE_COUNTS,
         {
             "max_grad_norm": "0x1.6a09e667f3bcdp-45",
-            "max_match_distance": "0x1.90f5773e410e4p-46",
+            "max_match_distance": "0x1.974b2334f2347p-46",
             "midpoint_deviation": "0x1.0000000000000p-56",
         },
     ),
@@ -464,7 +480,7 @@ PINNED_RECORDS = {
         True,
         {"trials": 20, "n_values": [2, 3]},
         {
-            "max_scaled_residual": "0x1.50c740f3d5e91p-49",
+            "max_scaled_residual": "0x1.2b610a61d0d58p-49",
             "max_trace_deviation": "0x1.fc60b84dec0fdp-49",
         },
     ),
@@ -501,7 +517,7 @@ PINNED_RECORDS = {
             "per_lambda": {"3": [1], "2,1": [2, 2], "1,1,1": [1]},
         },
         {
-            "max_match_distance": "0x1.fa2b05c725eb9p-23",
+            "max_match_distance": "0x1.fa2b05c670e6bp-23",
             "tolerance": "0x1.a36e2eb1c432dp-14",
         },
     ),

@@ -8,6 +8,7 @@ from cmkz.harness import collision_study
 from cmkz.master_function import grad_t_q, solve_bethe_q
 from cmkz.partitions import Partition
 from cmkz.polyalg import (
+    components_within,
     excluded_products,
     is_new_point,
     match_within,
@@ -213,3 +214,91 @@ def test_match_within_is_a_maximum_matching():
     assert sorted(partner.tolist()) == [-1, -1, 0]
     for rows, cols in ((0, 0), (2, 0), (0, 3)):
         assert match_within(np.zeros((rows, cols), dtype=bool)).tolist() == [-1] * rows
+
+
+def _max_matching_size(close):
+    """Largest number of rows a matching covers, by trying every assignment."""
+    rows, cols = close.shape
+    if rows * cols == 0:
+        return 0
+    m = max(rows, cols)
+    padded = np.zeros((m, m), dtype=bool)
+    padded[:rows, :cols] = close
+    perms = np.array(list(itertools.permutations(range(m))))
+    return int(padded[np.arange(m), perms].sum(axis=1).max())
+
+
+def _assert_valid_matching(close, partner):
+    rows = np.flatnonzero(partner >= 0)
+    assert len(partner) == close.shape[0]
+    assert len(set(partner[rows].tolist())) == len(rows)
+    assert close[rows, partner[rows]].all()
+
+
+def test_match_within_is_maximum_on_every_small_graph():
+    for rows, cols in itertools.product(range(4), repeat=2):
+        for bits in itertools.product((False, True), repeat=rows * cols):
+            close = np.array(bits, dtype=bool).reshape(rows, cols)
+            partner = match_within(close)
+            _assert_valid_matching(close, partner)
+            assert (partner >= 0).sum() == _max_matching_size(close)
+
+
+def test_match_within_is_maximum_on_random_rectangular_graphs():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        rows, cols = rng.integers(1, 7), rng.integers(1, 8)
+        close = rng.random((rows, cols)) < rng.uniform(0.1, 0.7)
+        partner = match_within(close)
+        _assert_valid_matching(close, partner)
+        assert (partner >= 0).sum() == _max_matching_size(close)
+
+
+def test_match_within_follows_one_long_augmenting_path():
+    # the greedy pass pairs row i with column i, which strands the last row;
+    # the only augmenting path runs through every row
+    n = 3000
+    close = np.zeros((n, n), dtype=bool)
+    idx = np.arange(n - 1)
+    close[idx, idx] = close[idx, idx + 1] = True
+    close[n - 1, 0] = True
+    assert match_within(close).tolist() == list(range(1, n)) + [0]
+
+
+def _bfs_components(close):
+    seen, groups = set(), []
+    for root in range(len(close)):
+        if root in seen:
+            continue
+        seen.add(root)
+        group, queue = [], [root]
+        for i in queue:
+            group.append(i)
+            for j in np.flatnonzero(close[i]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        groups.append(sorted(group))
+    return groups
+
+
+def test_components_within_joins_a_chain():
+    # a ~ b ~ c with a and c apart is one group; d stands alone
+    close = np.array(
+        [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=bool
+    )
+    assert [g.tolist() for g in components_within(close)] == [[0, 1, 2], [3]]
+    # the chain 0 ~ 3 ~ 1 is labelled before 2, its smallest member first
+    close = np.eye(4, dtype=bool)
+    close[[0, 3, 1, 3], [3, 0, 3, 1]] = True
+    assert [g.tolist() for g in components_within(close)] == [[0, 1, 3], [2]]
+
+
+def test_components_within_equals_breadth_first_search():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = rng.integers(1, 13)
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.4), 1)
+        close = upper | upper.T | np.eye(n, dtype=bool)
+        groups = [g.tolist() for g in components_within(close)]
+        assert groups == _bfs_components(close)

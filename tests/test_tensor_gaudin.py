@@ -343,15 +343,26 @@ def test_joint_eigen_rejects_non_commuting():
         joint_eigen([a, b], seed=0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_joint_eigen_rejects_a_defective_operator():
     # a Jordan block's left and right eigenvectors are orthogonal
     with pytest.raises(JointDiagonalizationError, match="degenerate left/right pairing"):
         joint_eigen([np.array([[0.0, 1.0], [0.0, 0.0]])], seed=0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_joint_eigen_rejects_an_exactly_singular_eigenvector_matrix():
+    # the 3x3 nilpotent Jordan block's eigenvectors underflow to parallel
+    # columns, so the eigenvector matrix has no inverse at all
+    _, vr = np.linalg.eig(np.eye(3, k=1))
+    assert np.linalg.matrix_rank(vr) < 3
+    with pytest.raises(JointDiagonalizationError, match="degenerate left/right pairing"):
+        joint_eigen([np.eye(3, k=1)], seed=0)
+
+
 def test_joint_eigen_reports_the_residual_above_tol():
     op = np.random.default_rng(0).standard_normal((3, 3))
-    with pytest.raises(JointDiagonalizationError, match="residual 2.445e-16 above tol"):
+    with pytest.raises(JointDiagonalizationError, match="residual 2.147e-16 above tol"):
         joint_eigen([op], tol=1e-300, seed=0)
 
 
