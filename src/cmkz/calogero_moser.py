@@ -8,11 +8,12 @@ are the commuting first integrals.  The zero level set of all Q_a is the
 variety the Gaudin joint spectra fill out.
 
 cm_matrix, xi, rank_one_residual, first_integrals, cm_hamiltonian,
-l0_residual and lq_residual take leading batch axes: for a stack of
-(z, p), with z and p of shape (..., n), they return one result per row,
-and a single point is the unbatched case of the same code.  The two
-level-set residuals also take a stack of p at one z, such as the joint
-spectrum of one Gaudin family.
+l0_residual, lq_residual and bivariate_char take leading batch axes: for
+a stack of (z, p), with z and p of shape (..., n), they return one result
+per row, and a single point is the unbatched case of the same code.  The
+two level-set residuals also take a stack of p at one z, such as the
+joint spectrum of one Gaudin family, and bivariate_char takes arrays of u
+and v, such as a whole evaluation grid, in one call.
 """
 
 from __future__ import annotations
@@ -179,11 +180,15 @@ def rank_one_residual(point: CMPoint):
     return out[()]
 
 
-def bivariate_char(point: CMPoint, u, v) -> complex:
-    """det((u - Z)(v - Q) - 1) at scalar arguments."""
-    n = point.n
-    m = (u - point.Z)[:, None] * (v * np.eye(n) - point.Q) - np.eye(n)
-    return complex(np.linalg.det(m))
+def bivariate_char(point: CMPoint, u, v):
+    """det((u - Z)(v - Q) - 1), one value per entry of the broadcast of u,
+    v and the point's batch axes; for a whole grid, pass u as a column and
+    v as a row."""
+    eye = np.eye(point.n)
+    u = np.asarray(u, dtype=complex)[..., None]
+    v = np.asarray(v, dtype=complex)[..., None, None]
+    m = (u - point.Z)[..., :, None] * (v * eye - point.Q) - eye
+    return np.linalg.det(m)[()]
 
 
 def pi_image(point: CMPoint) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,12 @@ factorials times one power of u.  fundamental_operator reads this table,
 cached per partition, and the Wronski map is its row 0; wronskian and
 wronski_map stay on the exact poly_det, as the independent route.
 
+Each identity of the operator is evaluated once per tuple.  The diagonal
+identity (fla_residual) reads the diagonal of P, on which every
+x-dependent term vanishes exactly, so its value depends only on the
+partition.  The bivariate identity takes its whole grid in one stacked
+determinant and one grid evaluation of P.
+
 Quasi-exponential tuples e^(q_i u)(u + c_i) follow the same scheme with
 the exponential and Vandermonde-of-q prefactors stripped; their operator
 has full (n+1) x (n+1) coefficient support and is built from poly_det
@@ -136,17 +142,12 @@ def poly_tuple_from_vector(lam: Partition, vec) -> PolyTuple:
     return PolyTuple(lam, dict(zip(pos, vec)))
 
 
-def random_free_coefficients(lam: Partition, rng, size=()) -> np.ndarray:
-    """Free-coefficient vectors of shape size + (n,): real parts, then
-    imaginary parts, standard normal.  A stack of them reads the generator
-    exactly as that many random_poly_tuple draws in turn."""
-    shape = np.broadcast_shapes(size) + (2, len(free_positions(lam)))
-    v = rng.standard_normal(shape)
-    return v[..., 0, :] + 1j * v[..., 1, :]
-
-
 def random_poly_tuple(lam: Partition, rng) -> PolyTuple:
-    return poly_tuple_from_vector(lam, random_free_coefficients(lam, rng))
+    """Free coefficients with standard normal real parts, then imaginary
+    parts."""
+    n = len(free_positions(lam))
+    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return poly_tuple_from_vector(lam, vec)
 
 
 @dataclass(eq=False)
@@ -404,48 +405,25 @@ def fundamental_operator(lam: Partition, x: PolyTuple) -> DiffOpCoeffs:
     return DiffOpCoeffs(lam.n, np.tensordot(terms, coef, axes=1))
 
 
-@lru_cache(maxsize=None)
-def _fla_sides(lam: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fixed parts of lam's diagonal identity, read-only: the diagonal
-    P_ii of each term of the operator table, the tails prod_{j>i}(s+j) as
-    rows padded to degree n, and the right side prod_j (s - lambda_j + j)."""
-    n = lam.n
-    coef, _ = _operator_expansion(lam)
-    diag = np.arange(n + 1)
-    tails = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(n + 1):
-        tail = pa.from_roots([-float(j) for j in range(i + 1, n + 1)])
-        tails[i, : len(tail)] = tail
-    parts = lam.padded(n)
-    rhs = pa.from_roots([parts[j - 1] - j for j in range(1, n + 1)])
-    sides = (coef[:, diag, diag], tails, rhs)
-    for arr in sides:
-        arr.setflags(write=False)  # cached: shared by every caller
-    return sides
-
-
-def fla_residual(lam: Partition, x):
+def fla_residual(lam: Partition, x: PolyTuple) -> float:
     """Deviation in sum_{i>=0} P_ii prod_{j>i}(s+j) = prod_j (s - lambda_j + j).
 
-    x is a PolyTuple, or free-coefficient vectors of shape (..., n), one
-    residual per row.  The diagonals P_ii of the whole stack come from one
-    contraction of the term products with the cached operator table, and
-    are summed against the cached tails in order of i.
-
-    The sum starts at i = 0, where P_00 = 1.  The residual is the largest
-    coefficient mismatch in s.  It depends only on the partition: every
-    x-dependent term of the operator table has an exactly zero diagonal,
-    so this measures the table's constant term and the float arithmetic.
+    The diagonal of fundamental_operator(lam, x) is summed in nested form,
+    (...(P_00 (s+1) + P_11)(s+2) + ...)(s+n) + P_nn, with P_00 = 1, and the
+    residual is the largest coefficient mismatch in s.  Every x-dependent
+    term of the operator table has an exactly zero diagonal, so the value
+    depends only on the partition: one tuple checks the table's constant
+    term and the float arithmetic.
     """
-    _, support = _operator_expansion(lam)
-    diag_coef, tails, rhs = _fla_sides(lam)
-    vec = x.vector() if isinstance(x, PolyTuple) else np.asarray(x, dtype=complex)
-    terms = np.where(support, vec[..., None, :], 1.0).prod(axis=-1)
-    diag = terms @ diag_coef
-    lhs = np.zeros(diag.shape, dtype=complex)
-    for i in range(lam.n + 1):
-        lhs += diag[..., i, None] * tails[i]
-    return np.abs(lhs - rhs).max(axis=-1)[()]
+    n = lam.n
+    diag = np.diagonal(fundamental_operator(lam, x).P)
+    lhs = diag[:1]
+    for i in range(1, n + 1):
+        lhs = np.append(0.0, lhs) + np.append(i * lhs, 0.0)  # times (s + i)
+        lhs[0] += diag[i]
+    parts = lam.padded(n)
+    rhs = pa.from_roots([parts[j - 1] - j for j in range(1, n + 1)])
+    return float(np.abs(lhs - rhs).max())
 
 
 def _momenta_from_operator(
@@ -492,24 +470,20 @@ def psi(lam: Partition, x: PolyTuple) -> SpectralPoint:
 
 def bivariate_identity_residual(lam: Partition, x: PolyTuple, seed: int = 0) -> float:
     """Check det((u - Z)(v - Q) - 1) = sum_ij P_ij u^(n-j) v^(n-i) on a
-    random grid, with (Z, Q) built from the spectral data of the tuple."""
+    random grid, with (Z, Q) built from the spectral data of the tuple.
+
+    Both sides take the whole grid in one call: one stacked determinant and
+    one polygrid2d.  The residual is the largest mismatch over the larger
+    of 1 and the largest |det|."""
     sp = psi(lam, x)
-    point = xi(sp.z, sp.p)
     op = fundamental_operator(lam, x)
     rng = np.random.default_rng(seed)
     us = rng.standard_normal(BIVARIATE_GRID) + 1j * rng.standard_normal(BIVARIATE_GRID)
     vs = rng.standard_normal(BIVARIATE_GRID) + 1j * rng.standard_normal(BIVARIATE_GRID)
+    lhs = bivariate_char(xi(sp.z, sp.p), us[:, None], vs)
     # C[a, b] = coefficient of u^a v^b
-    C = op.P[::-1, ::-1].T
-    worst = 0.0
-    scale = 1.0
-    for u in us:
-        for v in vs:
-            lhs = bivariate_char(point, u, v)
-            rhs = complex(npp.polyval2d(u, v, C))
-            worst = max(worst, abs(lhs - rhs))
-            scale = max(scale, abs(lhs))
-    return worst / scale
+    rhs = npp.polygrid2d(us, vs, op.P[::-1, ::-1].T)
+    return float(np.abs(lhs - rhs).max() / max(1.0, np.abs(lhs).max()))
 
 
 @lru_cache(maxsize=None)

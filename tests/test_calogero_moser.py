@@ -240,6 +240,29 @@ def test_stacked_calls_equal_per_point_calls_bit_for_bit(n):
         assert abs(h[row] - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_bivariate_char_grid_equals_pointwise_calls_bit_for_bit(n):
+    z, p = _stack(n, 6, n)
+    rng = np.random.default_rng(n)
+    us = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    vs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    one = xi(z[0], p[0])
+    grid = bivariate_char(one, us[:, None], vs)
+    assert grid.shape == (5, 4)
+    for a, u in enumerate(us):
+        for b, v in enumerate(vs):
+            assert grid[a, b] == bivariate_char(one, u, v)
+            ref = np.linalg.det(
+                np.diag(u - one.Z) @ (v * np.eye(n) - one.Q) - np.eye(n)
+            )
+            assert abs(grid[a, b] - ref) <= 1e-12 * max(1.0, abs(ref))
+    # a stack of points at one (u, v): one value per row
+    rows = bivariate_char(xi(z, p), us[0], vs[0])
+    assert rows.shape == (6,)
+    for row in range(6):
+        assert rows[row] == bivariate_char(xi(z[row], p[row]), us[0], vs[0])
+
+
 def test_stack_with_one_near_collision_row_is_rejected():
     z, p = _stack(4, 10, 0)
     z[7, 2] = z[7, 0] + 1e-10

@@ -278,14 +278,8 @@ def test_nan_first_integrals_fail_l0_membership(monkeypatch):
     assert math.isnan(json.loads(body)["max_scaled_residual"])
 
 
-def _stacked_fla(value):
-    """fla_residual's stand-in: the check passes each partition's 100
-    tuples as one stack of free-coefficient vectors, one residual each."""
-    return lambda lam, x: np.full(np.shape(x)[:-1], value)
-
-
 def test_nan_fla_residual_fails_operator_identities(monkeypatch):
-    monkeypatch.setattr(wr, "fla_residual", _stacked_fla(np.nan))
+    monkeypatch.setattr(wr, "fla_residual", lambda lam, x: np.nan)
     rep = run_suite(VerificationConfig(suites=("identities",)))
     rec = {r.check: r for r in rep.records}["operator-identities"]
     assert rec.passed is False and rec.error is None
@@ -300,7 +294,7 @@ def test_nan_fla_residual_fails_operator_identities(monkeypatch):
 def test_a_residual_at_its_bound_passes_and_one_past_it_fails(
     monkeypatch, value, passed
 ):
-    monkeypatch.setattr(wr, "fla_residual", _stacked_fla(value))
+    monkeypatch.setattr(wr, "fla_residual", lambda lam, x: value)
     rec = harness.check_operator_identities(VerificationConfig())
     assert rec.residuals["max_fla_residual"] == value
     assert rec.passed is passed
@@ -341,11 +335,11 @@ def _reference_structural_draws(rng):
 
 
 def _reference_operator_draws(rng):
-    """The draws of operator-identities as one random_poly_tuple per tuple."""
+    """The draws of operator-identities: one tuple per partition for the
+    diagonal and annihilation identities, then the bivariate trials."""
     for n in range(1, 6):
         for lam in harness.enumerate_partitions(n, n):
-            for _ in range(101):
-                wr.random_poly_tuple(lam, rng)
+            wr.random_poly_tuple(lam, rng)
     for n in range(2, 5):
         for lam in harness.enumerate_partitions(n, n):
             done = 0
@@ -395,6 +389,38 @@ def test_rejected_gradient_trials_skip_their_draws_as_a_per_trial_loop(monkeypat
     _reference_structural_draws(ref_rng)
     assert body_rng.bit_generator.state == ref_rng.bit_generator.state
     assert 0 < len(res["max_gradient_fd_mismatch"]) < 150
+
+
+def test_operator_identities_evaluate_the_diagonal_identity_once_per_partition(
+    monkeypatch,
+):
+    calls = []
+    real = wr.fla_residual
+
+    def counted(lam, x):
+        assert isinstance(x, wr.PolyTuple)  # one tuple, not a stack
+        calls.append(lam.trimmed)
+        return real(lam, x)
+
+    monkeypatch.setattr(wr, "fla_residual", counted)
+    rec = harness.check_operator_identities(VerificationConfig())
+    every = [
+        lam.trimmed for n in range(1, 6) for lam in harness.enumerate_partitions(n, n)
+    ]
+    assert calls == every and len(calls) == 18
+    assert rec.passed and rec.residuals["max_fla_residual"] == 0.0
+
+
+@pytest.mark.parametrize("gradient", ["grad_z", "grad_t_q"])
+def test_a_starved_gradient_check_fails(monkeypatch, gradient):
+    # every trial leaves the domain, so no gradient is ever compared
+    def outside(*args):
+        raise ValueError("argument collision inside the master function domain")
+
+    monkeypatch.setattr(mf, gradient, outside)
+    rec = harness.check_structural_invariants(VerificationConfig())
+    assert rec.counts["gradient_trials"] == 0
+    assert rec.passed is False
 
 
 def test_every_reported_residual_has_a_declared_bound():
@@ -497,8 +523,8 @@ PINNED_RECORDS = {
         {"partition_sets": "n <= 5 (diagonal), n <= 4 (bivariate)"},
         {
             "max_fla_residual": "0x0.0p+0",
-            "max_bivariate_residual": "0x1.8b853193429f1p-47",
-            "max_annihilation_residual": "0x1.0576aa60890bdp-52",
+            "max_bivariate_residual": "0x1.d5f3b374d9322p-48",
+            "max_annihilation_residual": "0x1.dab6bdb22968cp-53",
         },
     ),
     (2024, "structural-invariants"): (
@@ -672,6 +698,10 @@ def test_config_rejects_empty_sweeps():
         VerificationConfig(trials=0)
     with pytest.raises(ValueError, match="n_max"):
         VerificationConfig(n_max=1)
+    # an empty suite list would pass with no records
+    for suites in [(), ("nope",), ("l0", "nope")]:
+        with pytest.raises(ValueError, match="^suites must be one or more of l0, lq, "):
+            VerificationConfig(suites=suites)
 
 
 def test_suite_names_cover_registry():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cmkz import wronski as wr
 from cmkz.calogero_moser import l0_residual, lq_residual
 from cmkz.harness import FIBER_CASES, match_points
 from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension, shifted
@@ -30,7 +31,6 @@ from cmkz.wronski import (
     poly_tuple_from_vector,
     psi,
     psi_q,
-    random_free_coefficients,
     random_poly_tuple,
     wronski_fiber,
     wronski_fiber_q,
@@ -172,26 +172,28 @@ def _fla_from_operator(lam, x):
     return float(np.abs(padd(lhs, -rhs)).max())
 
 
-def test_stacked_fla_residual_equals_per_tuple_calls():
+def test_fla_residual_equals_the_operator_reference():
     rng = np.random.default_rng(4)
-    for n in range(1, 6):
+    for n in range(1, 8):
         for lam in enumerate_partitions(n, n):
-            vecs = random_free_coefficients(lam, rng, (30,))
-            stacked = fla_residual(lam, vecs)
-            assert stacked.shape == (30,)
-            for vec, r in zip(vecs, stacked):
-                x = poly_tuple_from_vector(lam, vec)
-                assert r == fla_residual(lam, x) == _fla_from_operator(lam, x)
-            assert fla_residual(lam, vecs[None, :3]).shape == (1, 3)
+            for _ in range(3):
+                x = random_poly_tuple(lam, rng)
+                assert fla_residual(lam, x) == _fla_from_operator(lam, x) == 0.0
 
 
-def test_stacked_draw_reads_the_generator_as_successive_tuples():
-    lam = Partition((2, 1, 1))
-    a, b = np.random.default_rng(9), np.random.default_rng(9)
-    stack = random_free_coefficients(lam, a, (7,))
-    singles = [random_poly_tuple(lam, b).vector() for _ in range(7)]
-    assert np.array_equal(stack, np.array(singles))
-    assert a.bit_generator.state == b.bit_generator.state
+def test_fla_residual_sees_a_wrong_diagonal(monkeypatch):
+    lam = Partition((3, 1, 1))
+    x = random_poly_tuple(lam, np.random.default_rng(5))
+    real = wr.fundamental_operator
+
+    def moved(lam, x):
+        op = real(lam, x)
+        op.P[2, 2] += 1e-3
+        return op
+
+    monkeypatch.setattr(wr, "fundamental_operator", moved)
+    # P_22 enters times (s+3)(s+4)(s+5), whose largest coefficient is 60
+    assert fla_residual(lam, x) == pytest.approx(0.06, rel=1e-12)
 
 
 def test_cached_free_positions_equal_a_fresh_computation():
@@ -399,6 +401,9 @@ def _fraction_poly_from_roots(roots):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_fla_identity_is_exact_on_the_operator_table(n):
+    # every term that depends on x has a zero diagonal, and the constant
+    # term meets the identity in Fractions: the float residual depends only
+    # on the partition, so one tuple per partition checks it
     for lam in enumerate_partitions(n, n):
         terms = _exact_operator_terms(lam)
         constant = [C for T, C in terms if not T]
