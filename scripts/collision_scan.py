@@ -11,9 +11,12 @@ import argparse
 
 import numpy as np
 
-from cmkz.harness import Q_SCALES, collision_study
+from cmkz.harness import collision_study
 from cmkz.partitions import enumerate_partitions, irrep_dimension
 from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
+
+# q = s * q0 scales of the sweep; the cluster table is taken at the smallest
+Q_SCALES = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 def main() -> int:
@@ -43,7 +46,7 @@ def main() -> int:
         )
         print(f"{s:10.1e}  {worst:26.3e}")
 
-    report = collision_study(n, q0, scales=args.scales, seed=args.seed)
+    report = collision_study(n, q0, s=min(args.scales), seed=args.seed)
     print(f"\nresolved: {report.resolved}")
     print(f"{'cluster size':>12}  {'partition':>12}  {'eig dim':>8}  {'match dist':>12}")
     for c in report.clusters:

@@ -71,9 +71,7 @@ TOL = Tolerances()  # the bounds every check reads
 # l0 cases past the full sweep n = 2..n_max, as (n, max parts); an entry
 # with n <= n_max is already in the sweep and is dropped
 EXTRA_L0_CASES = ((5, 3),)
-# q = s * q0 scales of the collision check
-Q_SCALES = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-# single-linkage cutoff CUTOFF_COEFF * s**CUTOFF_EXPONENT at the smallest s
+# single-linkage cutoff CUTOFF_COEFF * s**CUTOFF_EXPONENT at the scale s
 CUTOFF_COEFF = 10.0
 CUTOFF_EXPONENT = 0.5
 
@@ -174,7 +172,7 @@ class CollisionReport:
     n: int
     z: np.ndarray
     q_direction: np.ndarray
-    scales: tuple[float, ...]
+    s: float
     clusters: list[ClusterRecord]
     resolved: bool
     per_lambda_sizes: dict[tuple[int, ...], list[int]]
@@ -184,7 +182,7 @@ class CollisionReport:
             "n": self.n,
             "z": pair_list(self.z),
             "q_direction": pair_list(self.q_direction),
-            "scales": list(self.scales),
+            "s": self.s,
             "clusters": [c.as_dict() for c in self.clusters],
             "resolved": self.resolved,
             "per_lambda_sizes": {
@@ -194,12 +192,11 @@ class CollisionReport:
 
 
 def collision_study(
-    n: int, q_direction, scales=Q_SCALES, seed: int = 0
+    n: int, q_direction, s: float = 1e-6, seed: int = 0
 ) -> CollisionReport:
-    """Follow the joint spectrum of H_a(z, s*q0) to the smallest s in scales.
+    """The joint spectrum of H_a(z, s*q0) near its q = 0 limit.
 
-    Only that scale is solved; the report lists every scale.  Its n!
-    tuples are clustered by single linkage with cutoff
+    Its n! tuples are clustered by single linkage with cutoff
     CUTOFF_COEFF * s^CUTOFF_EXPONENT (square-root splitting is the generic
     branching rate), and the cluster centroids are matched against the
     per-partition spectra at q = 0 by match_points within
@@ -215,7 +212,6 @@ def collision_study(
     if len(q0) != n:
         raise ValueError(f"q_direction must have {n} entries")
     require_distinct(q0, 1e-12, "q_direction entries")
-    scales = tuple(scales)
     rng = np.random.default_rng(seed)
     z = sample_generic_z(n, rng)
 
@@ -224,9 +220,8 @@ def collision_study(
         for sp in spectral_points(lam, z, seed=seed + 1):
             reference.append((lam, sp.p))
 
-    s_min = min(scales)
-    final = [sp.p for sp in generalized_spectrum(z, s_min * q0, seed=seed + 2)]
-    cutoff = CUTOFF_COEFF * s_min**CUTOFF_EXPONENT
+    final = [sp.p for sp in generalized_spectrum(z, s * q0, seed=seed + 2)]
+    cutoff = CUTOFF_COEFF * s**CUTOFF_EXPONENT
     # single linkage: the components of the graph max_a |p_i - p_j|_a <= cutoff,
     # labelled in order of their smallest member
     P = np.array(final)
@@ -256,7 +251,7 @@ def collision_study(
             ClusterRecord(centroid, len(group), lam_match, float(dist), dim)
         )
     clusters.sort(key=lambda c: lex_key(c.centroid))
-    return CollisionReport(n, z, q0, scales, clusters, resolved, per_lambda)
+    return CollisionReport(n, z, q0, s, clusters, resolved, per_lambda)
 
 
 # ---------------------------------------------------------------------------

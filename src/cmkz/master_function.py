@@ -22,8 +22,8 @@ of master functions and flag varieties"): for a tuple (f_1, ..., f_n) in
 the fiber over prod_a (u - z_a), the level-a roots are the roots of the
 tail Wronskian Wr(f_{a+1}, ..., f_n), polynomial tuples for lam and
 quasi-exponentials e^(q_i u)(u + c_i) for the deformed case.  So the
-d_lambda fiber points give the d_lambda critical points, and Newton on
-dPhi/dt only polishes them.
+d_lambda fiber points give the d_lambda critical points, and plain
+Newton on dPhi/dt (full steps, newton.stacked_newton) only polishes them.
 
 Phi itself is defined modulo 2*pi*i.  The value and dPhi/dz below are
 plain loops, kept apart from _pole_table as finite-difference references;
@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import polyalg as pa
-from .newton import damped_newton
+from .newton import stacked_newton
 from .partitions import Partition, bethe_levels
 from .polyalg import is_new_point, lex_key, lexsorted, min_gap, require_distinct
 from .serialize import pair_list
@@ -350,7 +350,7 @@ def _critical_points(z, sizes, linear, q1, tol, fiber):
 
     ``fiber()`` solves the fiber and returns each tuple's functions; it is
     not called when there are no levels.  Each population is polished by
-    damped Newton on dPhi/dt, all of them as one stack.  Configurations
+    stacked_newton on dPhi/dt, all of them as one stack.  Configurations
     are deduplicated on their level polynomials with is_new_point, so no
     two returned points are one configuration in another root order.  Each
     level is sorted by (re, im), and the points come back in (re, im)
@@ -369,7 +369,7 @@ def _critical_points(z, sizes, linear, q1, tol, fiber):
         return _hess_t_raw(z, sizes, t)
 
     found, keys = [], []
-    for t in damped_newton(grad, hess, np.stack(starts), tol, 60, polish=2):
+    for t in stacked_newton(grad, hess, np.stack(starts), tol, 60, polish=2):
         if t is None:
             continue
         tl = tuple(lexsorted(tk) for tk in _split(t, sizes))

@@ -1,19 +1,20 @@
-"""The two solver kernels behind the Bethe and Wronski routes: a
-backtracking damped Newton iteration over a stack of starts and a seeded
-multistart loop that collects distinct roots.
+"""The two solver kernels behind the Bethe and Wronski routes: a plain
+Newton iteration over a stack of starts and a seeded multistart loop that
+collects distinct roots.
 
 Both kernels are policy only.  Callers supply the residual, the Jacobian,
 the start generator and every constant (tolerances, iteration caps,
 start budget, polish steps), so each route keeps its own numerics.  The
 Wronski fibers run both; the Bethe routes polish fiber populations with
-damped Newton alone.  Residual and Jacobian are vectorised over a leading
-axis: given a stack X of shape (B, l), ``residual(X)`` returns ``(F, norm)``
+Newton alone.  Residual and Jacobian are vectorised over a leading axis:
+given a stack X of shape (B, l), ``residual(X)`` returns ``(F, norm)``
 row by row, with norm = inf for a point outside the domain, and
 ``jacobian(X)`` returns the (B, l, l) stack of Jacobians.  Row k of
 either must equal the value at X[k] alone, bit for bit, so a start
 follows the same iterates whatever stack it is solved in.  Newton runs
-every start of a stack in lockstep, one residual call per step for all
-of them, and multistart hands it its starts in growing chunks.
+every start of a stack in lockstep, one Jacobian and one residual call
+per step for all of them, and multistart hands it its starts in growing
+chunks.
 """
 
 from __future__ import annotations
@@ -22,56 +23,46 @@ import numpy as np
 
 from .polyalg import is_new_point, lex_key
 
-# the step lengths a line search tries after the full step: every halving
-# above 1e-12, 2^-1 ... 2^-39, in one stacked residual call
-_HALVINGS = 0.5 ** np.arange(1, 40)
 
-
-def _passes(norm, fn, alpha, tol):
-    """The step test: the norm falls by the factor 1 - alpha/4 or reaches tol."""
-    return (norm < fn * (1.0 - 0.25 * alpha)) | (norm <= tol)
-
-
-def _newton_steps(J, F):
-    """Newton steps J^-1 F row by row, and the mask of the rows that have one
-    (None when all do).
+def _newton_steps(residual, jacobian, X, F):
+    """One full Newton step per row: the iterates X - J^-1 F, their residual
+    and norm, and the mask of the rows that have a step.
 
     np.linalg.solve raises on a stack when any one matrix is singular; that
     stack is then solved row by row, and a singular row gets no step.
     """
+    J = jacobian(X)
+    solved = np.ones(len(F), dtype=bool)
     try:
-        return np.linalg.solve(J, F[..., None])[..., 0], None
+        step = np.linalg.solve(J, F[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        steps = np.zeros(F.shape, dtype=np.result_type(J, F))
-        ok = np.ones(len(F), dtype=bool)
+        step = np.zeros(F.shape, dtype=np.result_type(J, F))
         for r in range(len(F)):
             try:
-                steps[r] = np.linalg.solve(J[r], F[r])
+                step[r] = np.linalg.solve(J[r], F[r])
             except np.linalg.LinAlgError:
-                ok[r] = False
-        return steps, ok
+                solved[r] = False
+    X = X - step
+    return (X, *residual(X), solved)
 
 
 def _take(mask, *arrays):
     return tuple(a[mask] for a in arrays)
 
 
-def damped_newton(residual, jacobian, X0, tol, max_iter, polish=0) -> list:
-    """Damped Newton from each row of X0, shape (B, l); one root or None per row.
+def stacked_newton(residual, jacobian, X0, tol, max_iter, polish=0) -> list:
+    """Newton from each row of X0, shape (B, l); one root or None per row.
 
     ``residual(X)`` returns ``(F, norm)`` row by row, with norm the sup
-    norm the step test uses, or inf when a row lies outside the domain;
-    such a start gives None.  Every row runs the same loop.  A step of
-    length alpha is taken when the norm falls by the factor 1 - alpha/4
-    or reaches tol.  The full step is tried first, for all live rows in
-    one call; the rows it fails evaluate the halvings alpha = 2^-1 ...
-    2^-39 as one stack and take the longest that passes, the step a
-    sequential halving would take; a row with none stalls and gives None,
-    as does a singular Jacobian.  A row whose norm is at most tol leaves
-    the loop; at the end such rows get, as one stack, up to ``polish``
-    undamped steps each, while the steps keep lowering the norm.  A row
-    still in the loop after max_iter steps returns its iterate only when
-    its last step took the norm to tol.
+    norm of F, or inf when a row lies outside the domain.  Every live row
+    takes the full step X - J^-1 F, all of them in one residual call.  A
+    row ends with None when its norm is not finite (inf outside the
+    domain, NaN after overflow), at its start or after a step, or when its
+    Jacobian is singular.  A row whose norm is at most tol leaves the
+    loop; at the end such rows get, as one stack, up to ``polish`` further
+    steps each, while the steps keep lowering the norm.  A row still in
+    the loop after max_iter steps returns its iterate only when its last
+    step took the norm to tol.
     """
     X0 = np.asarray(X0)
     out = [None] * len(X0)
@@ -81,7 +72,7 @@ def damped_newton(residual, jacobian, X0, tol, max_iter, polish=0) -> list:
             out[r] = x
 
     F, fn = residual(X0)
-    rows = (fn != np.inf).nonzero()[0]  # indices into X0 of the live rows
+    rows = np.isfinite(fn).nonzero()[0]  # indices into X0 of the live rows
     X, F, fn = X0[rows], F[rows], fn[rows]
     tails = []  # (rows, X, F, fn) of the rows that reached tol
     for _ in range(max_iter):
@@ -91,27 +82,8 @@ def damped_newton(residual, jacobian, X0, tol, max_iter, polish=0) -> list:
             rows, X, F, fn = _take(~stop, rows, X, F, fn)
         if not len(rows):
             break
-        step, solved = _newton_steps(jacobian(X), F)
-        if solved is not None:
-            rows, X, F, fn, step = _take(solved, rows, X, F, fn, step)
-            if not len(rows):
-                break
-        cand = X - step
-        cand_F, cand_fn = residual(cand)
-        miss = (~_passes(cand_fn, fn, 1.0, tol)).nonzero()[0]
-        if len(miss):
-            trials = X[miss, None] - _HALVINGS[:, None] * step[miss, None]
-            Fs, norms = residual(trials)
-            ok = _passes(norms, fn[miss, None], _HALVINGS, tol)
-            took = np.arange(len(miss)), ok.argmax(axis=1)  # the longest passing
-            cand[miss], cand_F[miss] = trials[took], Fs[took]
-            cand_fn[miss] = norms[took]
-            stall = ~ok.any(axis=1)
-            if stall.any():
-                moving = np.ones(len(rows), dtype=bool)
-                moving[miss[stall]] = False
-                rows, cand, cand_F, cand_fn = _take(moving, rows, cand, cand_F, cand_fn)
-        X, F, fn = cand, cand_F, cand_fn
+        X, F, fn, solved = _newton_steps(residual, jacobian, X, F)
+        rows, X, F, fn = _take(solved & np.isfinite(fn), rows, X, F, fn)
     keep(*_take(fn <= tol, rows, X))
 
     if not tails:
@@ -121,16 +93,10 @@ def damped_newton(residual, jacobian, X0, tol, max_iter, polish=0) -> list:
     for _ in range(polish):
         if not len(rows):
             break
-        step, solved = _newton_steps(jacobian(X), F)
-        cand = X - step
-        cand_F, cand_fn = residual(cand)
-        stop = cand_fn >= fn
-        if solved is not None:
-            stop |= ~solved
-        if stop.any():
-            keep(*_take(stop, rows, X))
-            rows, cand, cand_F, cand_fn = _take(~stop, rows, cand, cand_F, cand_fn)
-        X, F, fn = cand, cand_F, cand_fn
+        cand, cand_F, cand_fn, solved = _newton_steps(residual, jacobian, X, F)
+        go = solved & (cand_fn < fn)
+        keep(*_take(~go, rows, X))
+        rows, X, F, fn = _take(go, rows, cand, cand_F, cand_fn)
     keep(rows, X)
     return out
 

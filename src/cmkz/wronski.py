@@ -35,8 +35,8 @@ the exponential and Vandermonde-of-q prefactors stripped; their operator
 has full (n+1) x (n+1) coefficient support and is built from poly_det
 minors.  Their Wronski map is multi-affine in the shifts c as well, and
 wronski_fiber_q solves it from a table of principal minors built per q,
-through the same Newton and multistart core as wronski_fiber;
-wronski_map_q stays on poly_det.
+through the same multistart and plain stacked Newton (full steps) as
+wronski_fiber; wronski_map_q stays on poly_det.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy.polynomial.polynomial as npp
 
 from . import polyalg as pa
 from .calogero_moser import bivariate_char, xi
-from .newton import damped_newton, multistart
+from .newton import multistart, stacked_newton
 from .partitions import Partition, irrep_dimension, shifted
 from .polyalg import ExpPoly
 from .serialize import pair, pair_matrix
@@ -278,16 +278,8 @@ class DiffOpCoeffs:
     def annihilation_residual(self, f) -> float:
         """max |D f| coefficient over the scale of the summed terms."""
         n = self.n
-        if isinstance(f, ExpPoly):
-            _, rows = _derivative_rows([f], n + 1)
-            terms = [
-                pa.pmul(self.coefficient_poly(i), rows[0][n - i]) for i in range(n + 1)
-            ]
-        else:
-            terms = [
-                pa.pmul(self.coefficient_poly(i), pa.pder(pa.as_poly(f), n - i))
-                for i in range(n + 1)
-            ]
+        _, [derivs] = _derivative_rows([f], n + 1)
+        terms = [pa.pmul(self.coefficient_poly(i), derivs[n - i]) for i in range(n + 1)]
         scale = max(max(np.abs(t).max() for t in terms), 1.0)
         acc = np.zeros(1, dtype=complex)
         for t in terms:
@@ -548,12 +540,12 @@ def _expanded_w(coef, support, vec, jac: bool = False):
 def _fiber(coef, support, sigma_target, tol, seed, expected) -> list[np.ndarray]:
     """The free coefficients of all tuples whose table W equals the target.
 
-    Seeded multistart Newton, with residual and Jacobian from the table,
-    two small matrix products per call.  The search stops at the expected
-    count or after WRONSKI_BUDGET starts; an undercount is the caller's
-    signal.  The distinct roots then get, as one stack, up to two undamped
-    polish steps each, which take their W residual from the loose
-    tolerance to roundoff.
+    Seeded multistart of stacked_newton, full Newton steps with residual
+    and Jacobian from the table, two small matrix products per call.  The
+    search stops at the expected count or after WRONSKI_BUDGET starts; an
+    undercount is the caller's signal.  The distinct roots then get, as
+    one stack, up to two polish steps each, which take their W residual
+    from the loose tolerance to roundoff.
     """
     n = support.shape[1]
     sigma = np.asarray(sigma_target, dtype=complex).ravel()
@@ -574,7 +566,7 @@ def _fiber(coef, support, sigma_target, tol, seed, expected) -> list[np.ndarray]
         return 2.0 * scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
     def solve(V0, polish=0):
-        return damped_newton(residual, jacobian, V0, tol, 60, polish=polish)
+        return stacked_newton(residual, jacobian, V0, tol, 60, polish=polish)
 
     roots = multistart(draw, solve, WRONSKI_BUDGET, expected)
     if not roots:

@@ -142,7 +142,7 @@ def test_collision_study_unresolved_when_the_clusters_miss_the_limits():
     # at s = 1e-3 the first-order drift keeps every centroid about 2.36e-4
     # from its limit, past TOL.collision_match
     q0 = np.array([1.0 + 0.3j, -0.7 + 0.1j, 0.2 - 0.9j])
-    rep = collision_study(3, q0, scales=(1e-3,), seed=5)
+    rep = collision_study(3, q0, s=1e-3, seed=5)
     assert not rep.resolved
     assert [c.size for c in rep.clusters] == [2, 1, 1, 2]
     assert rep.per_lambda_sizes == {}
@@ -154,7 +154,7 @@ def test_collision_study_unresolved_when_the_clusters_miss_the_limits():
 
 def test_collision_study_unresolved_when_every_tuple_is_one_cluster():
     q0 = np.array([1.0 + 0.3j, -0.7 + 0.1j, 0.2 - 0.9j])
-    rep = collision_study(3, q0, scales=(1.0,), seed=5)
+    rep = collision_study(3, q0, s=1.0, seed=5)
     assert not rep.resolved
     assert [c.size for c in rep.clusters] == [6]
     (c,) = rep.clusters
@@ -172,9 +172,9 @@ def test_collision_study_solves_only_the_smallest_scale(monkeypatch):
 
     monkeypatch.setattr(harness, "generalized_spectrum", spy)
     q0 = np.array([1.0, -0.5 + 0.4j])
-    rep = collision_study(2, q0, scales=(1.0, 1e-3, 1e-6), seed=3)
-    assert rep.scales == (1.0, 1e-3, 1e-6)
-    assert solved == [pytest.approx(1e-6 * np.abs(q0).max())]
+    rep = collision_study(2, q0, s=1e-3, seed=3)
+    assert rep.s == 1e-3 and rep.as_dict()["s"] == 1e-3
+    assert solved == [pytest.approx(1e-3 * np.abs(q0).max())]
 
 
 def test_collision_study_validates_input():
@@ -560,7 +560,7 @@ PINNED_RECORDS = {
         True,
         _FIBER_COUNTS,
         {
-            "max_w_residual": "0x1.0000000000000p-51",
+            "max_w_residual": "0x1.00f18e09a1879p-51",
             "tolerance": "0x1.12e0be826d695p-30",
         },
     ),

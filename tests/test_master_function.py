@@ -500,17 +500,17 @@ BETHE_Q_PINS = {
         ),
         (
             "-0x1.ccd716ede34f9p-1 -0x1.15b72537907bfp+1",
-            "0x1.d1a97074d5800p-1 0x1.a0497b45c9ea3p-6",
-            "-0x1.5ffcd36bf100dp+0 -0x1.0de14249fc3abp+1",
+            "0x1.d1a97074d5800p-1 0x1.a0497b45c9ea1p-6",
+            "-0x1.5ffcd36bf100cp+0 -0x1.0de14249fc3abp+1",
         ),
         (
-            "-0x1.567568ccff003p-4 -0x1.01121869dbd03p+1",
-            "-0x1.4b35f017cf1ebp-9 -0x1.646547e75cbb6p-1",
-            "-0x1.0b90663565bcfp-1 -0x1.d608ba62d24b0p+0",
+            "-0x1.567568ccff013p-4 -0x1.01121869dbd04p+1",
+            "-0x1.4b35f017cf1a8p-9 -0x1.646547e75cbb6p-1",
+            "-0x1.0b90663565bd1p-1 -0x1.d608ba62d24b1p+0",
         ),
         (
-            "0x1.283bcfdfd1072p-4 -0x1.954fd2d690edap-1",
-            "0x1.8f6977e070bd4p-1 -0x1.b82d4844bbbe9p-8",
+            "0x1.283bcfdfd1074p-4 -0x1.954fd2d690edap-1",
+            "0x1.8f6977e070bd4p-1 -0x1.b82d4844bbbecp-8",
             "0x1.ea1aac96c4c54p-2 -0x1.cc7ad84727b78p-4",
         ),
         (

@@ -569,12 +569,12 @@ FIBER_PINS = {
     ],
     (2, 1): [
         (
-            "-0x1.87ebe418f915fp+1 -0x1.8605aa88df93ap-1",
+            "-0x1.87ebe418f915fp+1 -0x1.8605aa88df93bp-1",
             "-0x1.6a5eee7aa3444p+0 -0x1.1a931531f6c56p+2",
-            "0x1.fd03675701a0dp-4 0x1.4cc43b4e55a11p-1",
+            "0x1.fd03675701a0fp-4 0x1.4cc43b4e55a10p-1",
         ),
         (
-            "0x1.fd03675701a0fp-3 0x1.4cc43b4e55a11p+0",
+            "0x1.fd03675701a0bp-3 0x1.4cc43b4e55a10p+0",
             "-0x1.6a5eee7aa3444p+0 -0x1.1a931531f6c56p+2",
             "-0x1.87ebe418f915fp+0 -0x1.8605aa88df93ap-2",
         ),
@@ -597,15 +597,15 @@ FIBER_PINS = {
     (3, 1): [
         (
             "-0x1.578aeead01325p+1 -0x1.e3cec8b845048p+0",
-            "0x1.74a19f7802e5cp+0 0x1.19cdf1fdcd20ap+2",
+            "0x1.74a19f7802e5ep+0 0x1.19cdf1fdcd20ap+2",
             "-0x1.7994661dead75p+2 0x1.10cd65559ec49p+1",
-            "0x1.3cbb14d1bca7fp-1 0x1.b26a224aa62afp+0",
+            "0x1.3cbb14d1bca7ep-1 0x1.b26a224aa62afp+0",
         ),
         (
-            "-0x1.fca40fe39a6d8p-1 0x1.e54724369465cp-1",
-            "0x1.d393df68621afp-2 -0x1.553911cafd8dcp+2",
+            "-0x1.fca40fe39a6d8p-1 0x1.e547243694658p-1",
+            "0x1.d393df68621c2p-2 -0x1.553911cafd8ddp+2",
             "-0x1.7994661dead75p+2 0x1.10cd65559ec49p+1",
-            "-0x1.12664aff56d9ep+0 -0x1.24083888e90c6p+0",
+            "-0x1.12664aff56d9ep+0 -0x1.24083888e90c5p+0",
         ),
         (
             "-0x1.d0230259e217dp-2 0x1.1cc3d3837a3d3p-1",
@@ -616,10 +616,10 @@ FIBER_PINS = {
     ],
     (2, 2): [
         (
-            "0x1.b36bb8185d12ap-2 -0x1.4e9c16a2da67cp-1",
+            "0x1.b36bb8185d128p-2 -0x1.4e9c16a2da67cp-1",
             "-0x1.40a01b93a1ad2p-3 0x1.8db1403f4680cp+0",
             "-0x1.d3a92d5b8936ap-2 0x1.9f4b3353113aap-1",
-            "-0x1.89b967d65fd00p-2 -0x1.08935d79fac6dp-2",
+            "-0x1.89b967d65fd02p-2 -0x1.08935d79fac6ep-2",
         ),
         (
             "0x1.481a8132a52d6p-1 0x1.b8f59bcb4ca0bp-2",
@@ -666,3 +666,20 @@ def test_wronski_fiber_roots_are_pinned(parts):
     sigma = elementary_symmetric(sample_generic_z(lam.n, rng))
     sols = wronski_fiber(lam, sigma, seed=lam.n)
     assert [_hex_coords(x.vector()) for x in sols] == FIBER_PINS[parts]
+
+
+def test_wronski_fiber_finds_all_21_tuples_of_the_n8_input_that_undercounted():
+    # replay the draws of a reach sweep over every partition of 7 and 8, one
+    # target and one start seed per partition, without solving the other
+    # fibers; (3,1^5) at n = 8 is the sweep's hardest fiber to fill
+    lam = Partition((3, 1, 1, 1, 1, 1))
+    rng = np.random.default_rng(19)
+    draws = {}
+    for n in (7, 8):
+        for mu in enumerate_partitions(n, n):
+            z = sample_generic_z(n, rng)
+            draws[mu] = z, int(rng.integers(2**31))
+    z, seed = draws[lam]
+    sols = wronski_fiber(lam, elementary_symmetric(z), seed=seed)
+    assert irrep_dimension(lam) == 21
+    assert len(sols) == 21
