@@ -2,7 +2,9 @@
 """Watch the deformed joint spectrum collide onto the per-partition spectra.
 
 For q = s * q0 with s sweeping down, prints how far the n! joint tuples
-have contracted toward their limits and the final cluster table.
+have contracted toward their limits and the cluster table at the smallest
+s.  Both describe one configuration: the sweep runs at the positions z
+that harness.collision_study drew for the table.
 
     python3 scripts/collision_scan.py --n 3 --seed 5
 """
@@ -26,10 +28,10 @@ def main() -> int:
     ap.add_argument("--scales", type=float, nargs="+", default=Q_SCALES)
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
     n = args.n
-    q0 = sample_generic_z(n, rng, radius=1.2)
-    z = sample_generic_z(n, rng)
+    q0 = sample_generic_z(n, np.random.default_rng(args.seed), radius=1.2)
+    report = collision_study(n, q0, s=min(args.scales), seed=args.seed)
+    z = report.z
 
     limits = []
     for lam in enumerate_partitions(n, n):
@@ -46,7 +48,6 @@ def main() -> int:
         )
         print(f"{s:10.1e}  {worst:26.3e}")
 
-    report = collision_study(n, q0, s=min(args.scales), seed=args.seed)
     print(f"\nresolved: {report.resolved}")
     print(f"{'cluster size':>12}  {'partition':>12}  {'eig dim':>8}  {'match dist':>12}")
     for c in report.clusters:

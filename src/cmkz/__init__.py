@@ -28,7 +28,6 @@ from .tensor_gaudin import (
     SpectralPoint,
     Subspace,
     WeightBasis,
-    eij_matrix,
     gaudin_hamiltonian,
     generalized_gaudin,
     generalized_spectrum,

@@ -365,9 +365,10 @@ def check_l0_membership(config, rng):
 def check_n_independence(config, rng):
     """Spectra agree when the partition is carried with one extra zero row.
 
-    No word uses the extra letter, so for every partition with n <= 5 both N
-    give the same words and bit-identical columns and tables: the check
-    compares two joint_eigen probes of one Gaudin family."""
+    No word uses the extra letter, so both N give the same words and swap
+    map, and the content filter, from the same fixed start columns, gives
+    bit-identical columns and tables: the check compares two joint_eigen
+    probes of one Gaudin family."""
     counted = True
     distances = []
     for n, lam in _l0_case_list(config):

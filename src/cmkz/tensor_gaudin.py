@@ -6,12 +6,16 @@ power.  Basis vectors are multi-indices (i_1, ..., i_n) with letters in
 sum_{i,j} e_ij^(a) e_ji^(b) = P_ab makes the Gaudin Hamiltonians
 H_a(z) = sum_{b != a} P_ab / (z_a - z_b) combinations of transpositions.
 A singular space of weight lambda is the irreducible S_n representation
-lambda, the eigenspace of the class sum sum_{a<b} P_ab for the content of
-lambda.  Each Subspace holds one table of d x d matrices T_ab = S^H P_ab S;
-each Gaudin family H_1, ..., H_n is one (n, d, d) stack, one contraction of
-that table with the weights 1/(z_a - z_b) at a z checked once, and the
-generalized family adds sum_i q_i e_ii^(a).  joint_eigen and
-joint_eigenspace_dim take the family as that stack.
+lambda, the eigenspace of the class sum C = sum_{a<b} P_ab for the content
+of lambda; it is found matrix-free, by a product of shifted C that kills
+every other constituent, with C applied one slot swap at a time.  A
+subspace is refused when its words times the columns built on them exceed
+MAX_ENTRIES, which admits every partition of n = 8.  Each Subspace holds
+one table of d x d matrices T_ab = S^H P_ab S; each Gaudin family
+H_1, ..., H_n is one (n, d, d) stack, one contraction of that table with
+the weights 1/(z_a - z_b) at a z checked once, and the generalized family
+adds sum_i q_i e_ii^(a).  joint_eigen and joint_eigenspace_dim take the
+family as that stack.
 """
 
 from __future__ import annotations
@@ -19,16 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
-from .partitions import Partition, irrep_dimension
+from .partitions import Partition, enumerate_partitions, irrep_dimension
 from .polyalg import lex_key, min_gap, require_distinct
 from .serialize import pair_list
 
-# largest weight space weight_basis builds; the tensor power never is
-MAX_FULL_DIM = 4096
+# largest words x columns array a subspace is built from; the tensor power
+# never is.  A singular space filters d_lambda + 4 columns of its weight
+# space (at most 241,920 entries at n = 8, for (2,2,1^4)); the permutation
+# space of generalized_gaudin is its own n! columns (518,400 at n = 6)
+MAX_ENTRIES = 2**20
 
 
 class NumericalRankError(RuntimeError):
@@ -79,10 +86,12 @@ class WeightBasis:
     def swaps(self) -> np.ndarray:
         """Read-only (dim, n(n-1)/2) map: [k, m] is the position of word k
         with the slots of the m-th pair of triu_indices(n, 1) swapped."""
-        pairs = np.transpose(np.triu_indices(self.n, 1))
-        orders = np.tile(np.arange(self.n), (len(pairs), 1))
-        orders[np.arange(len(pairs))[:, None], pairs] = pairs[:, ::-1]
-        swaps = self.positions(self.array[:, orders])
+        # swapping the letters x_a, x_b moves a code by (x_a - x_b)(r_b - r_a)
+        # for the radix weights r, so no (dim, pairs, n) array of words is built
+        a, b = np.triu_indices(self.n, 1)
+        x, r = self.array, self._radix
+        codes = self._codes[:, None] + (x[:, a] - x[:, b]) * (r[b] - r[a])
+        swaps = np.searchsorted(self._codes, codes)
         swaps.setflags(write=False)
         return swaps
 
@@ -96,10 +105,23 @@ def _weight_basis_cached(N: int, n: int, weight: tuple[int, ...]) -> WeightBasis
     return WeightBasis(N, n, weight, indices)
 
 
+def _require_entries(words: int, columns: int) -> None:
+    if words * columns > MAX_ENTRIES:
+        raise ValueError(
+            f"weight space dimension {words} x {columns} columns exceeds "
+            f"the supported {MAX_ENTRIES} entries"
+        )
+
+
+def _weight_dim(n: int, weight: tuple[int, ...]) -> int:
+    return math.factorial(n) // math.prod(math.factorial(w) for w in weight)
+
+
 def weight_basis(N: int, n: int, weight) -> WeightBasis:
     """Lexicographically ordered multi-indices with the given letter counts.
 
-    Refuses a weight space of dimension n!/prod(weight!) above MAX_FULL_DIM.
+    Refuses a weight space of dimension n!/prod(weight!) above MAX_ENTRIES,
+    as it could not hold a single column.
     """
     weight = tuple(int(w) for w in weight)
     if len(weight) != N:
@@ -108,43 +130,8 @@ def weight_basis(N: int, n: int, weight) -> WeightBasis:
         raise ValueError(f"negative weight entry in {weight}")
     if sum(weight) != n:
         raise ValueError(f"weight {weight} does not sum to {n}")
-    dim = math.factorial(n) // math.prod(math.factorial(w) for w in weight)
-    if dim > MAX_FULL_DIM:
-        raise ValueError(
-            f"weight space dimension {dim} exceeds the supported size {MAX_FULL_DIM}"
-        )
+    _require_entries(_weight_dim(n, weight), 1)
     return _weight_basis_cached(N, n, weight)
-
-
-def eij_matrix(i: int, j: int, a: int, basis: WeightBasis):
-    """Matrix of e_ij acting in tensor slot a.
-
-    Maps the given weight space into the one with weight shifted by
-    +e_i - e_j.  Returns (matrix, target_basis); for an impossible target
-    weight the matrix has zero rows and the basis is None.
-    """
-    if not (1 <= i <= basis.N and 1 <= j <= basis.N):
-        raise ValueError("letters i, j must lie in 1..N")
-    if not (1 <= a <= basis.n):
-        raise ValueError("slot a must lie in 1..n")
-    shifted = list(basis.weight)
-    shifted[i - 1] += 1
-    shifted[j - 1] -= 1
-    if shifted[j - 1] < 0:
-        return np.zeros((0, basis.dim), dtype=complex), None
-    target = weight_basis(basis.N, basis.n, shifted)
-    cols = np.flatnonzero(basis.array[:, a - 1] == j)
-    moved = basis.array[cols]
-    moved[:, a - 1] = i
-    mat = np.zeros((target.dim, basis.dim), dtype=complex)
-    mat[target.positions(moved), cols] = 1.0
-    return mat, target
-
-
-def summed_eij(i: int, j: int, basis: WeightBasis):
-    """Matrix of the global action sum_a e_ij^(a)."""
-    per_slot = [eij_matrix(i, j, a, basis) for a in range(1, basis.n + 1)]
-    return sum(mat for mat, _ in per_slot), per_slot[0][1]
 
 
 @dataclass(eq=False)
@@ -187,17 +174,62 @@ class Subspace:
         return table
 
 
+def _content(parts) -> int:
+    """c(mu), the sum of column - row over the boxes of the shape."""
+    return sum(j - i for i, row in enumerate(parts) for j in range(row))
+
+
+def _class_sum(basis: WeightBasis, X: np.ndarray) -> np.ndarray:
+    """C X for C = sum_{a<b} P_ab, one gather per slot pair; a swap of equal
+    letters fixes a word, so its pair adds X itself."""
+    CX = np.zeros_like(X)
+    for k in range(basis.swaps.shape[1]):
+        CX += X[basis.swaps[:, k]]
+    return CX
+
+
+def _content_filter(basis, X, others) -> np.ndarray:
+    """prod_c (C - c) X over the contents c in others, in their order."""
+    for c in others:
+        X = _class_sum(basis, X) - c * X
+    return X
+
+
 @lru_cache(maxsize=None)
 def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]) -> Subspace:
+    lam = Partition(weight)
+    d = irrep_dimension(lam)
+    _require_entries(_weight_dim(n, weight), d + 4)
     basis = weight_basis(N, n, weight)
-    # C = sum_{a<b} P_ab; entries add up, as a swap of equal letters fixes a
-    # word.  Renormalized, as a norm defect of eigh's vectors enters T_ab
-    C = np.zeros((basis.dim, basis.dim))
-    np.add.at(C, (basis.swaps, np.arange(basis.dim)[:, None]), 1.0)
-    content = sum(j - i for i, row in enumerate(weight) for j in range(row))
-    w, v = np.linalg.eigh(C)
-    cols = v[:, np.abs(w - content) < 1]
-    cols = np.ascontiguousarray(cols / np.linalg.norm(cols, axis=0))
+    core = lam.trimmed
+    bounds = list(accumulate(core))
+    # the contents of the constituents mu > lam, ascending: relative to lam a
+    # factor scales the constituent nu by (c(nu) - c) / (c(lam) - c), so the
+    # late factors shrink what the early ones grew (descending, the
+    # invariance defect of (2,2,1^4) reaches 8.9e-13 of its 1e-12 bound)
+    others = sorted({
+        _content(mu.trimmed)
+        for mu in enumerate_partitions(n, len(core))
+        if mu != lam
+        and all(s >= b for s, b in zip(accumulate(mu.padded(len(core))), bounds))
+    })
+    # fixed integer start columns, drawn from no caller's generator: through
+    # n = 6 the first pass is exact integer arithmetic
+    X = np.random.default_rng(0).integers(-8, 9, (basis.dim, d + 4)).astype(float)
+    U, sv, _ = np.linalg.svd(_content_filter(basis, X, others), full_matrices=False)
+    # through n = 8 the kept values are >= 1.2e-2 of the largest, the
+    # dropped ones <= 2.2e-13
+    rank = int(np.sum(sv > 1e-6 * sv[0]))
+    if rank != d:
+        raise NumericalRankError(
+            f"singular space of {lam!r} has computed dimension {rank}, expected {d}"
+        )
+    # the second pass removes the first's roundoff from a span that is
+    # already lam's; its output is orthonormal up to that roundoff, so
+    # Cholesky QR suffices (Householder QR doubles the largest closed-forms
+    # deviation over seeds 2024, 1, 7 and 21-60)
+    Y = _content_filter(basis, U[:, :d], others)
+    cols = Y @ np.linalg.inv(np.linalg.cholesky(Y.T @ Y).T)
     cols.setflags(write=False)
     return Subspace(basis, cols)
 
@@ -209,24 +241,25 @@ def singular_basis(lam: Partition, N: int | None = None) -> Subspace:
     These are the weight-lam vectors killed by every raising operator
     sum_a e_ij^(a), i < j: the lam-isotypic part, of dimension the number of
     standard tableaux of shape lam.  C = sum_{a<b} P_ab acts on an irrep mu
-    as its content c(mu) (the sum of column - row over its boxes), and every
-    other constituent has c(mu) >= c(lam) + 2 (Jucys, "Symmetric polynomials
-    and the center of the symmetric group ring", 1974; Okounkov and Vershik,
-    "A new approach to representation theory of symmetric groups", 1996), so
-    the basis is C's eigenvectors with |w - c(lam)| < 1, an exact cut."""
+    as its content c(mu) (the sum of column - row over its boxes), and the
+    other constituents of the weight space are the mu that strictly dominate
+    lam, each with c(mu) >= c(lam) + 2 (Jucys, "Symmetric polynomials and the
+    center of the symmetric group ring", 1974; Okounkov and Vershik, "A new
+    approach to representation theory of symmetric groups", 1996).  So
+    prod_mu (C - c(mu)), over their distinct contents, is prod_mu (c(lam) -
+    c(mu)) times the projector onto the singular space, an exact filter.  It
+    is applied, with C one gather per slot pair, to d_lam + 4 columns from a
+    fixed generator; the numerical rank of the result must be d_lam, and its
+    d_lam leading left singular vectors are filtered once more and
+    orthonormalized.  No dim x dim matrix is formed: a weight space of dim
+    words is refused when dim x (d_lam + 4) exceeds MAX_ENTRIES, which
+    admits every partition of n = 8."""
     core = lam.trimmed
     if N is None:
         N = max(1, len(core))
     if len(core) > N:
         raise ValueError(f"{lam!r} needs more than N={N} rows")
-    sub = _singular_basis_cached(N, lam.n, lam.padded(N))
-    expected = irrep_dimension(lam)
-    if sub.dim != expected:
-        raise NumericalRankError(
-            f"singular space of {lam!r} has computed dimension {sub.dim}, "
-            f"expected {expected}"
-        )
-    return sub
+    return _singular_basis_cached(N, lam.n, lam.padded(N))
 
 
 def gaudin_hamiltonian(z, subspace: Subspace) -> np.ndarray:
@@ -248,6 +281,7 @@ def gaudin_hamiltonian(z, subspace: Subspace) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _permutation_space(n: int) -> Subspace:
+    _require_entries(math.factorial(n), math.factorial(n))
     return Subspace(weight_basis(n, n, (1,) * n))
 
 

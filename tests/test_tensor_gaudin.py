@@ -14,7 +14,6 @@ from cmkz.tensor_gaudin import (
     NumericalRankError,
     Subspace,
     _singular_basis_cached,
-    eij_matrix,
     gaudin_hamiltonian,
     generalized_gaudin,
     generalized_spectrum,
@@ -23,9 +22,53 @@ from cmkz.tensor_gaudin import (
     sample_generic_z,
     singular_basis,
     spectral_points,
-    summed_eij,
     weight_basis,
 )
+
+
+def eij_matrix(i: int, j: int, a: int, basis):
+    """Matrix of e_ij acting in tensor slot a.
+
+    Maps the given weight space into the one with weight shifted by
+    +e_i - e_j.  Returns (matrix, target_basis); for an impossible target
+    weight the matrix has zero rows and the basis is None.
+    """
+    shifted = list(basis.weight)
+    shifted[i - 1] += 1
+    shifted[j - 1] -= 1
+    if shifted[j - 1] < 0:
+        return np.zeros((0, basis.dim), dtype=complex), None
+    target = weight_basis(basis.N, basis.n, shifted)
+    cols = np.flatnonzero(basis.array[:, a - 1] == j)
+    moved = basis.array[cols]
+    moved[:, a - 1] = i
+    mat = np.zeros((target.dim, basis.dim), dtype=complex)
+    mat[target.positions(moved), cols] = 1.0
+    return mat, target
+
+
+def summed_eij(i: int, j: int, basis):
+    """Matrix of the global action sum_a e_ij^(a)."""
+    per_slot = [eij_matrix(i, j, a, basis) for a in range(1, basis.n + 1)]
+    return sum(mat for mat, _ in per_slot), per_slot[0][1]
+
+
+def content(parts) -> int:
+    return sum(j - i for i, row in enumerate(parts) for j in range(row))
+
+
+def dense_class_sum(basis) -> np.ndarray:
+    """C = sum_{a<b} P_ab on the weight basis, built word by word."""
+    n = basis.n
+    position = {word: k for k, word in enumerate(basis.indices)}
+    C = np.zeros((basis.dim, basis.dim))
+    for k, word in enumerate(basis.indices):
+        for a in range(n):
+            for b in range(a + 1, n):
+                swapped = list(word)
+                swapped[a], swapped[b] = word[b], word[a]
+                C[position[tuple(swapped)], k] += 1.0
+    return C
 
 
 def test_weight_basis_examples():
@@ -50,11 +93,31 @@ def test_weight_basis_validation():
         weight_basis(2, 3, (-1, 4))
 
 
+def test_swap_map_swaps_the_letters_word_by_word():
+    for N, n, weight in ((1, 3, (3,)), (3, 4, (2, 1, 1)), (4, 5, (2, 2, 1, 0))):
+        basis = weight_basis(N, n, weight)
+        pairs = list(zip(*np.triu_indices(n, 1)))
+        assert basis.swaps.shape == (basis.dim, len(pairs))
+        for k, word in enumerate(basis.indices):
+            for m, (a, b) in enumerate(pairs):
+                swapped = list(word)
+                swapped[a], swapped[b] = word[b], word[a]
+                assert basis.indices[basis.swaps[k, m]] == tuple(swapped)
+
+
 def test_weight_basis_cap_is_on_the_weight_space():
-    # N^n = 7776 is past MAX_FULL_DIM, the weight space is 5! = 120
+    # the cap counts words x columns: N^n = 7776 is no limit, the weight
+    # space is 5! = 120, and every partition of 8 is admitted
     assert weight_basis(6, 5, (1, 1, 1, 1, 1, 0)).dim == 120
-    with pytest.raises(ValueError, match="weight space dimension 5040"):
-        weight_basis(7, 7, (1,) * 7)
+    assert tensor_gaudin.MAX_ENTRIES == 2**20
+    with pytest.raises(ValueError, match="weight space dimension 3628800 x 1 columns"):
+        weight_basis(10, 10, (1,) * 10)
+    # (1^9): 9! words x (1 + 4) filtered columns; the permutation space of
+    # n = 7 is 7! words x 7! columns
+    with pytest.raises(ValueError, match="weight space dimension 362880 x 5 columns"):
+        singular_basis(Partition((1,) * 9))
+    with pytest.raises(ValueError, match="weight space dimension 5040 x 5040 columns"):
+        generalized_gaudin(sample_generic_z(7, 0), np.zeros(7))
 
 
 def test_eij_matrix_examples():
@@ -124,22 +187,23 @@ def test_singular_basis_dimension_matches_tableau_count():
 
 
 def test_singular_basis_skips_the_full_left_factor():
-    # (1^5) at N = 5 has a 120 x 120 class sum C; the singular space is one
-    # symmetric eigensolve of C.  These bounds were set against the raising
-    # route that once found it: a 600 x 120 stack of raising operators, whose
-    # SVD's full left factor alone would be 600 x 600 complex, 5.8 MB
-    weight = Partition((1,) * 5).padded(5)
-    weight_basis(5, 5, weight)  # cached outside the traced window
+    # (1^7) has a weight space of 7! = 5040 words; the filter works on
+    # 5040 x 5 columns and never forms the 5040 x 5040 class sum
+    weight = Partition((1,) * 7).padded(7)
+    weight_basis(7, 7, weight).swaps  # cached outside the traced window
     tracemalloc.start()
     try:
-        cols = _singular_basis_cached.__wrapped__(5, 5, weight).columns
+        cols = _singular_basis_cached.__wrapped__(7, 7, weight).columns
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 600 * 600 * 16
-    assert peak < 3 * 600 * 120 * 16
-    assert cols.shape == (120, 1)
-    # every raising operator sum_a e_ij^(a), i < j, kills the columns
+    assert peak < 5040 * 5040 * 8 / 10
+    assert cols.shape == (5040, 1)
+
+
+def test_raising_operators_kill_the_singular_columns():
+    # every raising operator sum_a e_ij^(a), i < j, kills the columns: a
+    # check that reads neither the class sum nor its contents
     for n in range(2, 7):
         for lam in enumerate_partitions(n, n):
             for N in (len(lam.trimmed), len(lam.trimmed) + 1):
@@ -151,28 +215,70 @@ def test_singular_basis_skips_the_full_left_factor():
                             assert np.abs(mat @ sub.columns).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_filter_span_is_the_dense_content_eigenspace(n):
+    for lam in enumerate_partitions(n, n):
+        sub = singular_basis(lam)
+        w, v = np.linalg.eigh(dense_class_sum(sub.basis))
+        dense = v[:, np.abs(w - content(lam.trimmed)) < 1]
+        S = sub.columns
+        assert np.abs(S @ S.T - dense @ dense.T).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_filter_columns_are_bit_identical_across_builds_and_row_counts(n):
+    # two cold builds, and the extra zero row of n-independence, which no
+    # word uses: same words, same start columns, same bits
+    for lam in enumerate_partitions(n, n):
+        rows = len(lam.trimmed)
+        first = _singular_basis_cached.__wrapped__(rows, n, lam.padded(rows))
+        again = _singular_basis_cached.__wrapped__(rows, n, lam.padded(rows))
+        wider = _singular_basis_cached.__wrapped__(rows + 1, n, lam.padded(rows + 1))
+        assert np.array_equal(first.columns, again.columns)
+        assert np.array_equal(first.columns, wider.columns)
+        assert np.array_equal(first.transpositions, wider.transpositions)
+
+
+def test_singular_basis_measures_its_rank(monkeypatch):
+    # the filter's rank is measured, not taken from the tableau count
+    monkeypatch.setattr(tensor_gaudin, "irrep_dimension", lambda lam: 3)
+    with pytest.raises(NumericalRankError, match="computed dimension 2, expected 3"):
+        _singular_basis_cached.__wrapped__(2, 3, (2, 1))
+
+
+def test_every_partition_of_7_has_its_singular_space():
+    # (1^7), at 5040 words, was past the cap of the dense eigensolve
+    for lam in enumerate_partitions(7, 7):
+        sub = singular_basis(lam)
+        assert sub.columns.shape == (sub.basis.dim, irrep_dimension(lam))
+        sub.transpositions  # the 1e-12 invariance check
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_class_sum_spectrum_has_the_content_gap(n):
     # C = sum_{a<b} P_ab, built word by word, acts on the irrep mu as its
     # content c(mu); on the weight space of lam every constituent other than
-    # lam itself dominates it and sits at least 2 higher, so the cut
-    # |w - c(lam)| < 1 in singular_basis is exact
-    for lam in enumerate_partitions(n, n):
+    # lam itself strictly dominates it and sits at least 2 higher, so no
+    # factor C - c(mu) of singular_basis's filter touches lam and together
+    # they kill everything else
+    partitions = enumerate_partitions(n, n)
+    for lam in partitions:
         basis = weight_basis(len(lam.trimmed), n, lam.trimmed)
-        position = {word: k for k, word in enumerate(basis.indices)}
-        C = np.zeros((basis.dim, basis.dim))
-        for k, word in enumerate(basis.indices):
-            for a in range(n):
-                for b in range(a + 1, n):
-                    swapped = list(word)
-                    swapped[a], swapped[b] = word[b], word[a]
-                    C[position[tuple(swapped)], k] += 1.0
-        w = np.linalg.eigvalsh(C)
+        w = np.linalg.eigvalsh(dense_class_sum(basis))
         levels = np.round(w)
         assert np.abs(w - levels).max() < 1e-9
-        content = sum(j - i for i, row in enumerate(lam.trimmed) for j in range(row))
-        assert np.count_nonzero(levels == content) == irrep_dimension(lam)
-        assert levels[levels != content].min(initial=np.inf) >= content + 2
+        c = content(lam.trimmed)
+        assert np.count_nonzero(levels == c) == irrep_dimension(lam)
+        assert levels[levels != c].min(initial=np.inf) >= c + 2
+        dominating = {
+            content(mu.trimmed)
+            for mu in partitions
+            if mu != lam
+            and all(
+                sum(mu.padded(n)[:k]) >= sum(lam.padded(n)[:k]) for k in range(n)
+            )
+        }
+        assert set(levels[levels != c]) <= dominating
 
 
 @pytest.mark.parametrize("extra_rows", [0, 1])
