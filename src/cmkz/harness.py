@@ -327,7 +327,11 @@ def _l0_case_list(config: VerificationConfig):
 def check_l0_membership(config, rng):
     """Joint Gaudin tuples on singular weight spaces lie on the zero level
     of every first integral, with the per-partition counts d and the
-    weighted total n!."""
+    weighted total n!.
+
+    Each partition's trials are drawn first, z and then the probe seed per
+    trial, as a per-trial loop draws them; then all of them are solved as
+    one stack of Gaudin families and scored by one l0_residual call."""
     counted = True
     scaled = []
     count_rows = {}
@@ -335,13 +339,15 @@ def check_l0_membership(config, rng):
     weighted = {n: 0 for n in full_range}
     for n, lam in _l0_case_list(config):
         d = irrep_dimension(lam)
-        found = set()
-        for _ in range(config.trials):
-            z = sample_generic_z(n, rng)
-            pts = spectral_points(lam, z, tol=TOL.eigen, seed=int(rng.integers(2**31)))
-            found.add(len(pts))
-            counted = counted and len(pts) == d
-            scaled.append(cm.l0_residual(z, [sp.p for sp in pts]))
+        z, seeds = zip(*(
+            (sample_generic_z(n, rng), int(rng.integers(2**31)))
+            for _ in range(config.trials)
+        ))
+        spectra = spectral_points(lam, np.array(z), tol=TOL.eigen, seed=seeds)
+        found = {len(pts) for pts in spectra}
+        counted = counted and found == {d}
+        points = [sp for pts in spectra for sp in pts]
+        scaled.append(cm.l0_residual([sp.z for sp in points], [sp.p for sp in points]))
         count_rows[",".join(map(str, lam.trimmed))] = {
             "expected": d,
             "found": sorted(found),
@@ -475,14 +481,21 @@ def check_bethe(config, rng):
     {"max_scaled_residual": TOL.residual, "max_trace_deviation": TOL.trace},
 )
 def check_lq(config, rng):
-    """The deformed spectra fill the q-level set of the first integrals."""
+    """The deformed spectra fill the q-level set of the first integrals.
+
+    For each n the trials are drawn first, z, q and then the probe seed
+    per trial, as a per-trial loop draws them; then all of them are solved
+    as one stack of generalized Gaudin families."""
     counted = True
     scaled, trace_devs = [], []
     for n in (2, 3):
-        for _ in range(config.trials):
-            z = sample_generic_z(n, rng)
-            q = sample_generic_z(n, rng, radius=1.5)
-            pts = generalized_spectrum(z, q, seed=int(rng.integers(2**31)))
+        zs, qs, seeds = zip(*(
+            (sample_generic_z(n, rng), sample_generic_z(n, rng, radius=1.5),
+             int(rng.integers(2**31)))
+            for _ in range(config.trials)
+        ))
+        spectra = generalized_spectrum(np.array(zs), np.array(qs), seed=seeds)
+        for z, q, pts in zip(zs, qs, spectra):
             counted = counted and len(pts) == math.factorial(n)
             P = np.array([sp.p for sp in pts])
             scaled.append(cm.lq_residual(z, P, q))

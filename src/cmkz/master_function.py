@@ -256,9 +256,10 @@ def _flat(tlevels, lead=()) -> np.ndarray:
     return np.concatenate([np.zeros(lead + (0,), dtype=complex), *tlevels], axis=-1)
 
 
-def _checked_levels(z, t, sizes) -> tuple[np.ndarray, ...]:
+def _checked_levels(z, t, sizes, linear=None):
     """t grouped by level, if the level sizes match and Phi is defined
-    there, at every row of a stack."""
+    there, at every row of a stack, with dPhi/dt at t (the linear terms
+    added), which the domain rule has computed."""
     tlevels = tuple(np.atleast_1d(np.asarray(tk, dtype=complex)) for tk in t)
     got = tuple(tk.shape[-1] for tk in tlevels)
     if got != sizes:
@@ -266,33 +267,34 @@ def _checked_levels(z, t, sizes) -> tuple[np.ndarray, ...]:
     lead = z.shape[:-1]
     if any(tk.shape[:-1] != lead for tk in tlevels):
         raise ValueError("z and each level of t must share their leading axes")
-    if np.any(_grad_t_raw(z, sizes, _flat(tlevels, lead))[1] == np.inf):
+    g, norm = _grad_t_raw(z, sizes, _flat(tlevels, lead), linear)
+    if np.any(norm == np.inf):
         raise ValueError("argument collision inside the master function domain")
-    return tlevels
+    return tlevels, g
 
 
 def _coerce_levels(lam: Partition, z, t):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape[-1] != lam.n:
         raise ValueError(f"need {lam.n} positions for {lam!r}")
-    return z, _checked_levels(z, t, level_sizes(lam))
+    return (z, *_checked_levels(z, t, level_sizes(lam)))
 
 
 def grad_t(lam: Partition, z, t) -> np.ndarray:
     """dPhi/dt for all auxiliary variables, level 1 first."""
-    z, tlevels = _coerce_levels(lam, z, t)
-    return _grad_t_raw(z, level_sizes(lam), _flat(tlevels, z.shape[:-1]))[0]
+    _, _, g = _coerce_levels(lam, z, t)
+    return g
 
 
 def grad_z(lam: Partition, z, t) -> np.ndarray:
     """Momenta p_a = sum_{b != a} 1/(z_a - z_b) + sum_i 1/(t_i^(1) - z_a)."""
-    z, tlevels = _coerce_levels(lam, z, t)
+    z, tlevels, _ = _coerce_levels(lam, z, t)
     return _grad_z_raw(z, tlevels)
 
 
 def master_value(lam: Partition, z, t) -> complex:
     """Principal-branch value of Phi; well defined modulo 2*pi*i."""
-    z, tlevels = _coerce_levels(lam, z, t)
+    z, tlevels, _ = _coerce_levels(lam, z, t)
     return _value_raw(z, tlevels)
 
 
@@ -309,24 +311,23 @@ def _coerce_levels_q(q, z, t):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     n = z.shape[-1]
     q, linear = _checked_q(q, n)
-    return q, z, _checked_levels(z, t, q_level_sizes(n)), linear
+    return (q, z, *_checked_levels(z, t, q_level_sizes(n), linear), linear)
 
 
 def grad_t_q(q, z, t) -> np.ndarray:
     """dPhi_q/dt: the undeformed gradient plus (q_{k+1} - q_k) per level."""
-    q, z, tlevels, linear = _coerce_levels_q(q, z, t)
-    n = z.shape[-1]
-    return _grad_t_raw(z, q_level_sizes(n), _flat(tlevels, z.shape[:-1]), linear)[0]
+    _, _, _, g, _ = _coerce_levels_q(q, z, t)
+    return g
 
 
 def grad_z_q(q, z, t) -> np.ndarray:
     """Momenta of the deformed master function; adds q_1 to each dPhi/dz_a."""
-    q, z, tlevels, _ = _coerce_levels_q(q, z, t)
+    q, z, tlevels, _, _ = _coerce_levels_q(q, z, t)
     return _grad_z_raw(z, tlevels, q1=q[0])
 
 
 def master_value_q(q, z, t) -> complex:
-    q, z, tlevels, linear = _coerce_levels_q(q, z, t)
+    q, z, tlevels, _, linear = _coerce_levels_q(q, z, t)
     return _value_raw(z, tlevels, linear, qz=q[0])
 
 

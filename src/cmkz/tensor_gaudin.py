@@ -16,6 +16,15 @@ H_1, ..., H_n is one (n, d, d) stack, one contraction of that table with
 the weights 1/(z_a - z_b) at a z checked once, and the generalized family
 adds sum_i q_i e_ii^(a).  joint_eigen and joint_eigenspace_dim take the
 family as that stack.
+
+gaudin_hamiltonian, generalized_gaudin, joint_eigen, spectral_points and
+generalized_spectrum take leading batch axes: a stack of z (and q), of
+shape (..., n), gives a stack of families (..., n, d, d), and joint_eigen
+diagonalizes them as one, with one probe seed per family and one list of
+entries per family, nested like the batch axes.  Each family keeps its
+own commutator test, probe sequence, pairing and residual tests and
+retries, so its result does not depend on the rest of the stack.  A
+single family is the unbatched case of the same code.
 """
 
 from __future__ import annotations
@@ -267,16 +276,19 @@ def gaudin_hamiltonian(z, subspace: Subspace) -> np.ndarray:
     space or a singular space) as one (n, d, d) stack, [a - 1] = H_a.
 
     One contraction of the weights 1/(z_a - z_b), zero for a = b, with the
-    transposition table; z is checked once for the whole family.
+    transposition table; z is checked once for the whole family.  A stack
+    of z, of shape (..., n), gives one family per row, (..., n, d, d), from
+    the same contraction; a single z is the unbatched case.
     """
     n = subspace.basis.n
-    z = np.asarray(z, dtype=complex).ravel()
-    if len(z) != n:
-        raise ValueError(f"need {n} points, got {len(z)}")
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if z.shape[-1] != n:
+        raise ValueError(f"need {n} points, got {z.shape[-1]}")
     require_distinct(z, 1e-8, "evaluation points z")
-    gaps = z[:, None] - z[None, :]
-    np.fill_diagonal(gaps, np.inf)  # weight 1/inf = 0 for b = a
-    return np.einsum("ab,abij->aij", 1.0 / gaps, subspace.transpositions)
+    gaps = z[..., :, None] - z[..., None, :]
+    diag = np.arange(n)
+    gaps[..., diag, diag] = np.inf  # weight 1/inf = 0 for b = a
+    return np.einsum("...ab,abij->...aij", 1.0 / gaps, subspace.transpositions)
 
 
 @lru_cache(maxsize=None)
@@ -288,28 +300,62 @@ def _permutation_space(n: int) -> Subspace:
 def generalized_gaudin(z, q) -> np.ndarray:
     """The family H_a(z, q) = sum_i q_i e_ii^(a) + H_a(z), a = 1..n, on
     V^(x)n[1,...,1] with N = n = len(q), as one (n, n!, n!) stack: the
-    Gaudin stack of the cached permutation space plus diag(q_{i_a})."""
-    q = np.asarray(q, dtype=complex).ravel()
-    sub = _permutation_space(len(q))
+    Gaudin stack of the cached permutation space plus diag(q_{i_a}).
+
+    Stacks of z and q, of shape (..., n) with q broadcast against z, give
+    one family per row, as gaudin_hamiltonian does.
+    """
+    q = np.atleast_1d(np.asarray(q, dtype=complex))
+    sub = _permutation_space(q.shape[-1])
     H = gaudin_hamiltonian(z, sub)
     diag = np.arange(sub.dim)
-    H[:, diag, diag] += q[sub.basis.array.T - 1]
+    H[..., diag, diag] += q[..., sub.basis.array.T - 1]
     return H
 
 
 def _family(ops) -> np.ndarray:
-    """The operators as one (k, d, d) stack."""
-    if len(ops) == 0:
-        raise ValueError("need at least one operator")
-    shape = np.shape(ops[0])
-    square = len(shape) == 2 and shape[0] == shape[1]
-    if not square or any(np.shape(op) != shape for op in ops):
+    """The operators as one (..., k, d, d) stack: k >= 1 square matrices per
+    family, with any leading batch axes."""
+    if not isinstance(ops, np.ndarray):
+        if len(ops) == 0:
+            raise ValueError("need at least one operator")
+        if len({np.shape(op) for op in ops}) > 1:
+            raise ValueError("operators must share one square shape")
+        ops = np.asarray(ops)
+    if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
         raise ValueError("operators must share one square shape")
-    return np.asarray(ops)
+    if ops.shape[-3] == 0:
+        raise ValueError("need at least one operator")
+    return ops
 
 
-def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
-    """Joint eigenvalue tuples of a commuting family of matrices.
+def _nested(flat: list, shape: tuple):
+    """A list in C order of one item per family, nested like the batch
+    axes; the item itself for a single family."""
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0] if shape[0] else 0
+    return [_nested(flat[i * step:(i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+def _inverses(vr: np.ndarray) -> np.ndarray:
+    """The inverse of each matrix of a stack, NaN for a singular one: a
+    stacked inv raises for the whole stack, so that case goes one by one."""
+    try:
+        return np.linalg.inv(vr)
+    except np.linalg.LinAlgError:
+        left = np.full_like(vr, np.nan)
+        for b, v in enumerate(vr):
+            try:
+                left[b] = np.linalg.inv(v)
+            except np.linalg.LinAlgError:
+                pass
+        return left
+
+
+def joint_eigen(ops, tol: float = 1e-8, seed=0):
+    """Joint eigenvalue tuples of a commuting family of matrices, or of
+    each family of a stack.
 
     A random complex combination of the family is diagonalized; left and
     right eigenvectors read each operator's eigenvalue back through the
@@ -317,69 +363,90 @@ def joint_eigen(ops, tol: float = 1e-8, seed: int = 0):
     Entries are returned with the geometric multiplicity seen by the probe.
     A family whose scaled commutator defect exceeds 1e-10 is rejected.
 
+    A stack of families, (..., k, d, d), is diagonalized as one: each
+    family keeps its own commutator test, its own probes drawn from its
+    own seed, its own pairing and residual tests, and its own retries; only
+    the families whose probe failed draw again.  A single family is the
+    unbatched case of the same code.  When some family fails, the error is
+    the one the first failing family, in stack order, would raise alone.
+
     Parameters
     ----------
-    ops : (k, d, d) stack or list of square ndarrays, pairwise commuting.
+    ops : (..., k, d, d) stack or list of square ndarrays, pairwise commuting.
     tol : residual bound ||A v - p v|| <= tol (1 + ||A||) ||v|| per operator.
-    seed : seeds the probe combination; up to 8 probes are drawn.
+    seed : seeds the probe combination, one seed per family (broadcast
+        against the batch axes); up to 8 probes are drawn per family.
 
     Returns
     -------
     list of (p, vector, residual), one entry per joint eigenvector, sorted
-    lexicographically by tuple.
+    lexicographically by tuple; for a stack, one such list per family,
+    nested like the batch axes.
     """
     mats = _family(ops)
-    k, dim = mats.shape[:2]
+    batch, (k, dim) = mats.shape[:-3], mats.shape[-3:-1]
+    seeds = np.broadcast_to(seed, batch).ravel()
     if dim == 0:
-        return []
-    norms = np.linalg.norm(mats, axis=(1, 2))
+        return _nested([[] for _ in seeds], batch)
+    mats = mats.reshape((-1, k, dim, dim))
+    norms = np.linalg.norm(mats, axis=(-2, -1))
     i, j = np.triu_indices(k, 1)
-    comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-    top = max(1.0, norms.max())
-    defect = np.linalg.norm(comm, axis=(1, 2)).max(initial=0.0) / top**2
-    if defect > 1e-10:
-        raise NonCommutingOperatorsError(
-            f"commutator defect {defect:.3e} exceeds 1.0e-10"
-        )
-    rng = np.random.default_rng(seed)
-    last_problem = "no probe attempted"
+    comm = mats[:, i] @ mats[:, j] - mats[:, j] @ mats[:, i]
+    top = np.maximum(1.0, norms.max(axis=-1))
+    defect = np.linalg.norm(comm, axis=(-2, -1)).max(axis=-1, initial=0.0) / top**2
+    errors = [
+        NonCommutingOperatorsError(f"commutator defect {x:.3e} exceeds 1.0e-10")
+        if x > 1e-10
+        else None
+        for x in defect
+    ]
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    problems = ["no probe attempted"] * len(seeds)
+    entries = [None] * len(seeds)
+    live = np.flatnonzero([e is None for e in errors])
     for _ in range(8):
-        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        c /= np.abs(c).max()
-        probe = (c[:, None, None] * mats).sum(axis=0)
+        if not live.size:
+            break
+        c = np.array(
+            [rngs[b].standard_normal(k) + 1j * rngs[b].standard_normal(k) for b in live]
+        )
+        c /= np.abs(c).max(axis=-1, keepdims=True)
+        fam = mats[live]
+        probe = (c[:, :, None, None] * fam).sum(axis=1)
         _, vr = np.linalg.eig(probe)
-        vr /= np.linalg.norm(vr, axis=0, keepdims=True)
+        vr /= np.linalg.norm(vr, axis=-2, keepdims=True)
         # vr^-1 probe vr is diagonal, so the rows of vr^-1 are the left
         # eigenvectors; a singular or non-finite vr pairs no left vector
-        try:
-            left = np.linalg.inv(vr)
-            paired = np.isfinite(left).all()
-        except np.linalg.LinAlgError:
-            paired = False
-        if not paired:
-            last_problem = "degenerate left/right pairing"
-            continue
+        left = _inverses(vr)
+        at = np.flatnonzero(np.isfinite(left).all(axis=(-2, -1)))
+        left, vr = left[at], vr[at]
         # scaling each row by its largest entry first keeps the norm finite
-        vl = (left / np.abs(left).max(axis=1, keepdims=True)).conj().T
-        vl /= np.linalg.norm(vl, axis=0, keepdims=True)
-        denoms = np.einsum("ij,ij->j", vl.conj(), vr)
-        if np.abs(denoms).min() < 1e-12:
-            last_problem = "degenerate left/right pairing"
-            continue
-        AV = mats @ vr  # [m, :, e] = A_m v_e
-        P = np.einsum("ie,mie->em", vl.conj(), AV) / denoms[:, None]
-        defects = np.linalg.norm(AV - P.T[:, None, :] * vr, axis=1)
-        res = (defects / (1.0 + norms[:, None])).max(axis=0)
-        bad = np.flatnonzero(res > tol)
-        if bad.size:
-            last_problem = f"residual {res[bad[0]]:.3e} above tol {tol:.1e}"
-            continue
-        entries = [(P[e], vr[:, e], float(res[e])) for e in range(dim)]
-        entries.sort(key=lambda e: lex_key(e[0]))
-        return entries
-    raise JointDiagonalizationError(
-        f"probe retries exhausted: {last_problem}"
-    )
+        vl = (left / np.abs(left).max(axis=-1, keepdims=True)).conj().swapaxes(-1, -2)
+        vl /= np.linalg.norm(vl, axis=-2, keepdims=True)
+        denoms = np.einsum("...ij,...ij->...j", vl.conj(), vr)
+        paired = ~(np.abs(denoms).min(axis=-1) < 1e-12)
+        at, vl, vr, denoms = at[paired], vl[paired], vr[paired], denoms[paired]
+        AV = fam[at] @ vr[:, None]  # [f, m, :, e] = A_m v_e
+        P = np.einsum("...ie,...mie->...em", vl.conj(), AV) / denoms[..., None]
+        PV = P.swapaxes(-1, -2)[..., None, :] * vr[:, None]
+        defects = np.linalg.norm(AV - PV, axis=-2)
+        res = (defects / (1.0 + norms[live[at], :, None])).max(axis=-2)
+        for b in live:  # what a family not scored below failed
+            problems[b] = "degenerate left/right pairing"
+        for f, b in enumerate(live[at]):
+            bad = np.flatnonzero(res[f] > tol)
+            if bad.size:
+                problems[b] = f"residual {res[f, bad[0]]:.3e} above tol {tol:.1e}"
+                continue
+            order = sorted(range(dim), key=lambda e: lex_key(P[f, e]))
+            entries[b] = [(P[f, e], vr[f, :, e], float(res[f, e])) for e in order]
+        live = np.array([b for b in live if entries[b] is None], dtype=int)
+    for b in live:
+        errors[b] = JointDiagonalizationError(f"probe retries exhausted: {problems[b]}")
+    first = next((e for e in errors if e is not None), None)
+    if first is not None:
+        raise first
+    return _nested(entries, batch)
 
 
 @dataclass(eq=False)
@@ -402,27 +469,39 @@ class SpectralPoint:
         }
 
 
+def _points(z: np.ndarray, entries) -> list:
+    """SpectralPoints of one family's joint_eigen entries at z, or of each
+    family's at each row of a stack of z."""
+    if z.ndim > 1:
+        return [_points(zb, eb) for zb, eb in zip(z, entries)]
+    return [SpectralPoint(z, p, res) for p, _, res in entries]
+
+
 def spectral_points(
     lam: Partition,
     z,
     N: int | None = None,
     tol: float = 1e-8,
-    seed: int = 0,
-) -> list[SpectralPoint]:
+    seed=0,
+) -> list:
     """Joint spectrum of the Gaudin family on the singular space of weight lam.
 
     For generic z this yields exactly irrep_dimension(lam) points, each with
-    sum_a p_a = 0.
+    sum_a p_a = 0.  A stack of z, (..., n), with one seed per row, is one
+    stack of families through one joint_eigen call and gives one list of
+    points per row; a single z is the unbatched case.
     """
     ops = gaudin_hamiltonian(z, singular_basis(lam, N))
     entries = joint_eigen(ops, tol=tol, seed=seed)
-    return [SpectralPoint(z, p, res) for p, _, res in entries]
+    return _points(np.asarray(z, dtype=complex), entries)
 
 
-def generalized_spectrum(z, q, tol: float = 1e-8, seed: int = 0):
-    """Joint spectrum of H_a(z, q) on V^(x)n[1,...,1]; n! tuples for generic z."""
+def generalized_spectrum(z, q, tol: float = 1e-8, seed=0) -> list:
+    """Joint spectrum of H_a(z, q) on V^(x)n[1,...,1]; n! tuples for generic
+    z.  Stacks of z and q, (..., n), give one list per row, as in
+    spectral_points."""
     entries = joint_eigen(generalized_gaudin(z, q), tol=tol, seed=seed)
-    return [SpectralPoint(z, p, res) for p, _, res in entries]
+    return _points(np.asarray(z, dtype=complex), entries)
 
 
 def joint_eigenspace_dim(ops, p) -> int:
@@ -432,7 +511,7 @@ def joint_eigenspace_dim(ops, p) -> int:
     [A_1 - p_1; ...; A_k - p_k] at most 1e-8 times max(1, the largest).
     """
     mats = _family(ops)
-    dim = mats.shape[1]
+    dim = mats.shape[-1]
     shifted = mats - np.asarray(p)[:, None, None] * np.eye(dim)
     sv = np.linalg.svd(shifted.reshape(-1, dim), compute_uv=False)
     cutoff = 1e-8 * max(1.0, sv[0])

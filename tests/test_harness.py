@@ -24,7 +24,7 @@ from cmkz.harness import (
 )
 from cmkz.partitions import Partition, irrep_dimension
 from cmkz.serialize import canonical_json
-from cmkz.tensor_gaudin import sample_generic_z, spectral_points
+from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
 from conftest import cli_env
 
 
@@ -354,12 +354,40 @@ def _reference_operator_draws(rng):
                 done += 1
 
 
+def _reference_l0_trials(rng):
+    """l0-membership as one spectral_points and one l0_residual call per
+    trial, drawing z and then the probe seed; the scaled residuals."""
+    config = VerificationConfig()
+    scaled = []
+    for n, lam in harness._l0_case_list(config):
+        for _ in range(config.trials):
+            z = sample_generic_z(n, rng)
+            pts = spectral_points(lam, z, tol=TOL.eigen, seed=int(rng.integers(2**31)))
+            scaled.append(l0_residual(z, [sp.p for sp in pts]))
+    return np.hstack(scaled)
+
+
+def _reference_lq_trials(rng):
+    """lq-membership as one generalized_spectrum call per trial, drawing z,
+    q and then the probe seed; the scaled residuals."""
+    scaled = []
+    for n in (2, 3):
+        for _ in range(VerificationConfig().trials):
+            z = sample_generic_z(n, rng)
+            q = sample_generic_z(n, rng, radius=1.5)
+            pts = generalized_spectrum(z, q, seed=int(rng.integers(2**31)))
+            scaled.append(cm.lq_residual(z, np.array([sp.p for sp in pts]), q))
+    return np.hstack(scaled)
+
+
 @pytest.mark.parametrize("seed", [2024, 1, 7])
 @pytest.mark.parametrize(
     "check,reference",
     [
         (harness.check_structural_invariants, _reference_structural_draws),
         (harness.check_operator_identities, _reference_operator_draws),
+        (harness.check_l0_membership, _reference_l0_trials),
+        (harness.check_lq, _reference_lq_trials),
     ],
 )
 def test_stacked_check_bodies_draw_as_a_per_trial_loop(check, reference, seed):
@@ -368,6 +396,19 @@ def test_stacked_check_bodies_draw_as_a_per_trial_loop(check, reference, seed):
     check.__wrapped__(VerificationConfig(seed=seed), body_rng)
     reference(ref_rng)
     assert body_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "check,reference",
+    [
+        (harness.check_l0_membership, _reference_l0_trials),
+        (harness.check_lq, _reference_lq_trials),
+    ],
+)
+def test_stacked_spectra_score_as_a_per_trial_loop_bit_for_bit(check, reference):
+    _, _, res = check.__wrapped__(VerificationConfig(), np.random.default_rng(2024))
+    expected = reference(np.random.default_rng(2024))
+    assert res["max_scaled_residual"].tobytes() == expected.tobytes()
 
 
 def test_rejected_gradient_trials_skip_their_draws_as_a_per_trial_loop(monkeypatch):

@@ -52,6 +52,31 @@ def test_grad_t_empty_for_one_row():
     assert grad_t(Partition((3,)), z, []).shape == (0,)
 
 
+def test_gradients_in_t_reuse_the_domain_check(monkeypatch):
+    # the domain rule computes dPhi/dt; grad_t and grad_t_q return it
+    # instead of evaluating the poles a second time
+    from cmkz import master_function as mf
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _grad_t_raw(*args)
+
+    monkeypatch.setattr(mf, "_grad_t_raw", counted)
+    z = np.array([0.0, 1.0, 2.0j])
+    t = [np.array([0.3 + 0.4j, -0.6 + 0.2j]), np.array([0.1 - 0.7j])]
+    lam = Partition((1, 1, 1))
+    q = np.array([0.5, -1.0, 0.2j])
+    g = grad_t(lam, z, t)
+    gq = grad_t_q(q, z, t)
+    assert len(calls) == 2
+    flat = np.concatenate(t)
+    assert g.tobytes() == _grad_t_raw(z, level_sizes(lam), flat)[0].tobytes()
+    linear = tuple(q[k + 1] - q[k] for k in range(2))
+    assert gq.tobytes() == _grad_t_raw(z, q_level_sizes(3), flat, linear)[0].tobytes()
+
+
 def test_grad_z_closed_forms():
     z = np.array([0.0, 1.0])
     p = grad_z(Partition((1, 1)), z, [np.array([0.5])])

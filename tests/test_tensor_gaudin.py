@@ -483,6 +483,126 @@ def test_joint_eigen_rejects_ragged_and_empty_families():
         joint_eigen(np.zeros((0, 2, 2)))
 
 
+def _same_entries(a, b):
+    """Entries of joint_eigen, or SpectralPoints, equal bit for bit."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if isinstance(x, tuple):
+            assert all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(x, y))
+        else:
+            assert x.z.tobytes() == y.z.tobytes() and x.p.tobytes() == y.p.tobytes()
+            assert x.residual == y.residual
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_families_equal_one_family_calls_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    for lam in enumerate_partitions(n, n):
+        Z = np.array([sample_generic_z(n, rng) for _ in range(5)])
+        seeds = rng.integers(2**31, size=5)
+        ops = gaudin_hamiltonian(Z, singular_basis(lam))
+        assert ops.shape[:2] == (5, n)
+        for b, z in enumerate(Z):
+            assert np.array_equal(ops[b], gaudin_hamiltonian(z, singular_basis(lam)))
+        for got, z, seed in zip(joint_eigen(ops, seed=seeds), Z, seeds):
+            _same_entries(got, joint_eigen(gaudin_hamiltonian(z, singular_basis(lam)), seed=seed))
+        for got, z, seed in zip(spectral_points(lam, Z, seed=seeds), Z, seeds):
+            _same_entries(got, spectral_points(lam, z, seed=seed))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_permutation_spaces_equal_one_family_calls_bit_for_bit(n):
+    rng = np.random.default_rng(50 + n)
+    Z = np.array([sample_generic_z(n, rng) for _ in range(5)])
+    Q = np.array([sample_generic_z(n, rng, radius=1.5) for _ in range(5)])
+    seeds = rng.integers(2**31, size=5)
+    ops = generalized_gaudin(Z, Q)
+    for b, (z, q) in enumerate(zip(Z, Q)):
+        assert np.array_equal(ops[b], generalized_gaudin(z, q))
+    for got, z, q, seed in zip(joint_eigen(ops, seed=seeds), Z, Q, seeds):
+        _same_entries(got, joint_eigen(generalized_gaudin(z, q), seed=seed))
+    for got, z, q, seed in zip(generalized_spectrum(Z, Q, seed=seeds), Z, Q, seeds):
+        _same_entries(got, generalized_spectrum(z, q, seed=seed))
+
+
+def test_batch_axes_nest_the_results():
+    lam = Partition((2, 1))
+    Z = np.array([[sample_generic_z(3, 10 * i + j) for j in range(3)] for i in range(2)])
+    seeds = np.arange(6).reshape(2, 3)
+    pts = spectral_points(lam, Z, seed=seeds)
+    assert [len(row) for row in pts] == [3, 3]
+    for i in range(2):
+        for j in range(3):
+            _same_entries(pts[i][j], spectral_points(lam, Z[i, j], seed=seeds[i, j]))
+    assert joint_eigen(np.zeros((0, 1, 2, 2))) == []
+
+
+def test_only_the_families_whose_probe_failed_draw_again(monkeypatch):
+    # at tol 5e-16 some (2,1,1) families pass the first probe, and others
+    # only a later one
+    rows, real = [], np.linalg.eig
+
+    def counted(a):
+        rows.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    sub = singular_basis(Partition((2, 1, 1)))
+    seeds, alone, probes = [], [], []
+    for s in range(12):
+        rows.clear()
+        try:
+            alone.append(joint_eigen(gaudin_hamiltonian(sample_generic_z(4, s), sub), 5e-16, s))
+        except JointDiagonalizationError:
+            continue
+        seeds.append(s)
+        probes.append(len(rows))
+    assert min(probes) == 1 and max(probes) > 1
+    rows.clear()
+    Z = np.array([sample_generic_z(4, s) for s in seeds])
+    stacked = joint_eigen(gaudin_hamiltonian(Z, sub), tol=5e-16, seed=seeds)
+    # round r diagonalizes exactly the families that needed more than r probes
+    assert rows == [sum(p > r for p in probes) for r in range(max(probes))]
+    for got, want in zip(stacked, alone):
+        _same_entries(got, want)
+
+
+def _error_of(ops, **kw):
+    with pytest.raises((JointDiagonalizationError, NonCommutingOperatorsError)) as info:
+        joint_eigen(ops, **kw)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_failing_family_raises_its_own_error_from_the_stack():
+    good = generalized_gaudin(sample_generic_z(2, 1), [0.2, 1.4])
+    jordan = np.array([[[0.0, 1.0], [0.0, 0.0]]] * 2)  # pairs no left vector
+    clash = np.array([[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    assert _error_of(np.stack([good, jordan, good]), seed=[1, 0, 2]) == _error_of(jordan, seed=0)
+    assert _error_of(np.stack([good, clash]), seed=0) == _error_of(clash)
+    # the first failing family in stack order decides
+    assert _error_of(np.stack([jordan, clash]))[0] is JointDiagonalizationError
+    assert _error_of(np.stack([clash, jordan]))[0] is NonCommutingOperatorsError
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_singular_eigenvector_matrix_fails_only_its_family():
+    # the nilpotent 3x3 block's eigenvectors are parallel: a stacked inv
+    # raises for the whole stack, so each family is inverted on its own
+    _, singular = np.linalg.eig(np.eye(3, k=1))
+    rng = np.random.default_rng(3)
+    regular = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    left = tensor_gaudin._inverses(np.stack([regular[0], singular, regular[1]]))
+    assert np.isnan(left[1]).all()
+    for got, vr in zip(left[[0, 2]], regular):
+        assert got.tobytes() == np.linalg.inv(vr).tobytes()
+    good = np.array([np.diag([1.0, 2.0, 3.0]), np.diag([0.5, -1.0, 2.0])])
+    assert len(joint_eigen(good)) == 3
+    nilpotent = np.array([np.eye(3, k=1)] * 2)
+    stack = np.stack([good, nilpotent, good])
+    assert _error_of(stack, seed=[1, 0, 2]) == _error_of(nilpotent, seed=0)
+
+
 def test_spectral_points_closed_forms():
     rng = np.random.default_rng(12)
     for n in (2, 3, 4):
