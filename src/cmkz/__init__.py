@@ -2,10 +2,8 @@
 spectra, Calogero-Moser level sets, Bethe critical points, and Wronski maps."""
 
 from .partitions import (
-    BetheLevels,
     Partition,
     ShiftedPartition,
-    bethe_levels,
     enumerate_partitions,
     irrep_dimension,
     shifted,

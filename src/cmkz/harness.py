@@ -53,7 +53,6 @@ class Tolerances:
     bethe: float = 1e-10
     residual: float = 1e-8
     match: float = 1e-6
-    n_independence: float = 1e-8
     closed_form: float = 1e-10
     fiber: float = 1e-9
     identity: float = 1e-10
@@ -359,36 +358,6 @@ def check_l0_membership(config, rng):
         counted and totals_ok,
         {"per_lambda": count_rows, "weighted_totals_match_factorial": totals_ok},
         {"max_scaled_residual": np.hstack(scaled)},
-    )
-
-
-@_check(
-    "n-independence",
-    "l0",
-    "the spectral variety is unchanged when the weight gains a zero row",
-    {"max_match_distance": TOL.n_independence},
-)
-def check_n_independence(config, rng):
-    """Spectra agree when the partition is carried with one extra zero row.
-
-    No word uses the extra letter, so both N give the same words and swap
-    map, and the content filter, from the same fixed start columns, gives
-    bit-identical columns and tables: the check compares two joint_eigen
-    probes of one Gaudin family."""
-    counted = True
-    distances = []
-    for n, lam in _l0_case_list(config):
-        z = sample_generic_z(n, rng)
-        rows = max(1, len(lam.trimmed))
-        a = spectral_points(lam, z, N=rows, seed=int(rng.integers(2**31)))
-        b = spectral_points(lam, z, N=rows + 1, seed=int(rng.integers(2**31)))
-        res = match_points([sp.p for sp in a], [sp.p for sp in b], TOL.n_independence)
-        distances.append(res.max_distance)
-        counted = counted and res.ok
-    return (
-        counted,
-        {"cases": len(distances)},
-        {"max_match_distance": distances},
     )
 
 

@@ -1,13 +1,13 @@
 """Master functions, their gradients, and Bethe critical-point solving.
 
-For a partition lam of n with levels l_1 >= ... >= l_{N-1} (l_a = sum of
-parts below row a), the master function in positions z and auxiliary
-variables t grouped by level is
+For a partition lam of n with r nonzero rows and levels
+l_1 > ... > l_{r-1} > 0 (l_a = sum of parts below row a), the master
+function in positions z and auxiliary variables t grouped by level is
 
     Phi(z, t) = sum_{a<b} log(z_a - z_b)
               - sum_a sum_{i<=l_1} log(t_i^(1) - z_a)
               + 2 sum_k sum_{i<j} log(t_i^(k) - t_j^(k))
-              - sum_{k<=N-2} sum_{i,j} log(t_i^(k) - t_j^(k+1)).
+              - sum_{k<=r-2} sum_{i,j} log(t_i^(k) - t_j^(k+1)).
 
 Only level 1 interacts with z, and cross terms couple adjacent levels
 only.  Critical points in t solve the Bethe equations; the momenta are
@@ -43,17 +43,17 @@ import numpy as np
 
 from . import polyalg as pa
 from .newton import stacked_newton
-from .partitions import Partition, bethe_levels
+from .partitions import Partition
 from .polyalg import is_new_point, lex_key, lexsorted, min_gap, require_distinct
 from .serialize import pair_list
 from .wronski import wronski_fiber, wronski_fiber_q, wronskian
 
 
 def level_sizes(lam: Partition) -> tuple[int, ...]:
-    """Positive auxiliary-variable counts per level (trailing zeros dropped)."""
-    rows = max(1, len(lam.trimmed))
-    sizes = bethe_levels(lam, rows).l
-    return tuple(s for s in sizes if s > 0)
+    """Auxiliary-variable counts l_a = sum_{b > a} lam_b over the nonzero
+    rows a = 1..r-1 of lam; each is positive."""
+    core = lam.trimmed
+    return tuple(sum(core[a:]) for a in range(1, len(core)))
 
 
 def q_level_sizes(n: int) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Partition combinatorics: enumeration, shifts, irrep dimensions, Bethe levels."""
+"""Partition combinatorics: enumeration, shifts, conjugates, irrep dimensions."""
 
 from __future__ import annotations
 
@@ -72,17 +72,6 @@ class ShiftedPartition:
             raise ValueError(f"negative shifted entry: {e}")
 
 
-@dataclass(frozen=True)
-class BetheLevels:
-    """Auxiliary-variable counts l_a = sum of parts below row a."""
-
-    l: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.l)
-
-
 def enumerate_partitions(n: int, max_parts: int) -> list[Partition]:
     """All partitions of n with at most max_parts nonzero parts, reverse-lex."""
     if n < 1 or max_parts < 1:
@@ -129,13 +118,3 @@ def irrep_dimension(lam: Partition) -> int:
             if rem:
                 raise ArithmeticError("hook product does not divide n!")
     return num
-
-
-def bethe_levels(lam: Partition, N: int) -> BetheLevels:
-    """l_a = sum_{b > a} lambda_b for a = 1..N-1."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    if len(lam.trimmed) > N:
-        raise ValueError(f"{lam!r} has more than {N} nonzero parts")
-    parts = lam.padded(N)
-    return BetheLevels(tuple(sum(parts[a:]) for a in range(1, N)))

@@ -61,10 +61,9 @@ class JointDiagonalizationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class WeightBasis:
-    """Ordered multi-index basis of a weight subspace of V^(x)n."""
+    """Ordered multi-index basis of a weight subspace of V^(x)n; the weight
+    fixes N = len(weight) and n = sum(weight)."""
 
-    N: int
-    n: int
     weight: tuple[int, ...]
     indices: tuple[tuple[int, ...], ...]
 
@@ -73,8 +72,13 @@ class WeightBasis:
         array = np.array(self.indices, dtype=np.int64).reshape(self.dim, self.n)
         array.setflags(write=False)
         object.__setattr__(self, "array", array)
-        object.__setattr__(self, "_radix", (self.N + 1) ** np.arange(self.n)[::-1])
+        radix = (len(self.weight) + 1) ** np.arange(self.n)[::-1]
+        object.__setattr__(self, "_radix", radix)
         object.__setattr__(self, "_codes", array @ self._radix)
+
+    @property
+    def n(self) -> int:
+        return sum(self.weight)
 
     @property
     def dim(self) -> int:
@@ -106,12 +110,12 @@ class WeightBasis:
 
 
 @lru_cache(maxsize=None)
-def _weight_basis_cached(N: int, n: int, weight: tuple[int, ...]) -> WeightBasis:
+def _weight_basis_cached(weight: tuple[int, ...]) -> WeightBasis:
     word = tuple(
         letter for letter, mult in enumerate(weight, start=1) for _ in range(mult)
     )
     indices = tuple(sorted(set(permutations(word))))
-    return WeightBasis(N, n, weight, indices)
+    return WeightBasis(weight, indices)
 
 
 def _require_entries(words: int, columns: int) -> None:
@@ -122,25 +126,22 @@ def _require_entries(words: int, columns: int) -> None:
         )
 
 
-def _weight_dim(n: int, weight: tuple[int, ...]) -> int:
-    return math.factorial(n) // math.prod(math.factorial(w) for w in weight)
+def _weight_dim(weight: tuple[int, ...]) -> int:
+    return math.factorial(sum(weight)) // math.prod(math.factorial(w) for w in weight)
 
 
-def weight_basis(N: int, n: int, weight) -> WeightBasis:
-    """Lexicographically ordered multi-indices with the given letter counts.
+def weight_basis(weight) -> WeightBasis:
+    """Lexicographically ordered multi-indices with the given letter counts:
+    words of n = sum(weight) letters from 1..N, N = len(weight).
 
     Refuses a weight space of dimension n!/prod(weight!) above MAX_ENTRIES,
     as it could not hold a single column.
     """
     weight = tuple(int(w) for w in weight)
-    if len(weight) != N:
-        raise ValueError(f"weight must have {N} entries")
     if any(w < 0 for w in weight):
         raise ValueError(f"negative weight entry in {weight}")
-    if sum(weight) != n:
-        raise ValueError(f"weight {weight} does not sum to {n}")
-    _require_entries(_weight_dim(n, weight), 1)
-    return _weight_basis_cached(N, n, weight)
+    _require_entries(_weight_dim(weight), 1)
+    return _weight_basis_cached(weight)
 
 
 @dataclass(eq=False)
@@ -205,12 +206,11 @@ def _content_filter(basis, X, others) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]) -> Subspace:
-    lam = Partition(weight)
-    d = irrep_dimension(lam)
-    _require_entries(_weight_dim(n, weight), d + 4)
-    basis = weight_basis(N, n, weight)
-    core = lam.trimmed
+def _singular_basis_cached(core: tuple[int, ...]) -> Subspace:
+    lam = Partition(core)
+    n, d = lam.n, irrep_dimension(lam)
+    _require_entries(_weight_dim(core), d + 4)
+    basis = weight_basis(core)
     bounds = list(accumulate(core))
     # the contents of the constituents mu > lam, ascending: relative to lam a
     # factor scales the constituent nu by (c(nu) - c) / (c(lam) - c), so the
@@ -243,9 +243,9 @@ def _singular_basis_cached(N: int, n: int, weight: tuple[int, ...]) -> Subspace:
     return Subspace(basis, cols)
 
 
-def singular_basis(lam: Partition, N: int | None = None) -> Subspace:
+def singular_basis(lam: Partition) -> Subspace:
     """Orthonormal basis of the singular vectors of weight lam, cached per
-    (N, n, weight) with its transposition table.
+    partition with its transposition table.
 
     These are the weight-lam vectors killed by every raising operator
     sum_a e_ij^(a), i < j: the lam-isotypic part, of dimension the number of
@@ -262,13 +262,12 @@ def singular_basis(lam: Partition, N: int | None = None) -> Subspace:
     d_lam leading left singular vectors are filtered once more and
     orthonormalized.  No dim x dim matrix is formed: a weight space of dim
     words is refused when dim x (d_lam + 4) exceeds MAX_ENTRIES, which
-    admits every partition of n = 8."""
-    core = lam.trimmed
-    if N is None:
-        N = max(1, len(core))
-    if len(core) > N:
-        raise ValueError(f"{lam!r} needs more than N={N} rows")
-    return _singular_basis_cached(N, lam.n, lam.padded(N))
+    admits every partition of n = 8.
+
+    The weight space is that of lam's nonzero rows, N = len(lam.trimmed):
+    a zero row would add a letter that no word uses, and change neither the
+    words nor the columns."""
+    return _singular_basis_cached(lam.trimmed)
 
 
 def gaudin_hamiltonian(z, subspace: Subspace) -> np.ndarray:
@@ -294,7 +293,7 @@ def gaudin_hamiltonian(z, subspace: Subspace) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _permutation_space(n: int) -> Subspace:
     _require_entries(math.factorial(n), math.factorial(n))
-    return Subspace(weight_basis(n, n, (1,) * n))
+    return Subspace(weight_basis((1,) * n))
 
 
 def generalized_gaudin(z, q) -> np.ndarray:
@@ -390,10 +389,12 @@ def joint_eigen(ops, tol: float = 1e-8, seed=0):
         return _nested([[] for _ in seeds], batch)
     mats = mats.reshape((-1, k, dim, dim))
     norms = np.linalg.norm(mats, axis=(-2, -1))
-    i, j = np.triu_indices(k, 1)
-    comm = mats[:, i] @ mats[:, j] - mats[:, j] @ mats[:, i]
-    top = np.maximum(1.0, norms.max(axis=-1))
-    defect = np.linalg.norm(comm, axis=(-2, -1)).max(axis=-1, initial=0.0) / top**2
+    # one pair at a time: (families, d, d) temporaries, not k(k-1)/2 times that
+    worst = np.zeros(len(mats))
+    for a, b in zip(*np.triu_indices(k, 1)):
+        A, B = mats[:, a], mats[:, b]
+        worst = np.maximum(worst, np.linalg.norm(A @ B - B @ A, axis=(-2, -1)))
+    defect = worst / np.maximum(1.0, norms.max(axis=-1)) ** 2
     errors = [
         NonCommutingOperatorsError(f"commutator defect {x:.3e} exceeds 1.0e-10")
         if x > 1e-10
@@ -477,21 +478,16 @@ def _points(z: np.ndarray, entries) -> list:
     return [SpectralPoint(z, p, res) for p, _, res in entries]
 
 
-def spectral_points(
-    lam: Partition,
-    z,
-    N: int | None = None,
-    tol: float = 1e-8,
-    seed=0,
-) -> list:
-    """Joint spectrum of the Gaudin family on the singular space of weight lam.
+def spectral_points(lam: Partition, z, tol: float = 1e-8, seed=0) -> list:
+    """Joint spectrum of the Gaudin family on the singular space of weight lam,
+    on lam's nonzero rows (see singular_basis).
 
     For generic z this yields exactly irrep_dimension(lam) points, each with
     sum_a p_a = 0.  A stack of z, (..., n), with one seed per row, is one
     stack of families through one joint_eigen call and gives one list of
     points per row; a single z is the unbatched case.
     """
-    ops = gaudin_hamiltonian(z, singular_basis(lam, N))
+    ops = gaudin_hamiltonian(z, singular_basis(lam))
     entries = joint_eigen(ops, tol=tol, seed=seed)
     return _points(np.asarray(z, dtype=complex), entries)
 

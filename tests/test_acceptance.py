@@ -17,7 +17,6 @@ from cmkz.harness import (
     check_collision,
     check_l0_membership,
     check_lq,
-    check_n_independence,
     check_operator_identities,
     check_structural_invariants,
 )
@@ -49,16 +48,6 @@ def test_criterion_1_l0_membership():
         rec.passed,
         f"(max scaled residual {rec.residuals['max_scaled_residual']:.2e}, "
         f"weighted totals = n! {rec.counts['weighted_totals_match_factorial']})",
-    )
-
-
-def test_criterion_2_row_count_independence():
-    rec = check_n_independence(CONFIG)
-    _verdict(
-        2,
-        "spectra independent of added zero rows",
-        rec.passed,
-        f"(max match distance {rec.residuals['max_match_distance']:.2e} at 1e-8)",
     )
 
 

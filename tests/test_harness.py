@@ -196,7 +196,7 @@ def test_corrupted_momenta_fail_membership():
 
 def test_check_seed_stable():
     assert check_seed(2024, "l0-membership") == check_seed(2024, "l0-membership")
-    assert check_seed(2024, "l0-membership") != check_seed(2024, "n-independence")
+    assert check_seed(2024, "l0-membership") != check_seed(2024, "closed-forms")
     assert check_seed(1, "l0-membership") != check_seed(2, "l0-membership")
 
 
@@ -235,9 +235,7 @@ def test_raising_check_is_recorded_and_the_rest_still_run(monkeypatch):
     cfg = VerificationConfig(n_max=2, trials=1, seed=5, suites=("l0", "lq"))
     rep = run_suite(cfg)
     by_id = {r.check: r for r in rep.records}
-    assert list(by_id) == [
-        "l0-membership", "n-independence", "closed-forms", "lq-membership"
-    ]
+    assert list(by_id) == ["l0-membership", "closed-forms", "lq-membership"]
     bad = by_id.pop("closed-forms")
     assert (bad.suite, bad.seed, bad.passed) == ("l0", check_seed(5, "closed-forms"), False)
     assert bad.error == "RuntimeError: solver diverged"
@@ -472,7 +470,7 @@ def test_every_reported_residual_has_a_declared_bound():
         bounds = BOUNDS[rec.check]
         assert set(rec.residuals) - {"tolerance"} == set(bounds)
         declared += len(bounds)
-    assert declared == 16
+    assert declared == 15
 
 
 _BETHE_COUNTS = {
@@ -504,9 +502,9 @@ _L0_COUNTS = {
 # Check records frozen bit for bit, residuals as hex floats; seed 1000205
 # is one of the seeds where a direct multistart on the Bethe equations found
 # 2 of the 3 points of (2,1,1), and the fiber populations find all 3.  The
-# l0, n-independence, closed-forms, lq and collision records read the
-# Gaudin spectra through the transposition tables, and all of them but lq,
-# with the Bethe match distance, read a singular space; so a change to how
+# l0, closed-forms, lq and collision records read the Gaudin spectra
+# through the transposition tables, and all of them but lq, with the Bethe
+# match distance, read a singular space; so a change to how
 # either is built, or to how joint_eigen reads the eigenvalues back, shows
 # here record by record
 PINNED_RECORDS = {
@@ -515,14 +513,6 @@ PINNED_RECORDS = {
         _L0_COUNTS,
         {
             "max_scaled_residual": "0x1.05156dda4edc3p-47",
-            "tolerance": "0x1.5798ee2308c3ap-27",
-        },
-    ),
-    (2024, "n-independence"): (
-        True,
-        {"cases": 15},
-        {
-            "max_match_distance": "0x1.031b2d07a54bdp-47",
             "tolerance": "0x1.5798ee2308c3ap-27",
         },
     ),
@@ -620,7 +610,6 @@ def test_solver_records_are_pinned(seed, cid):
 def test_registry_order_and_public_names():
     assert list(CHECKS) == [
         "l0-membership",
-        "n-independence",
         "closed-forms",
         "bethe-correspondence",
         "lq-membership",
@@ -664,6 +653,14 @@ def test_cli_spectrum():
     assert len(payload["points"][0]["p"]) == 3
 
 
+def test_cli_spectrum_reads_the_rows_from_the_partition():
+    # --lambda 2,1,0 is the shape 2,1: the same payload, byte for byte
+    narrow = _run_cli("spectrum", "--lambda", "2,1", "--seed", "5")
+    wide = _run_cli("spectrum", "--lambda", "2,1,0", "--seed", "5")
+    assert narrow.returncode == wide.returncode == 0
+    assert wide.stdout == narrow.stdout
+
+
 def test_cli_spectrum_n_mismatch_is_usage_error():
     out = _run_cli("spectrum", "--n", "4", "--lambda", "2,1")
     assert out.returncode == 2
@@ -697,13 +694,13 @@ def test_cli_verify_deterministic_stdout():
 
 
 def test_cli_verify_l0_at_n_max_5():
-    # n-independence carries (1,1,1,1,1) on 6 rows, past N^n = 4096
     args = ("--n-max", "5", "--suite", "l0", "--trials", "1", "--seed", "1")
     out = _run_cli("verify", *args)
     assert out.returncode == 0
     records = {r["check"]: r for r in json.loads(out.stdout)["records"]}
-    assert records["n-independence"]["passed"]
-    assert records["n-independence"]["error"] is None
+    assert list(records) == ["l0-membership", "closed-forms"]
+    for rec in records.values():
+        assert rec["passed"] and rec["error"] is None
 
 
 def test_cli_bad_usage_exits_2():

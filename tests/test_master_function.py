@@ -35,7 +35,30 @@ def test_level_sizes():
     assert level_sizes(Partition((3,))) == ()
     assert level_sizes(Partition((1, 1))) == (1,)
     assert level_sizes(Partition((2, 1, 1))) == (2, 1)
+    assert level_sizes(Partition((2, 1, 0))) == (1,)  # zero rows carry no level
     assert q_level_sizes(4) == (3, 2, 1)
+
+
+def test_level_sizes_ignore_zero_rows():
+    # one positive level below every nonzero row but the first, whatever
+    # number of parts the shape is carried with
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n, n):
+            sizes = level_sizes(lam)
+            assert len(sizes) == len(lam.trimmed) - 1
+            assert all(s > 0 for s in sizes)
+            assert list(sizes) == sorted(sizes, reverse=True)
+            for pad in (1, 2):
+                padded = Partition(lam.padded(len(lam.trimmed) + pad))
+                assert level_sizes(padded) == sizes
+
+
+def test_level_sizes_count_each_box_once_per_row_above_it():
+    # sum_a l_a = sum_b (b - 1) lam_b: the number of auxiliary variables
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n, n):
+            weighted = sum(b * part for b, part in enumerate(lam.trimmed))
+            assert sum(level_sizes(lam)) == weighted
 
 
 def test_grad_t_two_particle():
@@ -256,6 +279,21 @@ def test_solve_bethe_matches_spectra():
     pts = spectral_points(lam, z, seed=12)
     res = match_points([c.p for c in crits], [sp.p for sp in pts], 1e-6)
     assert res.ok
+
+
+def test_solve_bethe_reads_the_rows_from_the_partition():
+    # a zero row adds no level: the same critical points, bit for bit
+    rng = np.random.default_rng(3)
+    for parts in ((2, 1), (2, 2), (2, 1, 1)):
+        lam = Partition(parts)
+        z = sample_generic_z(lam.n, rng)
+        a = solve_bethe(lam, z, seed=5)
+        b = solve_bethe(Partition(parts + (0,)), z, seed=5)
+        assert len(a) == len(b) == irrep_dimension(lam)
+        for ca, cb in zip(a, b):
+            assert len(cb.config.t) == len(parts) - 1
+            assert np.array_equal(ca.config.flat_t, cb.config.flat_t)
+            assert np.array_equal(ca.p, cb.p)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

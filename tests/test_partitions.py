@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmkz.partitions import (
-    BetheLevels,
     Partition,
-    bethe_levels,
     conjugate,
     enumerate_partitions,
     irrep_dimension,
@@ -82,30 +80,6 @@ def test_sum_of_squares_is_factorial():
     for n in range(1, 9):
         total = sum(irrep_dimension(l) ** 2 for l in enumerate_partitions(n, n))
         assert total == math.factorial(n)
-
-
-def test_bethe_levels_examples():
-    assert bethe_levels(Partition((1, 1)), 2) == BetheLevels((1,))
-    assert bethe_levels(Partition((1, 1)), 2).total == 1
-    assert bethe_levels(Partition((2, 1)), 3) == BetheLevels((1, 0))
-    assert bethe_levels(Partition((1, 1, 1)), 3) == BetheLevels((2, 1))
-    assert bethe_levels(Partition((1, 1, 1)), 3).total == 3
-
-
-def test_bethe_levels_n_independence():
-    for n in range(1, 7):
-        for lam in enumerate_partitions(n, n):
-            rows = len(lam.trimmed)
-            for N in range(rows, rows + 3):
-                a = bethe_levels(lam, N).l
-                b = bethe_levels(lam, N + 1).l
-                assert b[: len(a)] == a
-                assert b[len(a)] == 0
-
-
-def test_bethe_levels_rejects_too_many_parts():
-    with pytest.raises(ValueError):
-        bethe_levels(Partition((1, 1, 1)), 2)
 
 
 def test_partition_equality_ignores_trailing_zeros():

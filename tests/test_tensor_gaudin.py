@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cmkz.calogero_moser import l0_residual
+from cmkz.harness import match_points
 from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension
 from cmkz.polyalg import require_distinct
 from cmkz import tensor_gaudin
@@ -38,7 +39,7 @@ def eij_matrix(i: int, j: int, a: int, basis):
     shifted[j - 1] -= 1
     if shifted[j - 1] < 0:
         return np.zeros((0, basis.dim), dtype=complex), None
-    target = weight_basis(basis.N, basis.n, shifted)
+    target = weight_basis(shifted)
     cols = np.flatnonzero(basis.array[:, a - 1] == j)
     moved = basis.array[cols]
     moved[:, a - 1] = i
@@ -72,30 +73,40 @@ def dense_class_sum(basis) -> np.ndarray:
 
 
 def test_weight_basis_examples():
-    b = weight_basis(2, 2, (1, 1))
+    b = weight_basis((1, 1))
     assert b.indices == ((1, 2), (2, 1))
-    assert weight_basis(2, 2, (2, 0)).indices == ((1, 1),)
-    b3 = weight_basis(3, 3, (1, 1, 1))
+    assert weight_basis((2, 0)).indices == ((1, 1),)
+    b3 = weight_basis((1, 1, 1))
     assert b3.dim == 6
     assert b3.indices[0] == (1, 2, 3)
 
 
 def test_weight_basis_counts_and_order():
-    b = weight_basis(3, 4, (2, 1, 1))
+    b = weight_basis((2, 1, 1))
+    assert b.n == 4
     assert b.dim == math.factorial(4) // 2
     assert list(b.indices) == sorted(b.indices)
 
 
 def test_weight_basis_validation():
     with pytest.raises(ValueError):
-        weight_basis(2, 2, (1, 2))
-    with pytest.raises(ValueError):
-        weight_basis(2, 3, (-1, 4))
+        weight_basis((-1, 4))
+
+
+def test_weight_basis_zero_entry_is_a_letter_no_word_uses():
+    # the weight fixes N: a trailing zero adds the letter N + 1 to the
+    # alphabet and no word to the basis
+    for weight in ((2, 1), (1, 1, 1), (2, 2, 1)):
+        narrow, wide = weight_basis(weight), weight_basis(weight + (0,))
+        assert wide.weight == weight + (0,) and wide.n == narrow.n
+        assert wide.indices == narrow.indices
+        assert np.array_equal(wide.swaps, narrow.swaps)
 
 
 def test_swap_map_swaps_the_letters_word_by_word():
-    for N, n, weight in ((1, 3, (3,)), (3, 4, (2, 1, 1)), (4, 5, (2, 2, 1, 0))):
-        basis = weight_basis(N, n, weight)
+    for weight in ((3,), (2, 1, 1), (2, 2, 1, 0)):
+        basis = weight_basis(weight)
+        n = basis.n
         pairs = list(zip(*np.triu_indices(n, 1)))
         assert basis.swaps.shape == (basis.dim, len(pairs))
         for k, word in enumerate(basis.indices):
@@ -108,10 +119,10 @@ def test_swap_map_swaps_the_letters_word_by_word():
 def test_weight_basis_cap_is_on_the_weight_space():
     # the cap counts words x columns: N^n = 7776 is no limit, the weight
     # space is 5! = 120, and every partition of 8 is admitted
-    assert weight_basis(6, 5, (1, 1, 1, 1, 1, 0)).dim == 120
+    assert weight_basis((1, 1, 1, 1, 1, 0)).dim == 120
     assert tensor_gaudin.MAX_ENTRIES == 2**20
     with pytest.raises(ValueError, match="weight space dimension 3628800 x 1 columns"):
-        weight_basis(10, 10, (1,) * 10)
+        weight_basis((1,) * 10)
     # (1^9): 9! words x (1 + 4) filtered columns; the permutation space of
     # n = 7 is 7! words x 7! columns
     with pytest.raises(ValueError, match="weight space dimension 362880 x 5 columns"):
@@ -121,7 +132,7 @@ def test_weight_basis_cap_is_on_the_weight_space():
 
 
 def test_eij_matrix_examples():
-    b = weight_basis(2, 2, (2, 0))
+    b = weight_basis((2, 0))
     vec = np.array([1.0])  # e1 (x) e1
     mat, target = eij_matrix(2, 1, 2, b)
     out = mat @ vec
@@ -129,7 +140,7 @@ def test_eij_matrix_examples():
     k = target.index_of((1, 2))  # e1 (x) e2
     assert abs(out[k] - 1.0) < 1e-15 and np.abs(np.delete(out, k)).max() == 0.0
 
-    b11 = weight_basis(2, 2, (1, 1))
+    b11 = weight_basis((1, 1))
     e12 = np.zeros(2)
     e12[b11.index_of((1, 2))] = 1.0
     mat, target = eij_matrix(1, 2, 1, b11)
@@ -142,8 +153,9 @@ def test_eij_matrix_examples():
 
 def test_gaudin_matches_explicit_generator_composition():
     rng = np.random.default_rng(8)
-    for N, n, weight in ((2, 2, (1, 1)), (2, 3, (2, 1)), (3, 3, (1, 1, 1))):
-        basis = weight_basis(N, n, weight)
+    for weight in ((1, 1), (2, 1), (1, 1, 1)):
+        basis = weight_basis(weight)
+        N, n = len(weight), basis.n
         z = sample_generic_z(n, rng)
         family = gaudin_hamiltonian(z, Subspace(basis))
         assert family.shape == (n, basis.dim, basis.dim)
@@ -165,35 +177,34 @@ def test_gaudin_matches_explicit_generator_composition():
 
 
 def test_singular_basis_small_cases():
-    sub = singular_basis(Partition((2,)), 2)
+    sub = singular_basis(Partition((2,)))
     assert sub.dim == 1
     assert np.allclose(np.abs(sub.columns[:, 0]), [1.0])  # e1 (x) e1
 
-    sub = singular_basis(Partition((1, 1)), 2)
+    sub = singular_basis(Partition((1, 1)))
     assert sub.dim == 1
     v = sub.columns[:, 0]
     expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
     overlap = abs(np.vdot(expected, v))
     assert abs(overlap - 1.0) < 1e-12
 
-    assert singular_basis(Partition((2, 1)), 2).dim == 2
+    assert singular_basis(Partition((2, 1))).dim == 2
 
 
 def test_singular_basis_dimension_matches_tableau_count():
     for n in range(2, 6):
         for lam in enumerate_partitions(n, min(n, 3)):
-            rows = max(1, len(lam.trimmed))
-            assert singular_basis(lam, rows).dim == irrep_dimension(lam)
+            assert singular_basis(lam).dim == irrep_dimension(lam)
 
 
 def test_singular_basis_skips_the_full_left_factor():
     # (1^7) has a weight space of 7! = 5040 words; the filter works on
     # 5040 x 5 columns and never forms the 5040 x 5040 class sum
-    weight = Partition((1,) * 7).padded(7)
-    weight_basis(7, 7, weight).swaps  # cached outside the traced window
+    weight = (1,) * 7
+    weight_basis(weight).swaps  # cached outside the traced window
     tracemalloc.start()
     try:
-        cols = _singular_basis_cached.__wrapped__(7, 7, weight).columns
+        cols = _singular_basis_cached.__wrapped__(weight).columns
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -206,13 +217,13 @@ def test_raising_operators_kill_the_singular_columns():
     # check that reads neither the class sum nor its contents
     for n in range(2, 7):
         for lam in enumerate_partitions(n, n):
-            for N in (len(lam.trimmed), len(lam.trimmed) + 1):
-                sub = singular_basis(lam, N)
-                for i in range(1, N + 1):
-                    for j in range(i + 1, N + 1):
-                        mat, target = summed_eij(i, j, sub.basis)
-                        if target is not None:
-                            assert np.abs(mat @ sub.columns).max() < 1e-12
+            sub = singular_basis(lam)
+            N = len(sub.basis.weight)
+            for i in range(1, N + 1):
+                for j in range(i + 1, N + 1):
+                    mat, target = summed_eij(i, j, sub.basis)
+                    if target is not None:
+                        assert np.abs(mat @ sub.columns).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -226,24 +237,20 @@ def test_filter_span_is_the_dense_content_eigenspace(n):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_filter_columns_are_bit_identical_across_builds_and_row_counts(n):
-    # two cold builds, and the extra zero row of n-independence, which no
-    # word uses: same words, same start columns, same bits
+def test_filter_columns_are_bit_identical_across_builds(n):
+    # two cold builds: same words, same start columns, same bits
     for lam in enumerate_partitions(n, n):
-        rows = len(lam.trimmed)
-        first = _singular_basis_cached.__wrapped__(rows, n, lam.padded(rows))
-        again = _singular_basis_cached.__wrapped__(rows, n, lam.padded(rows))
-        wider = _singular_basis_cached.__wrapped__(rows + 1, n, lam.padded(rows + 1))
+        first = _singular_basis_cached.__wrapped__(lam.trimmed)
+        again = _singular_basis_cached.__wrapped__(lam.trimmed)
         assert np.array_equal(first.columns, again.columns)
-        assert np.array_equal(first.columns, wider.columns)
-        assert np.array_equal(first.transpositions, wider.transpositions)
+        assert np.array_equal(first.transpositions, again.transpositions)
 
 
 def test_singular_basis_measures_its_rank(monkeypatch):
     # the filter's rank is measured, not taken from the tableau count
     monkeypatch.setattr(tensor_gaudin, "irrep_dimension", lambda lam: 3)
     with pytest.raises(NumericalRankError, match="computed dimension 2, expected 3"):
-        _singular_basis_cached.__wrapped__(2, 3, (2, 1))
+        _singular_basis_cached.__wrapped__((2, 1))
 
 
 def test_every_partition_of_7_has_its_singular_space():
@@ -263,7 +270,7 @@ def test_class_sum_spectrum_has_the_content_gap(n):
     # they kill everything else
     partitions = enumerate_partitions(n, n)
     for lam in partitions:
-        basis = weight_basis(len(lam.trimmed), n, lam.trimmed)
+        basis = weight_basis(lam.trimmed)
         w = np.linalg.eigvalsh(dense_class_sum(basis))
         levels = np.round(w)
         assert np.abs(w - levels).max() < 1e-9
@@ -281,13 +288,12 @@ def test_class_sum_spectrum_has_the_content_gap(n):
         assert set(levels[levels != c]) <= dominating
 
 
-@pytest.mark.parametrize("extra_rows", [0, 1])
-def test_transposition_table_is_the_irrep(extra_rows):
+def test_transposition_table_is_the_irrep():
     # T_ab is the irrep lambda of S_n: involutions, braid-conjugation
     # T_ab T_bc T_ab = T_ac, and Frobenius's character of a transposition
     for n in range(2, 6):
         for lam in enumerate_partitions(n, n):
-            sub = singular_basis(lam, len(lam.trimmed) + extra_rows)
+            sub = singular_basis(lam)
             T = sub.transpositions
             d = irrep_dimension(lam)
             eye = np.eye(d)
@@ -306,26 +312,31 @@ def test_transposition_table_is_the_irrep(extra_rows):
 
 
 def test_transposition_table_rejects_a_non_invariant_subspace():
-    basis = weight_basis(2, 2, (1, 1))
+    basis = weight_basis((1, 1))
     sub = Subspace(basis, np.array([[1.0], [0.0]], dtype=complex))  # e1 (x) e2
     with pytest.raises(NumericalRankError, match="not invariant under P_12"):
         sub.transpositions
 
 
 def test_transposition_table_is_read_only():
-    T = singular_basis(Partition((2, 1)), 3).transpositions
+    T = singular_basis(Partition((2, 1))).transpositions
     with pytest.raises(ValueError):
         T[0, 1, 0, 0] = 0.0
 
 
-def test_singular_basis_rejects_narrow_N():
-    with pytest.raises(ValueError):
-        singular_basis(Partition((1, 1, 1)), 2)
+def test_singular_basis_is_one_cache_entry_per_partition():
+    # a shape carried with zero rows is the same partition, and its
+    # singular space is built on the nonzero rows only
+    for parts in ((2, 1), (1, 1, 1), (3, 2, 1)):
+        sub = singular_basis(Partition(parts))
+        for pad in (1, 2):
+            assert singular_basis(Partition(parts + (0,) * pad)) is sub
+        assert sub.basis.weight == parts
 
 
 def test_gaudin_one_by_one_and_sum_rule():
     z = np.array([0.2 + 0.1j, -0.4 - 0.3j])
-    H = gaudin_hamiltonian(z, singular_basis(Partition((2,)), 2))
+    H = gaudin_hamiltonian(z, singular_basis(Partition((2,))))
     assert H.shape == (2, 1, 1)
     assert abs(H[0, 0, 0] - 1.0 / (z[0] - z[1])) < 1e-14
     assert abs(H[0, 0, 0] + H[1, 0, 0]) < 1e-14
@@ -333,7 +344,7 @@ def test_gaudin_one_by_one_and_sum_rule():
 
 def test_gaudin_sum_vanishes_on_weight_space():
     rng = np.random.default_rng(9)
-    basis = weight_basis(2, 3, (2, 1))
+    basis = weight_basis((2, 1))
     z = sample_generic_z(3, rng)
     total = gaudin_hamiltonian(z, Subspace(basis)).sum(axis=0)
     assert np.abs(total).max() < 1e-13
@@ -341,7 +352,7 @@ def test_gaudin_sum_vanishes_on_weight_space():
 
 def test_gaudin_commutators_and_gl_symmetry():
     rng = np.random.default_rng(10)
-    basis = weight_basis(3, 4, (2, 1, 1))
+    basis = weight_basis((2, 1, 1))
     z = sample_generic_z(4, rng)
     mats = gaudin_hamiltonian(z, Subspace(basis))
     top = max(np.linalg.norm(m) for m in mats)
@@ -360,7 +371,7 @@ def test_gaudin_commutators_and_gl_symmetry():
 
 
 def test_gaudin_rejects_coincident_z():
-    sub = singular_basis(Partition((2,)), 2)
+    sub = singular_basis(Partition((2,)))
     with pytest.raises(ValueError):
         gaudin_hamiltonian([0.5, 0.5 + 1e-12], sub)
     with pytest.raises(ValueError, match="need 2 points, got 3"):
@@ -389,7 +400,7 @@ def test_generalized_gaudin_two_by_two():
     assert np.abs(H[0] - np.array([[q[0], s], [s, q[1]]])).max() < 1e-14
     assert np.abs(H[1] - np.array([[q[1], -s], [-s, q[0]]])).max() < 1e-14
     H0 = generalized_gaudin(z, np.zeros(2))
-    b = weight_basis(2, 2, (1, 1))
+    b = weight_basis((1, 1))
     Hg = gaudin_hamiltonian(z, Subspace(b))
     assert np.abs(H0 - Hg).max() == 0.0
 
@@ -537,6 +548,23 @@ def test_batch_axes_nest_the_results():
     assert joint_eigen(np.zeros((0, 1, 2, 2))) == []
 
 
+def test_commutator_test_works_one_operator_pair_at_a_time():
+    # 20 families of (6,2): 8 operators, 28 pairs of 20 x 20 matrices; all
+    # pairs' commutators at once held 14x the stack
+    n, lam = 8, Partition((6, 2))
+    rng = np.random.default_rng(21)
+    ops = gaudin_hamiltonian(
+        np.array([sample_generic_z(n, rng) for _ in range(20)]), singular_basis(lam)
+    )
+    tracemalloc.start()
+    try:
+        joint_eigen(ops, seed=np.arange(20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ops.nbytes
+
+
 def test_only_the_families_whose_probe_failed_draw_again(monkeypatch):
     # at tol 5e-16 some (2,1,1) families pass the first probe, and others
     # only a later one
@@ -627,15 +655,29 @@ def test_spectral_points_land_on_zero_level():
         assert abs(np.sum(sp.p)) < 1e-10
 
 
-def test_spectral_points_independent_of_row_count():
+def test_spectra_do_not_depend_on_the_probe_seed():
+    # two probe combinations of one Gaudin family read back one spectrum
     rng = np.random.default_rng(14)
-    lam = Partition((2, 2))
-    z = sample_generic_z(4, rng)
-    a = spectral_points(lam, z, N=2, seed=1)
-    b = spectral_points(lam, z, N=3, seed=9)
-    da = sorted((round(p.real, 8), round(p.imag, 8)) for sp in a for p in sp.p)
-    db = sorted((round(p.real, 8), round(p.imag, 8)) for sp in b for p in sp.p)
-    assert da == db
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n, n):
+            z = sample_generic_z(n, rng)
+            a, b = (spectral_points(lam, z, seed=s) for s in rng.integers(2**31, size=2))
+            match = match_points([sp.p for sp in a], [sp.p for sp in b], 1e-8)
+            assert match.ok and len(match.pairs) == irrep_dimension(lam)
+
+
+def test_spectral_points_read_the_rows_from_the_partition():
+    # a zero row changes neither the family nor its spectrum, bit for bit
+    rng = np.random.default_rng(16)
+    for n in range(1, 5):
+        for lam in enumerate_partitions(n, n):
+            z = sample_generic_z(n, rng)
+            padded = Partition(lam.padded(len(lam.trimmed) + 1))
+            a = spectral_points(lam, z, seed=3)
+            b = spectral_points(padded, z, seed=3)
+            assert len(a) == len(b) == irrep_dimension(lam)
+            for pa, pb in zip(a, b):
+                assert np.array_equal(pa.p, pb.p)
 
 
 def test_generalized_spectrum_count_and_eigenspace_dim():
