@@ -69,13 +69,10 @@ class FirstIntegrals:
 def first_integrals(z, p) -> FirstIntegrals:
     """Elementary symmetric functions of the eigenvalues of cm_matrix(z, p).
 
-    One eigvals call takes the whole stack.  The symmetric functions are
-    then read off row by row with elementary_symmetric, whose convolutions
-    a stacked recurrence matches only to the last bit.
+    One eigvals call and one elementary_symmetric call take the whole
+    stack; the Vieta recurrence gives each row the bits it gets alone.
     """
-    eigs = np.linalg.eigvals(cm_matrix(z, p))
-    rows = eigs.reshape(-1, eigs.shape[-1])
-    e = np.array([elementary_symmetric(row) for row in rows]).reshape(eigs.shape)
+    e = elementary_symmetric(np.linalg.eigvals(cm_matrix(z, p)))
     return FirstIntegrals(tuple(np.moveaxis(e, -1, 0)))
 
 

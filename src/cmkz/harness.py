@@ -572,29 +572,51 @@ def check_operator_identities(config, rng):
     )
 
 
-def _fd_gradient(value_fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central differences of value_fn at x, which evaluates the stack of
-    the 2 * len(x) points x + h e_k, then x - h e_k, in one call."""
-    steps = h * np.eye(len(x))
-    values = value_fn(np.concatenate([x + steps, x - steps]))
-    return (values[: len(x)] - values[len(x) :]) / (2.0 * h)
+_FD_STEP = 1e-6  # central-difference step h of the gradient trials
 
 
-def _gradient_trial(rng, z, sizes, arg, value, grad_z, grad_t):
+def _fd_points(x: np.ndarray) -> np.ndarray:
+    """Central-difference points of each row of the stack x, shape (m, L):
+    the (2L, m, L) stack of x + h e_k for k = 1..L, then x - h e_k."""
+    steps = _FD_STEP * np.eye(x.shape[-1])[:, None, :]
+    return np.concatenate([x + steps, x - steps])
+
+
+def _defined_near(x: np.ndarray, n: int, sizes) -> np.ndarray:
+    """Per row of the stack x of (z, flat t): whether Phi with these level
+    sizes is defined at the row and at its central-difference points, all
+    of them decided in one stacked mf.in_domain call."""
+    pts = np.concatenate([x[None], _fd_points(x)])
+    return mf.in_domain(pts[..., :n], pts[..., n:], sizes).all(axis=0)
+
+
+def _gradient_mismatches(x, n, sizes, arg, value, grad_z, grad_t):
     """Relative mismatch between the analytic gradient (grad_z, grad_t) of
-    value(arg, z, t) and its finite differences, at t drawn with the given
-    level sizes; None if the trial leaves the domain."""
-    t = [3.0 * (rng.standard_normal(s) + 1j * rng.standard_normal(s)) for s in sizes]
-    n = len(z)
+    value(arg, z, t) and its central differences, one per row of the stack
+    x of (z, flat t); arg is a partition or a stack of q, one per row.
+    Each of the three functions is called once, on the whole stack; None if
+    one of them finds a point outside the domain."""
+    L = x.shape[-1]
+    pts = _fd_points(x)
+    t = mf._split(x[:, n:], sizes)
     try:
-        analytic = np.concatenate([grad_z(arg, z, t), grad_t(arg, z, t)])
-        fd = _fd_gradient(
-            lambda v: value(arg, v[..., :n], mf._split(v[..., n:], sizes)),
-            np.concatenate([z] + t),
+        analytic = np.concatenate(
+            [grad_z(arg, x[:, :n], t), grad_t(arg, x[:, :n], t)], axis=-1
         )
+        values = value(arg, pts[..., :n], mf._split(pts[..., n:], sizes))
     except ValueError:
         return None
-    return np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())
+    fd = ((values[:L] - values[L:]) / (2.0 * _FD_STEP)).T
+    return np.abs(analytic - fd).max(axis=-1) / np.maximum(
+        1.0, np.abs(analytic).max(axis=-1)
+    )
+
+
+def _draw_levels(rng, sizes) -> np.ndarray:
+    """Flat t of a gradient trial, level by level."""
+    return np.concatenate(
+        [3.0 * (rng.standard_normal(s) + 1j * rng.standard_normal(s)) for s in sizes]
+    )
 
 
 @_check(
@@ -613,11 +635,13 @@ def check_structural_invariants(config, rng):
 
     The 1000 rank-one trials are drawn one after another as before, then
     evaluated as one stack per n.  Each of the 100 gradient trials compares
-    the gradients of Phi, then of Phi_q, with finite differences taken from
-    one stacked evaluation, whose domain rule rejects the trial if any
-    perturbed point falls outside; a Phi trial that leaves the domain skips
-    the Phi_q draws.  ``gradient_trials`` counts the trials that compared
-    both, and the check fails if none did.
+    the gradients of Phi, then of Phi_q, with central differences.  The
+    draw loop decides whether Phi is defined at a trial's point and its
+    difference points, in one stacked call; a Phi trial outside the domain
+    skips the Phi_q draws.  Then the trials of each partition are compared
+    as one Phi stack and one Phi_q stack; a Phi_q trial outside the domain
+    drops out of its stack.  ``gradient_trials`` counts the trials that
+    compared both, and the check fails if none did.
     """
     by_n: dict[int, list] = {n: [] for n in range(2, 7)}
     for _ in range(1000):
@@ -637,33 +661,43 @@ def check_structural_invariants(config, rng):
         scale = np.maximum(1.0, np.abs(h))
         hamiltonian += [np.abs(h - tr2) / scale, np.abs(h - (q1**2 - 2.0 * q2)) / scale]
 
-    trials = 0
+    shapes = {
+        n: [l for l in enumerate_partitions(n, n) if mf.level_sizes(l)]
+        for n in range(2, 5)
+    }
+    groups: dict[Partition, list] = {}  # one object per shape -> its trials
     for _ in range(100):
         n = int(rng.integers(2, 5))
-        lams = [l for l in enumerate_partitions(n, n) if mf.level_sizes(l)]
-        lam = lams[int(rng.integers(len(lams)))]
+        lam = shapes[n][int(rng.integers(len(shapes[n])))]
         z = sample_generic_z(n, rng)
-        r = _gradient_trial(
-            rng, z, mf.level_sizes(lam), lam, mf.master_value, mf.grad_z, mf.grad_t
-        )
-        if r is None:
+        x = np.concatenate([z, _draw_levels(rng, mf.level_sizes(lam))])
+        if not _defined_near(x[None], n, mf.level_sizes(lam))[0]:
             continue  # sampled configuration too close to a collision
-        gradient.append(r)
         q = sample_generic_z(n, rng, radius=1.5)
-        r = _gradient_trial(
-            rng, z, mf.q_level_sizes(n), q, mf.master_value_q, mf.grad_z_q, mf.grad_t_q
+        xq = np.concatenate([z, _draw_levels(rng, mf.q_level_sizes(n))])
+        groups.setdefault(lam, []).append((x, q, xq))
+    trials = 0
+    for lam, rows in groups.items():
+        n = lam.n
+        x, q, xq = (np.array(a) for a in zip(*rows))
+        r = _gradient_mismatches(
+            x, n, mf.level_sizes(lam), lam, mf.master_value, mf.grad_z, mf.grad_t
         )
-        if r is None:
-            continue
-        gradient.append(r)
-        trials += 1
+        keep = _defined_near(xq, n, mf.q_level_sizes(n))
+        r_q = _gradient_mismatches(
+            xq[keep], n, mf.q_level_sizes(n), q[keep],
+            mf.master_value_q, mf.grad_z_q, mf.grad_t_q,
+        )
+        gradient += [g for g in (r, r_q) if g is not None]
+        if r is not None and r_q is not None:
+            trials += len(r_q)
     return (
         trials > 0,
         {"rank_one_trials": 1000, "gradient_trials": trials},
         {
             "max_rank_one_residual": np.concatenate(rank_one),
             "max_hamiltonian_mismatch": np.concatenate(hamiltonian),
-            "max_gradient_fd_mismatch": gradient,
+            "max_gradient_fd_mismatch": np.concatenate([np.zeros(0), *gradient]),
         },
     )
 

@@ -31,7 +31,9 @@ the value uses principal-branch logarithms, not branch-consistent ones.
 The value and gradient functions also take stacks of (z, t), z of shape
 (..., n) and each level of shape (..., l_k) with the same leading axes,
 and evaluate every row in one pass of the same loops; a single point is
-the unbatched case.
+the unbatched case.  The deformed ones also take a stack of q, shape
+(..., n), whose leading axes broadcast against z's; one q serves every
+row.
 """
 
 from __future__ import annotations
@@ -156,40 +158,54 @@ def _poles(z, sizes, t, linear=None):
     Returns (d, coef, delta, idx, mask): d[..., r, u] = t_r - (pole u of
     row r), with d = 1 and charge 0 in padded slots; the charges; each
     row's linear term delta_r; and the pole indices and real-slot mask of
-    _pole_table.  Row r of dPhi/dt is sum_u coef_u / d_u + delta_r.
+    _pole_table.  Row r of dPhi/dt is sum_u coef_u / d_u + delta_r; a
+    stack of linear terms, shape (..., levels), gives one delta per row.
     """
     nz = z.shape[-1]
     idx, coef, mask, level = _pole_table(nz, sizes)
     delta = (
         np.zeros(t.shape[-1], dtype=complex)
         if linear is None
-        else np.asarray(linear, dtype=complex)[level]
+        else np.asarray(linear, dtype=complex)[..., level]
     )
     args = np.empty(t.shape[:-1] + (nz + t.shape[-1],), dtype=complex)
     args[..., :nz] = z
     args[..., nz:] = t
-    # C order, so that sums over a row's poles run in one order, stacked or not
-    d = np.ascontiguousarray(np.where(mask, t[..., :, None] - args[..., idx], 1.0))
+    # C order, so that sums over a row's poles run in one order, stacked or
+    # not; filled in place, so a stack's table is its only large temporary
+    d = np.take(args, idx, axis=-1)
+    np.subtract(t[..., :, None], d, out=d)
+    d[..., ~mask] = 1.0
     return d, coef, delta, idx, mask
+
+
+def _spaced(z, t, d, mask):
+    """The domain rule of Phi, row by row: every argument pair, read off
+    the pole distances d of _poles and the gaps of z, lies at least
+    1e-8 * max(1, |z|, |t|) apart."""
+    z_gap = min_gap(z)
+    dist = np.abs(d)
+    dist[..., ~mask] = np.inf  # padded slots
+    gap = np.minimum(dist.min(axis=(-2, -1), initial=np.inf), z_gap)
+    scale = np.maximum(
+        np.maximum(1.0, np.abs(z).max(axis=-1, initial=0.0)),
+        np.abs(t).max(axis=-1, initial=0.0),
+    )
+    return gap >= 1e-8 * scale
 
 
 def _grad_t_raw(z, sizes, t, linear=None):
     """dPhi/dt at flat t and its sup norm, row by row for a stack of t, or
     of (z, t).
 
-    The norm is inf outside the domain of Phi, which asks every argument
-    pair to lie 1e-8 * max(1, |z|, |t|) apart; the gradient there is not
-    meaningful.
+    The norm is inf outside the domain of Phi (_spaced); the gradient there
+    is not meaningful.
     """
     d, coef, delta, _, mask = _poles(z, sizes, t, linear)
-    gap = np.minimum(np.abs(d[..., mask]).min(axis=-1, initial=np.inf), min_gap(z))
-    scale = np.maximum(
-        np.maximum(1.0, np.abs(z).max(axis=-1, initial=0.0)),
-        np.abs(t).max(axis=-1, initial=0.0),
-    )
+    ok = _spaced(z, t, d, mask)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (coef / d).sum(axis=-1) + delta
-    norm = np.where(gap >= 1e-8 * scale, np.abs(g).max(axis=-1, initial=0.0), np.inf)
+        g = np.divide(coef, d, out=d).sum(axis=-1) + delta
+    norm = np.where(ok, np.abs(g).max(axis=-1, initial=0.0), np.inf)
     return g, norm[()]  # a scalar norm for a single t
 
 
@@ -210,8 +226,8 @@ def _hess_t_raw(z, sizes, t) -> np.ndarray:
     return H
 
 
-def _grad_z_raw(z, tlevels, q1: complex = 0.0) -> np.ndarray:
-    """dPhi/dz, row by row for stacks of z and t."""
+def _grad_z_raw(z, tlevels, q1=0.0) -> np.ndarray:
+    """dPhi/dz, row by row for stacks of z, t and q1."""
     n = z.shape[-1]
     p = np.zeros(z.shape, dtype=complex)
     t1 = tlevels[0] if tlevels else np.zeros(z.shape[:-1] + (0,), dtype=complex)
@@ -225,9 +241,10 @@ def _grad_z_raw(z, tlevels, q1: complex = 0.0) -> np.ndarray:
     return p
 
 
-def _value_raw(z, tlevels, linear=None, qz: complex = 0.0):
-    """Phi at z and t grouped by level, row by row for stacks of them: one
-    log per argument pair, each taken over the whole stack."""
+def _value_raw(z, tlevels, linear=None, qz=0.0):
+    """Phi at z and t grouped by level, row by row for stacks of them and
+    of the linear terms: one log per argument pair, each taken over the
+    whole stack."""
     val = np.zeros(z.shape[:-1], dtype=complex)
     n = z.shape[-1]
     for a in range(n):
@@ -246,7 +263,7 @@ def _value_raw(z, tlevels, linear=None, qz: complex = 0.0):
                 val -= np.log(tlevels[k][..., i] - tlevels[k + 1][..., j])
     if linear is not None:
         for k, tk in enumerate(tlevels):
-            val += linear[k] * np.sum(tk, axis=-1)
+            val += linear[..., k] * np.sum(tk, axis=-1)
     val += qz * np.sum(z, axis=-1)
     return val[()]
 
@@ -271,6 +288,14 @@ def _checked_levels(z, t, sizes, linear=None):
     if np.any(norm == np.inf):
         raise ValueError("argument collision inside the master function domain")
     return tlevels, g
+
+
+def in_domain(z, t, sizes) -> np.ndarray:
+    """Whether Phi is defined at each row of a stack of z and flat t with
+    the given level sizes, by the domain rule every function here applies
+    (_spaced), which no linear term changes."""
+    d, _, _, _, mask = _poles(z, tuple(sizes), t)
+    return _spaced(z, t, d, mask)
 
 
 def _coerce_levels(lam: Partition, z, t):
@@ -298,19 +323,24 @@ def master_value(lam: Partition, z, t) -> complex:
     return _value_raw(z, tlevels)
 
 
-def _checked_q(q, n: int) -> tuple[np.ndarray, tuple]:
-    """n pairwise distinct exponents q, and the level terms q_{k+1} - q_k."""
-    q = np.asarray(q, dtype=complex).ravel()
-    if len(q) != n:
+def _checked_q(q, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n pairwise distinct exponents q, and the level terms q_{k+1} - q_k,
+    row by row for a stack of q along the last axis."""
+    q = np.atleast_1d(np.asarray(q, dtype=complex))
+    if q.shape[-1] != n:
         raise ValueError("q must match the number of positions")
     require_distinct(q, 1e-12, "exponents q")
-    return q, tuple(q[k + 1] - q[k] for k in range(n - 1))
+    return q, q[..., 1:] - q[..., :-1]
 
 
 def _coerce_levels_q(q, z, t):
+    """As _coerce_levels, for the deformed function: q is one tuple or a
+    stack, shape (..., n), whose leading axes broadcast against z's."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     n = z.shape[-1]
     q, linear = _checked_q(q, n)
+    if np.broadcast_shapes(q.shape[:-1], z.shape[:-1]) != z.shape[:-1]:
+        raise ValueError("the leading axes of q must broadcast against z's")
     return (q, z, *_checked_levels(z, t, q_level_sizes(n), linear), linear)
 
 
@@ -323,12 +353,12 @@ def grad_t_q(q, z, t) -> np.ndarray:
 def grad_z_q(q, z, t) -> np.ndarray:
     """Momenta of the deformed master function; adds q_1 to each dPhi/dz_a."""
     q, z, tlevels, _, _ = _coerce_levels_q(q, z, t)
-    return _grad_z_raw(z, tlevels, q1=q[0])
+    return _grad_z_raw(z, tlevels, q1=q[..., 0])
 
 
 def master_value_q(q, z, t) -> complex:
     q, z, tlevels, _, linear = _coerce_levels_q(q, z, t)
-    return _value_raw(z, tlevels, linear, qz=q[0])
+    return _value_raw(z, tlevels, linear, qz=q[..., 0])
 
 
 def _population(funcs, levels: int) -> np.ndarray:
@@ -414,7 +444,7 @@ def solve_bethe_q(q, z, tol: float = 1e-10, seed: int = 0) -> list[CriticalPoint
     """
     z = np.asarray(z, dtype=complex).ravel()
     n = len(z)
-    q, linear = _checked_q(q, n)
+    q, linear = _checked_q(np.ravel(q), n)
 
     def fiber():
         sols = wronski_fiber_q(q, pa.elementary_symmetric(z), seed=seed)

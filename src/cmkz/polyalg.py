@@ -50,19 +50,28 @@ def peval(c, x):
 
 
 def from_roots(roots) -> np.ndarray:
-    """Monic polynomial with the given roots, low-to-high coefficients."""
-    out = np.array([1.0 + 0j])
-    for r in np.asarray(roots, dtype=complex):
-        out = np.convolve(out, np.array([-r, 1.0 + 0j]))
-    return out
+    """Monic polynomial with the given roots, low-to-high coefficients, row
+    by row for a stack of root tuples along the last axis.
+
+    One in-place Vieta recurrence over the whole stack, multiplying by
+    (u - r_k) for each root in turn: plain numpy ufuncs, no convolution and
+    no BLAS dot, so a stack and its rows agree bit for bit.
+    """
+    r = np.asarray(roots, dtype=complex)
+    n = r.shape[-1]
+    c = np.zeros(r.shape[:-1] + (n + 1,), dtype=complex)
+    c[..., n] = 1.0
+    for k in range(n):
+        # the factors so far fill c[n-k:], low degree first
+        c[..., n - k - 1 : n] -= r[..., k, None] * c[..., n - k :]
+    return c
 
 
 def elementary_symmetric(values) -> np.ndarray:
-    """e_1, ..., e_n of the given values, read off prod(u - v_i)."""
-    values = np.asarray(values, dtype=complex)
-    n = len(values)
+    """e_1, ..., e_n of the given values, read off prod(u - v_i), row by
+    row for a stack of value tuples along the last axis."""
     monic = from_roots(values)
-    return np.array([(-1) ** a * monic[n - a] for a in range(1, n + 1)])
+    return monic[..., -2::-1] * (-1.0) ** np.arange(1, monic.shape[-1])
 
 
 def roots(c) -> np.ndarray:

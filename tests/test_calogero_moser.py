@@ -240,6 +240,18 @@ def test_stacked_calls_equal_per_point_calls_bit_for_bit(n):
         assert abs(h[row] - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_stacked_first_integrals_equal_per_point_calls_bit_for_bit(n):
+    # one elementary_symmetric call takes the whole (4, 30) stack
+    z, p = _stack(n, 120, 40 + n)
+    fi = first_integrals(z.reshape(4, 30, n), p.reshape(4, 30, n))
+    assert [v.shape for v in fi.values] == [(4, 30)] * n
+    stacked = np.stack(fi.values, axis=-1).reshape(120, n)
+    for row in range(120):
+        single = np.array(first_integrals(z[row], p[row]).values)
+        assert stacked[row].tobytes() == single.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 4, 7])
 def test_bivariate_char_grid_equals_pointwise_calls_bit_for_bit(n):
     z, p = _stack(n, 6, n)

@@ -531,6 +531,39 @@ def test_stacked_domain_verdicts_match_single_points():
         master_value_q(q, Zq, Tq)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_q_equals_per_row_calls_bit_for_bit(n):
+    # one q per row of (z, t), and one q per column of a (points, rows)
+    # stack of central-difference points, as structural-invariants passes it
+    rng = np.random.default_rng(n + 50)
+    sizes = q_level_sizes(n)
+    Q = np.array([sample_generic_z(n, rng, radius=1.5) for _ in range(6)])
+    Z = np.array([sample_generic_z(n, rng) for _ in range(6)])
+    T = [3.0 * (rng.standard_normal((6, s)) + 1j * rng.standard_normal((6, s)))
+         for s in sizes]
+    q, linear = _checked_q(Q, n)
+    for row in range(6):
+        one, one_linear = _checked_q(Q[row], n)
+        assert np.array_equal(q[row], one) and np.array_equal(linear[row], one_linear)
+    stacked = [f(Q, Z, T) for f in (grad_z_q, grad_t_q, master_value_q)]
+    for row in range(6):
+        t = [tk[row] for tk in T]
+        single = [f(Q[row], Z[row], t) for f in (grad_z_q, grad_t_q, master_value_q)]
+        for a, b in zip(stacked, single):
+            assert np.asarray(a[row]).tobytes() == np.asarray(b).tobytes()
+    steps = 1e-6 * np.eye(n)[:, None, :]
+    Zfd = np.concatenate([Z + steps, Z - steps])  # (2n, 6, n)
+    Tfd = [np.broadcast_to(tk, (2 * n,) + tk.shape) for tk in T]
+    values = master_value_q(Q, Zfd, Tfd)
+    assert values.shape == (2 * n, 6)
+    for k in range(2 * n):
+        for row in range(6):
+            one = master_value_q(Q[row], Zfd[k, row], [tk[row] for tk in T])
+            assert values[k, row].tobytes() == np.asarray(one).tobytes()
+    with pytest.raises(ValueError, match="broadcast"):
+        grad_z_q(Q, Z[0], [tk[0] for tk in T])
+
+
 def test_critical_point_json():
     rng = np.random.default_rng(11)
     z = sample_generic_z(2, rng)
@@ -558,33 +591,33 @@ BETHE_Q_PINS = {
     (3, 40): [
         (
             "-0x1.2b39470ada119p+0 -0x1.12a3e50d6f074p+1",
-            "0x1.c0cf6adb8e5bep+0 -0x1.4a5d7048e2ca5p-1",
+            "0x1.c0cf6adb8e5bep+0 -0x1.4a5d7048e2ca7p-1",
             "-0x1.a6f3eea22cc89p+0 -0x1.0df91cbe5cdbbp+1",
         ),
         (
-            "-0x1.ccd716ede34f9p-1 -0x1.15b72537907bfp+1",
-            "0x1.d1a97074d5800p-1 0x1.a0497b45c9ea1p-6",
-            "-0x1.5ffcd36bf100cp+0 -0x1.0de14249fc3abp+1",
+            "-0x1.ccd716ede34fdp-1 -0x1.15b72537907bdp+1",
+            "0x1.d1a97074d5801p-1 0x1.a0497b45c9eb0p-6",
+            "-0x1.5ffcd36bf100ep+0 -0x1.0de14249fc3a9p+1",
         ),
         (
-            "-0x1.567568ccff013p-4 -0x1.01121869dbd04p+1",
-            "-0x1.4b35f017cf1a8p-9 -0x1.646547e75cbb6p-1",
+            "-0x1.567568ccff019p-4 -0x1.01121869dbd04p+1",
+            "-0x1.4b35f017cf233p-9 -0x1.646547e75cbb6p-1",
             "-0x1.0b90663565bd1p-1 -0x1.d608ba62d24b1p+0",
         ),
         (
-            "0x1.283bcfdfd1074p-4 -0x1.954fd2d690edap-1",
-            "0x1.8f6977e070bd4p-1 -0x1.b82d4844bbbecp-8",
+            "0x1.283bcfdfd1075p-4 -0x1.954fd2d690edbp-1",
+            "0x1.8f6977e070bd4p-1 -0x1.b82d4844bbbf8p-8",
             "0x1.ea1aac96c4c54p-2 -0x1.cc7ad84727b78p-4",
         ),
         (
-            "0x1.389d73b3e4cf9p-1 -0x1.27366d32d3c84p-1",
-            "0x1.1fa61a4c4a738p+0 -0x1.edb6a42d228efp-3",
-            "-0x1.8c1a9634adcb9p-5 -0x1.ec4a4bed2d65ep-2",
+            "0x1.389d73b3e4cf7p-1 -0x1.27366d32d3c85p-1",
+            "0x1.1fa61a4c4a73ap+0 -0x1.edb6a42d228dep-3",
+            "-0x1.8c1a9634adcc9p-5 -0x1.ec4a4bed2d660p-2",
         ),
         (
-            "0x1.46e5db44b839cp-1 -0x1.4d107c39829b2p-3",
-            "0x1.27b67024bab25p+0 -0x1.76cd803a25fd0p-1",
-            "0x1.97346b8ac4085p-7 -0x1.109a83e4da152p-2",
+            "0x1.46e5db44b839cp-1 -0x1.4d107c39829b7p-3",
+            "0x1.27b67024bab24p+0 -0x1.76cd803a25fd0p-1",
+            "0x1.97346b8ac404ep-7 -0x1.109a83e4da154p-2",
         ),
     ],
 }

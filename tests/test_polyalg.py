@@ -9,7 +9,9 @@ from cmkz.master_function import grad_t_q, solve_bethe_q
 from cmkz.partitions import Partition
 from cmkz.polyalg import (
     components_within,
+    elementary_symmetric,
     excluded_products,
+    from_roots,
     is_new_point,
     match_within,
     min_gap,
@@ -19,6 +21,7 @@ from cmkz.polyalg import (
 )
 from cmkz.tensor_gaudin import gaudin_hamiltonian, generalized_gaudin, singular_basis
 from cmkz.wronski import PolyTuple, QuasiExpTuple, psi, psi_q
+from test_wronski import _fraction_poly_from_roots
 
 
 def test_require_distinct_threshold_is_relative():
@@ -184,6 +187,31 @@ def test_poly_det_frozen_bits():
         ("-0x1.6800000000000p+9", "-0x1.6800000000000p+7"),
         ("0x1.0e00000000000p+11", "-0x0.0p+0"),
     ]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_stacked_symmetric_functions_equal_per_row_calls_bit_for_bit(n):
+    rng = np.random.default_rng(70 + n)
+    scale = 10.0 ** rng.uniform(-2, 2, (2000, 1))
+    roots = scale * (rng.standard_normal((2000, n)) + 1j * rng.standard_normal((2000, n)))
+    monic, e = from_roots(roots), elementary_symmetric(roots)
+    assert monic.shape == (2000, n + 1) and e.shape == (2000, n)
+    for row in range(2000):
+        assert monic[row].tobytes() == from_roots(roots[row]).tobytes()
+        assert e[row].tobytes() == elementary_symmetric(roots[row]).tobytes()
+    grid = from_roots(roots.reshape(40, 50, n))
+    assert grid.reshape(2000, n + 1).tobytes() == monic.tobytes()
+
+
+def test_from_roots_is_exact_on_integer_roots():
+    rng = np.random.default_rng(80)
+    for n in range(9):
+        roots = rng.integers(-9, 10, size=(50, n))
+        monic, e = from_roots(roots), elementary_symmetric(roots)
+        for row in range(50):
+            ref = [complex(c) for c in _fraction_poly_from_roots(roots[row].tolist())]
+            assert monic[row].tolist() == ref
+            assert e[row].tolist() == [(-1) ** a * ref[n - a] for a in range(1, n + 1)]
 
 
 def test_excluded_products():

@@ -556,15 +556,15 @@ FIBER_PINS = {
     ],
     (1, 1): [
         (
-            "0x1.62c17ca6bffc8p-3 0x1.7aab3e7c85561p-3",
+            "0x1.62c17ca6bffc8p-3 0x1.7aab3e7c85562p-3",
             "-0x1.a0d3b59b219b5p-3 0x1.6389358591fcep-5",
         ),
     ],
     (3,): [
         (
             "0x1.1cf004a8cf21ep+0 -0x1.a3d856819f7b8p-1",
-            "-0x1.8c1b3e60c8961p-1 -0x1.2d435ea159c2bp-1",
-            "-0x1.f8718c0e6b96dp-1 -0x1.9e3654623dbdfp-1",
+            "-0x1.8c1b3e60c8961p-1 -0x1.2d435ea159c2ap-1",
+            "-0x1.f8718c0e6b96cp-1 -0x1.9e3654623dbdfp-1",
         ),
     ],
     (2, 1): [
@@ -581,7 +581,7 @@ FIBER_PINS = {
     ],
     (1, 1, 1): [
         (
-            "0x1.caa94893bc294p-4 0x1.9935f93c17392p-6",
+            "0x1.caa94893bc295p-4 0x1.9935f93c17392p-6",
             "-0x1.05065e3a10ea3p-5 0x1.17549b933cd21p-3",
             "-0x1.0491189317457p-3 0x1.876b2d32948bfp-4",
         ),
@@ -590,69 +590,69 @@ FIBER_PINS = {
         (
             "0x1.7070b138a8e1dp+0 0x1.614f7a7c01ffdp+0",
             "0x1.27e2951a8dd46p+0 0x1.3d0636510f742p+1",
-            "0x1.b0cc9bd55a2f4p-1 0x1.0cd0b5e0e80dep+2",
-            "0x1.a76c46917af52p+2 -0x1.afc9d8a311270p+0",
+            "0x1.b0cc9bd55a2f2p-1 0x1.0cd0b5e0e80ddp+2",
+            "0x1.a76c46917af52p+2 -0x1.afc9d8a31126fp+0",
         ),
     ],
     (3, 1): [
         (
-            "-0x1.578aeead01325p+1 -0x1.e3cec8b845048p+0",
-            "0x1.74a19f7802e5ep+0 0x1.19cdf1fdcd20ap+2",
+            "-0x1.578aeead01325p+1 -0x1.e3cec8b845047p+0",
+            "0x1.74a19f7802e5ep+0 0x1.19cdf1fdcd209p+2",
             "-0x1.7994661dead75p+2 0x1.10cd65559ec49p+1",
-            "0x1.3cbb14d1bca7ep-1 0x1.b26a224aa62afp+0",
+            "0x1.3cbb14d1bca7dp-1 0x1.b26a224aa62aep+0",
         ),
         (
-            "-0x1.fca40fe39a6d8p-1 0x1.e547243694658p-1",
-            "0x1.d393df68621c2p-2 -0x1.553911cafd8ddp+2",
+            "-0x1.fca40fe39a6d2p-1 0x1.e547243694656p-1",
+            "0x1.d393df68621dcp-2 -0x1.553911cafd8dbp+2",
             "-0x1.7994661dead75p+2 0x1.10cd65559ec49p+1",
-            "-0x1.12664aff56d9ep+0 -0x1.24083888e90c5p+0",
+            "-0x1.12664aff56da1p+0 -0x1.24083888e90c4p+0",
         ),
         (
-            "-0x1.d0230259e217dp-2 0x1.1cc3d3837a3d3p-1",
-            "0x1.0f8257ccd0785p+1 -0x1.0d49e682c356ep+2",
+            "-0x1.d0230259e2182p-2 0x1.1cc3d3837a3d6p-1",
+            "0x1.0f8257ccd0782p+1 -0x1.0d49e682c356ep+2",
             "-0x1.7994661dead75p+2 0x1.10cd65559ec49p+1",
-            "-0x1.9caf925aab8abp+0 -0x1.7f8d205eb7f04p-1",
+            "-0x1.9caf925aab8aap+0 -0x1.7f8d205eb7f07p-1",
         ),
     ],
     (2, 2): [
         (
-            "0x1.b36bb8185d128p-2 -0x1.4e9c16a2da67cp-1",
-            "-0x1.40a01b93a1ad2p-3 0x1.8db1403f4680cp+0",
+            "0x1.b36bb8185d128p-2 -0x1.4e9c16a2da67fp-1",
+            "-0x1.40a01b93a1ac6p-3 0x1.8db1403f4680ap+0",
             "-0x1.d3a92d5b8936ap-2 0x1.9f4b3353113aap-1",
-            "-0x1.89b967d65fd02p-2 -0x1.08935d79fac6ep-2",
+            "-0x1.89b967d65fd02p-2 -0x1.08935d79fac71p-2",
         ),
         (
-            "0x1.481a8132a52d6p-1 0x1.b8f59bcb4ca0bp-2",
-            "-0x1.40a01b93a1ad2p-3 0x1.8db1403f4680cp+0",
+            "0x1.481a8132a52d7p-1 0x1.b8f59bcb4ca10p-2",
+            "-0x1.40a01b93a1ac7p-3 0x1.8db1403f4680bp+0",
             "-0x1.d3a92d5b8936ap-2 0x1.9f4b3353113aap-1",
-            "-0x1.0540a1a837d7ep-2 0x1.91881b29d2e2dp-2",
+            "-0x1.0540a1a837d7ep-2 0x1.91881b29d2e32p-2",
         ),
     ],
     (2, 1, 1): [
         (
-            "-0x1.476b4a2e1f846p+1 0x1.de5d77a7e4525p-2",
-            "0x1.c2bc7ee106103p-1 -0x1.0ab8916ede95bp+1",
-            "-0x1.e62ffe081c916p-3 0x1.3a23e5b2b92e0p-2",
-            "0x1.0a0b7d4cddf3bp-1 -0x1.2582bc8658b1ap-3",
+            "-0x1.476b4a2e1f846p+1 0x1.de5d77a7e452dp-2",
+            "0x1.c2bc7ee106102p-1 -0x1.0ab8916ede959p+1",
+            "-0x1.e62ffe081c91cp-3 0x1.3a23e5b2b92e1p-2",
+            "0x1.0a0b7d4cddf3bp-1 -0x1.2582bc8658b1dp-3",
         ),
         (
-            "0x1.02c8e765c46b1p-1 -0x1.61ea1d927163ep+0",
-            "0x1.c2bc7ee106103p-1 -0x1.0ab8916ede95bp+1",
-            "0x1.5bff2ccb1a3a0p-1 0x1.64b9182da1ee0p-4",
-            "-0x1.7d2dc8fcadf6dp-4 0x1.d0193c40b80f2p-3",
+            "0x1.02c8e765c46b4p-1 -0x1.61ea1d9271641p+0",
+            "0x1.c2bc7ee106102p-1 -0x1.0ab8916ede959p+1",
+            "0x1.5bff2ccb1a3a0p-1 0x1.64b9182da1edbp-4",
+            "-0x1.7d2dc8fcadf72p-4 0x1.d0193c40b80f7p-3",
         ),
         (
-            "0x1.0bdc22c6a455dp+1 0x1.54f0cf7cf3e9cp-1",
-            "0x1.c2bc7ee106103p-1 -0x1.0ab8916ede95bp+1",
-            "0x1.3e0b810349a23p-4 -0x1.cf8eda7e036f1p-2",
-            "-0x1.a45b4d544a429p-2 -0x1.76eacc40c07eep-3",
+            "0x1.0bdc22c6a455dp+1 0x1.54f0cf7cf3e9dp-1",
+            "0x1.c2bc7ee106102p-1 -0x1.0ab8916ede959p+1",
+            "0x1.3e0b810349a23p-4 -0x1.cf8eda7e036f6p-2",
+            "-0x1.a45b4d544a429p-2 -0x1.76eacc40c07efp-3",
         ),
     ],
     (1, 1, 1, 1): [
         (
             "-0x1.da49c91dd4b3fp-4 0x1.a1b9651a5e9e2p-2",
-            "-0x1.31ddd5b31e1aep-4 -0x1.ebed2b82caef6p-3",
-            "0x1.4a2bd2c0df76fp-5 -0x1.ce610e29166c5p-6",
+            "-0x1.31ddd5b31e1b1p-4 -0x1.ebed2b82caef6p-3",
+            "0x1.4a2bd2c0df76bp-5 -0x1.ce610e29166cbp-6",
             "0x1.472362c1680abp-2 0x1.9c841b564fc00p-3",
         ),
     ],
