@@ -3,22 +3,18 @@ spectra, Calogero-Moser level sets, Bethe critical points, and Wronski maps."""
 
 from .partitions import (
     Partition,
-    ShiftedPartition,
     enumerate_partitions,
     irrep_dimension,
     shifted,
 )
 from .calogero_moser import (
     CMPoint,
-    FirstIntegrals,
     bivariate_char,
     cm_hamiltonian,
     cm_matrix,
-    cm_points_close,
     first_integrals,
     l0_residual,
     lq_residual,
-    pi_image,
     rank_one_residual,
     xi,
 )

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import elementary_symmetric, match_within, require_distinct
-from .serialize import pair_list, pair_matrix
+from .polyalg import elementary_symmetric, require_distinct
 
 
 def _check_positions(z):
@@ -52,28 +51,15 @@ def cm_matrix(z, p) -> np.ndarray:
     return Q
 
 
-@dataclass(frozen=True)
-class FirstIntegrals:
-    """Characteristic-polynomial coefficients Q_1, ..., Q_n of the CM matrix;
-    for a stack of points, values[a] holds Q_(a+1) of every row."""
-
-    values: tuple[complex, ...]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, a):
-        return self.values[a]
-
-
-def first_integrals(z, p) -> FirstIntegrals:
-    """Elementary symmetric functions of the eigenvalues of cm_matrix(z, p).
+def first_integrals(z, p) -> np.ndarray:
+    """Elementary symmetric functions of the eigenvalues of cm_matrix(z, p):
+    an (n, ...) array whose row a holds Q_(a+1) of every point.
 
     One eigvals call and one elementary_symmetric call take the whole
     stack; the Vieta recurrence gives each row the bits it gets alone.
     """
     e = elementary_symmetric(np.linalg.eigvals(cm_matrix(z, p)))
-    return FirstIntegrals(tuple(np.moveaxis(e, -1, 0)))
+    return np.moveaxis(e, -1, 0)
 
 
 def cm_hamiltonian(z, p):
@@ -104,7 +90,7 @@ def _integrals_at(z, p):
     """First integrals of a stack of p, at one z or at a stack of them."""
     p = np.atleast_1d(np.asarray(p, dtype=complex))
     z = np.broadcast_to(z, p.shape[:-1] + np.shape(z)[-1:])
-    return first_integrals(z, p).values, p
+    return first_integrals(z, p), p
 
 
 def l0_residual(z, p):
@@ -145,9 +131,6 @@ class CMPoint:
     def n(self) -> int:
         return self.Z.shape[-1]
 
-    def as_dict(self) -> dict:
-        return {"Z": pair_list(self.Z), "Q": pair_matrix(self.Q)}
-
 
 def xi(z, p) -> CMPoint:
     """Lift (z, p) to the pair (diag(z), cm_matrix(z, p))."""
@@ -187,22 +170,3 @@ def bivariate_char(point: CMPoint, u, v):
     m = (u - point.Z)[..., :, None] * (v * eye - point.Q) - eye
     return np.linalg.det(m)[()]
 
-
-def pi_image(point: CMPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Elementary symmetric coordinates of spec(Z) and spec(Q)."""
-    sz = elementary_symmetric(point.Z)
-    sq = elementary_symmetric(np.linalg.eigvals(point.Q))
-    return sz, sq
-
-
-def cm_points_close(a: CMPoint, b: CMPoint, tol: float = 1e-8) -> bool:
-    """Equality of normal-form points: the Z entries matched on their
-    tolerance graph |a.Z_i - b.Z_j| <= tol (match_within), then the Q
-    blocks aligned by that matching and compared entrywise."""
-    if a.n != b.n:
-        return False
-    perm = match_within(np.abs(a.Z[:, None] - b.Z[None, :]) <= tol)
-    if (perm < 0).any():
-        return False
-    q_aligned = b.Q[np.ix_(perm, perm)]
-    return bool(np.abs(a.Q - q_aligned).max() <= tol * max(1.0, np.abs(a.Q).max()))

@@ -35,7 +35,7 @@ from .polyalg import (
     match_within,
     require_distinct,
 )
-from .serialize import canonical_json, pair_list
+from .serialize import canonical_json
 from .tensor_gaudin import (
     generalized_gaudin,
     generalized_spectrum,
@@ -156,38 +156,13 @@ class ClusterRecord:
     match_distance: float
     eigenspace_dim: int
 
-    def as_dict(self) -> dict:
-        return {
-            "centroid": pair_list(self.centroid),
-            "size": self.size,
-            "lambda": None if self.lam is None else self.lam.as_list(),
-            "match_distance": self.match_distance,
-            "eigenspace_dim": self.eigenspace_dim,
-        }
-
 
 @dataclass(eq=False)
 class CollisionReport:
-    n: int
     z: np.ndarray
-    q_direction: np.ndarray
-    s: float
     clusters: list[ClusterRecord]
     resolved: bool
     per_lambda_sizes: dict[tuple[int, ...], list[int]]
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "z": pair_list(self.z),
-            "q_direction": pair_list(self.q_direction),
-            "s": self.s,
-            "clusters": [c.as_dict() for c in self.clusters],
-            "resolved": self.resolved,
-            "per_lambda_sizes": {
-                ",".join(map(str, k)): v for k, v in self.per_lambda_sizes.items()
-            },
-        }
 
 
 def collision_study(
@@ -250,7 +225,7 @@ def collision_study(
             ClusterRecord(centroid, len(group), lam_match, float(dist), dim)
         )
     clusters.sort(key=lambda c: lex_key(c.centroid))
-    return CollisionReport(n, z, q0, s, clusters, resolved, per_lambda)
+    return CollisionReport(z, clusters, resolved, per_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +631,7 @@ def check_structural_invariants(config, rng):
         point = cm.xi(z, p)
         rank_one.append(cm.rank_one_residual(point))
         h = cm.cm_hamiltonian(z, p)
-        q1, q2 = cm.first_integrals(z, p).values[:2]
+        q1, q2 = cm.first_integrals(z, p)[:2]
         tr2 = np.trace(point.Q @ point.Q, axis1=-2, axis2=-1)
         scale = np.maximum(1.0, np.abs(h))
         hamiltonian += [np.abs(h - tr2) / scale, np.abs(h - (q1**2 - 2.0 * q2)) / scale]
@@ -748,9 +723,6 @@ class Report:
             "records": [asdict(r) for r in self.records],
             "passed": self.passed,
         }
-
-    def body_json(self) -> str:
-        return canonical_json(self.as_dict())
 
 
 def run_suite(config: VerificationConfig) -> Report:

@@ -47,7 +47,6 @@ from . import polyalg as pa
 from .newton import stacked_newton
 from .partitions import Partition
 from .polyalg import is_new_point, lex_key, lexsorted, min_gap, require_distinct
-from .serialize import pair_list
 from .wronski import wronski_fiber, wronski_fiber_q, wronskian
 
 
@@ -74,18 +73,6 @@ class BetheConfiguration:
         self.z = np.asarray(self.z, dtype=complex).ravel()
         self.t = tuple(np.asarray(tk, dtype=complex).ravel() for tk in self.t)
 
-    @property
-    def flat_t(self) -> np.ndarray:
-        if not self.t:
-            return np.zeros(0, dtype=complex)
-        return np.concatenate(self.t)
-
-    def as_dict(self) -> dict:
-        return {
-            "z": pair_list(self.z),
-            "t": [pair_list(tk) for tk in self.t],
-        }
-
 
 @dataclass(eq=False)
 class CriticalPoint:
@@ -94,12 +81,6 @@ class CriticalPoint:
     config: BetheConfiguration
     grad_norm: float
     p: np.ndarray
-
-    def as_dict(self) -> dict:
-        d = self.config.as_dict()
-        d["p"] = pair_list(self.p)
-        d["grad_norm"] = float(self.grad_norm)
-        return d
 
 
 def _split(flat: np.ndarray, sizes) -> tuple[np.ndarray, ...]:

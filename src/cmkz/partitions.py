@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import factorial
 
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Weakly decreasing nonnegative parts; trailing zeros are inert.
+    """Weakly decreasing nonnegative integer parts; trailing zeros are inert.
 
     Two partitions compare equal iff their nonzero prefixes agree, so the
     same shape may be carried with any declared number of parts.
@@ -17,7 +18,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(operator.index(p) for p in self.parts)
         object.__setattr__(self, "parts", parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts}")
@@ -44,8 +45,6 @@ class Partition:
     def __eq__(self, other):
         if isinstance(other, Partition):
             return self.trimmed == other.trimmed
-        if isinstance(other, tuple):
-            return self == Partition(other)
         return NotImplemented
 
     def __hash__(self):
@@ -56,20 +55,6 @@ class Partition:
 
     def as_list(self) -> list[int]:
         return list(self.trimmed)
-
-
-@dataclass(frozen=True)
-class ShiftedPartition:
-    """Entries lambda_i + n - i for i = 1..n; strictly decreasing."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        e = self.entries
-        if any(e[i] <= e[i + 1] for i in range(len(e) - 1)):
-            raise ValueError(f"shifted entries not strictly decreasing: {e}")
-        if e and e[-1] < 0:
-            raise ValueError(f"negative shifted entry: {e}")
 
 
 def enumerate_partitions(n: int, max_parts: int) -> list[Partition]:
@@ -90,11 +75,11 @@ def enumerate_partitions(n: int, max_parts: int) -> list[Partition]:
     return [Partition(p) for p in gen(n, n, max_parts)]
 
 
-def shifted(lam: Partition) -> ShiftedPartition:
+def shifted(lam: Partition) -> tuple[int, ...]:
     """The strictly decreasing shift lambda_i + n - i on n rows."""
     n = lam.n
     parts = lam.padded(n)
-    return ShiftedPartition(tuple(parts[i] + n - 1 - i for i in range(n)))
+    return tuple(parts[i] + n - 1 - i for i in range(n))
 
 
 def conjugate(lam: Partition) -> Partition:

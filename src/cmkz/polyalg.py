@@ -281,6 +281,3 @@ class ExpPoly:
     def __post_init__(self):
         self.rate = complex(self.rate)
         self.coeffs = as_poly(self.coeffs)
-
-    def __call__(self, x):
-        return np.exp(self.rate * x) * peval(self.coeffs, x)

@@ -16,11 +16,6 @@ def pair_list(values) -> list[list[float]]:
     return [pair(z) for z in np.asarray(values, dtype=complex).ravel()]
 
 
-def pair_matrix(m) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[pair(z) for z in row] for row in m]
-
-
 def canonical_json(obj) -> str:
     """Deterministic rendering: sorted keys, shortest round-trip floats."""
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

@@ -84,17 +84,6 @@ class WeightBasis:
     def dim(self) -> int:
         return len(self.indices)
 
-    def positions(self, rows) -> np.ndarray:
-        """Basis positions of the multi-indices along the last axis of rows."""
-        codes = np.asarray(rows) @ self._radix
-        pos = np.searchsorted(self._codes, codes)
-        if not np.array_equal(self._codes[np.minimum(pos, self.dim - 1)], codes):
-            raise KeyError("multi-index outside this weight space")
-        return pos
-
-    def index_of(self, idx: tuple[int, ...]) -> int:
-        return int(self.positions(idx))
-
     @cached_property
     def swaps(self) -> np.ndarray:
         """Read-only (dim, n(n-1)/2) map: [k, m] is the position of word k

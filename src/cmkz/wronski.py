@@ -55,7 +55,7 @@ from .calogero_moser import bivariate_char, xi
 from .newton import multistart, stacked_newton
 from .partitions import Partition, irrep_dimension, shifted
 from .polyalg import ExpPoly
-from .serialize import pair, pair_matrix
+from .serialize import pair
 from .tensor_gaudin import SpectralPoint
 
 # starts per fiber search
@@ -72,7 +72,7 @@ BIVARIATE_GRID = 5
 def free_positions(lam: Partition) -> tuple[tuple[int, int], ...]:
     """Free coefficient slots (i, j): degree d_i - j, with d_i - j not a d;
     cached per partition, since every PolyTuple reads them."""
-    entries = shifted(lam).entries
+    entries = shifted(lam)
     occupied = set(entries)
     out = []
     for i0, d in enumerate(entries):
@@ -111,7 +111,7 @@ class PolyTuple:
         self.coeffs = {k: complex(v) for k, v in self.coeffs.items()}
 
     def polys(self) -> list[np.ndarray]:
-        entries = shifted(self.lam).entries
+        entries = shifted(self.lam)
         out = []
         for i0, d in enumerate(entries):
             c = np.zeros(d + 1, dtype=complex)
@@ -197,9 +197,6 @@ class MonicPoly:
     def roots(self) -> np.ndarray:
         return pa.roots(self.coeffs())
 
-    def __call__(self, x):
-        return pa.peval(self.coeffs(), x)
-
 
 def _derivative_rows(funcs, n_cols: int):
     """Coefficient rows (g, g', ..., g^(n_cols-1)) with exponential rates split off.
@@ -255,7 +252,7 @@ def _monic_w(det, n: int, pref) -> MonicPoly:
 
 def wronski_map(lam: Partition, x: PolyTuple) -> MonicPoly:
     """The W_a of the tuple, after dividing out the shift prefactor."""
-    pref = _pairwise_product(shifted(lam).entries)
+    pref = _pairwise_product(shifted(lam))
     return _monic_w(wronskian(x.polys()), lam.n, pref)
 
 
@@ -285,9 +282,6 @@ class DiffOpCoeffs:
         for t in terms:
             acc = pa.padd(acc, t)
         return float(np.abs(acc).max() / scale)
-
-    def as_dense(self):
-        return pair_matrix(self.P)
 
 
 def _operator_from_rows(rows, n: int, pref: complex) -> DiffOpCoeffs:
@@ -342,7 +336,7 @@ def _exact_operator_terms(lam: Partition) -> list[tuple[frozenset, list]]:
     nonzero minor has degree above n.
     """
     n = lam.n
-    entries = shifted(lam).entries
+    entries = shifted(lam)
     slots = free_positions(lam)
     pref = _pairwise_product(entries)
     choices = [

@@ -40,7 +40,7 @@ def test_criterion_1_l0_membership():
     z = sample_generic_z(3, rng)
     for sp in spectral_points(Partition((2, 1)), z, seed=1):
         fi = first_integrals(sp.z, sp.p)
-        for a, value in enumerate(fi.values, start=1):
+        for a, value in enumerate(fi, start=1):
             assert abs(value) <= 1e-8 * (1.0 + np.abs(sp.p).max()) ** a
     _verdict(
         1,
@@ -145,12 +145,15 @@ def test_criterion_10_replay_determinism():
     import sys
 
     from cmkz.harness import run_suite
+    from cmkz.serialize import canonical_json
     from conftest import cli_env
 
     cfg = VerificationConfig(
         n_max=3, trials=3, seed=99, suites=("l0", "lq")
     )
-    same = run_suite(cfg).body_json() == run_suite(cfg).body_json()
+    same = canonical_json(run_suite(cfg).as_dict()) == canonical_json(
+        run_suite(cfg).as_dict()
+    )
     args = [
         sys.executable, "-m", "cmkz", "verify",
         "--suite", "lq", "--trials", "2", "--seed", "123",

@@ -292,7 +292,8 @@ def test_solve_bethe_reads_the_rows_from_the_partition():
         assert len(a) == len(b) == irrep_dimension(lam)
         for ca, cb in zip(a, b):
             assert len(cb.config.t) == len(parts) - 1
-            assert np.array_equal(ca.config.flat_t, cb.config.flat_t)
+            ta, tb = (np.concatenate(c.config.t) for c in (ca, cb))
+            assert np.array_equal(ta, tb)
             assert np.array_equal(ca.p, cb.p)
 
 
@@ -329,7 +330,7 @@ def test_a_repeated_fiber_tuple_gives_one_point():
     twice = _critical_points(z, sizes, None, 0.0, 1e-10, lambda: funcs + funcs[:1])
     assert len(once) == len(twice) == 2
     for a, b in zip(once, twice):
-        assert np.array_equal(a.config.flat_t, b.config.flat_t)
+        assert np.array_equal(np.concatenate(a.config.t), np.concatenate(b.config.t))
     # the key is the same for every order of the roots in a level
     t = once[0].config.t
     swapped = (t[0][::-1],) + t[1:]
@@ -564,17 +565,10 @@ def test_stacked_q_equals_per_row_calls_bit_for_bit(n):
         grad_z_q(Q, Z[0], [tk[0] for tk in T])
 
 
-def test_critical_point_json():
-    rng = np.random.default_rng(11)
-    z = sample_generic_z(2, rng)
-    c = solve_bethe(Partition((1, 1)), z, seed=1)[0]
-    d = c.as_dict()
-    assert set(d) == {"z", "t", "p", "grad_norm"}
-    assert len(d["t"]) == 1 and len(d["t"][0]) == 1
-
-
-def _hex_coords(values):
-    return tuple(f"{float(c.real).hex()} {float(c.imag).hex()}" for c in values)
+def _hex_coords(levels):
+    """The t of all levels, in order, as hex floats."""
+    flat = np.concatenate(levels)
+    return tuple(f"{float(c.real).hex()} {float(c.imag).hex()}" for c in flat)
 
 
 # solve_bethe_q, which no verify check runs, pinned bit for bit: the flat t
@@ -627,4 +621,4 @@ BETHE_Q_PINS = {
 def test_solve_bethe_q_roots_are_pinned(n, z_seed):
     q, z = _deformed_input(n, z_seed)
     crits = solve_bethe_q(q, z, seed=n)
-    assert [_hex_coords(c.config.flat_t) for c in crits] == BETHE_Q_PINS[(n, z_seed)]
+    assert [_hex_coords(c.config.t) for c in crits] == BETHE_Q_PINS[(n, z_seed)]

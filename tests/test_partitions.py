@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,18 +49,19 @@ def test_enumerate_respects_max_parts():
 
 
 def test_shifted_examples():
-    assert shifted(Partition((2, 0))).entries == (3, 0)
-    assert shifted(Partition((2, 1))).entries == (4, 2, 0)
+    assert shifted(Partition((2, 0))) == (3, 0)
+    assert shifted(Partition((2, 1))) == (4, 2, 0)
     # direct formula lambda_i + n - i: (1+1, 1+0)
-    assert shifted(Partition((1, 1))).entries == (2, 1)
+    assert shifted(Partition((1, 1))) == (2, 1)
 
 
 @given(st.integers(1, 8), st.integers(0, 10**6))
 def test_shifted_strictly_decreasing(n, pick):
     ps = enumerate_partitions(n, n)
     lam = ps[pick % len(ps)]
-    e = shifted(lam).entries
+    e = shifted(lam)
     assert all(e[i] > e[i + 1] for i in range(len(e) - 1))
+    assert e[-1] >= 0
     assert len(e) == n
 
 
@@ -93,6 +95,19 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+def test_partition_parts_must_be_integers():
+    with pytest.raises(TypeError):
+        Partition((2.5, 1))
+    with pytest.raises(TypeError):
+        Partition((2, 1.0))
+    assert Partition((np.int64(2), 1)).parts == (2, 1)
+
+
+def test_partition_never_equals_a_tuple():
+    assert (Partition((2, 1)) == (1, 2)) is False
+    assert Partition((2, 1)) != (2, 1)
 
 
 def test_padded_and_conjugate():

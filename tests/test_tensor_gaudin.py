@@ -43,8 +43,9 @@ def eij_matrix(i: int, j: int, a: int, basis):
     cols = np.flatnonzero(basis.array[:, a - 1] == j)
     moved = basis.array[cols]
     moved[:, a - 1] = i
+    position = {word: k for k, word in enumerate(target.indices)}
     mat = np.zeros((target.dim, basis.dim), dtype=complex)
-    mat[target.positions(moved), cols] = 1.0
+    mat[[position[tuple(word)] for word in moved.tolist()], cols] = 1.0
     return mat, target
 
 
@@ -137,12 +138,12 @@ def test_eij_matrix_examples():
     mat, target = eij_matrix(2, 1, 2, b)
     out = mat @ vec
     assert target.weight == (1, 1)
-    k = target.index_of((1, 2))  # e1 (x) e2
+    k = target.indices.index((1, 2))  # e1 (x) e2
     assert abs(out[k] - 1.0) < 1e-15 and np.abs(np.delete(out, k)).max() == 0.0
 
     b11 = weight_basis((1, 1))
     e12 = np.zeros(2)
-    e12[b11.index_of((1, 2))] = 1.0
+    e12[b11.indices.index((1, 2))] = 1.0
     mat, target = eij_matrix(1, 2, 1, b11)
     assert np.abs(mat @ e12).max() == 0.0  # slot 1 holds letter 1, not 2
 
