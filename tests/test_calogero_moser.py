@@ -44,6 +44,19 @@ def test_first_integrals_frozen_cases():
     assert abs(first_integrals([0.5], [4.0])[0] - 4.0) < 1e-14
 
 
+def test_first_integrals_is_one_array_over_the_stack():
+    # row a holds Q_(a+1); the trailing axes are the stack's
+    rng = np.random.default_rng(5)
+    z = np.array([sample_generic_z(3, rng) for _ in range(6)])
+    p = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    one = first_integrals(z[0], p[0])
+    assert isinstance(one, np.ndarray) and one.shape == (3,)
+    fi = first_integrals(z, p)
+    assert isinstance(fi, np.ndarray) and fi.shape == (3, 6)
+    assert first_integrals(z.reshape(2, 3, 3), p.reshape(2, 3, 3)).shape == (3, 2, 3)
+    assert np.array_equal(fi[:, 0], one)
+
+
 def test_cm_hamiltonian_values():
     assert abs(cm_hamiltonian([0.0, 1.0], [1.0, 2.0]) - 3.0) < 1e-12
     assert abs(cm_hamiltonian([0.0, 1.0], [-1.0, 1.0])) < 1e-12

@@ -65,6 +65,12 @@ def test_shifted_strictly_decreasing(n, pick):
     assert len(e) == n
 
 
+def test_shifted_is_a_tuple_of_python_ints():
+    e = shifted(Partition((np.int64(2), np.int64(1))))
+    assert e == (4, 2, 0)
+    assert type(e) is tuple and all(type(x) is int for x in e)
+
+
 def test_irrep_dimension_examples():
     for n in range(1, 7):
         assert irrep_dimension(Partition((n,))) == 1
