@@ -30,6 +30,7 @@ from . import wronski as wr
 from .partitions import Partition, enumerate_partitions, irrep_dimension
 from .polyalg import (
     components_within,
+    distinct_count,
     elementary_symmetric,
     lex_key,
     match_within,
@@ -305,7 +306,9 @@ def check_l0_membership(config, rng):
 
     Each partition's trials are drawn first, z and then the probe seed per
     trial, as a per-trial loop draws them; then all of them are solved as
-    one stack of Gaudin families and scored by one l0_residual call."""
+    one stack of Gaudin families, scored by one l0_residual call and
+    counted by one distinct_count call: a family counts its distinct
+    tuples, not its entries."""
     counted = True
     scaled = []
     count_rows = {}
@@ -318,7 +321,7 @@ def check_l0_membership(config, rng):
             for _ in range(config.trials)
         ))
         spectra = spectral_points(lam, np.array(z), tol=TOL.eigen, seed=seeds)
-        found = {len(pts) for pts in spectra}
+        found = set(distinct_count([[sp.p for sp in pts] for pts in spectra]).tolist())
         counted = counted and found == {d}
         points = [sp for pts in spectra for sp in pts]
         scaled.append(cm.l0_residual([sp.z for sp in points], [sp.p for sp in points]))
@@ -429,7 +432,8 @@ def check_lq(config, rng):
 
     For each n the trials are drawn first, z, q and then the probe seed
     per trial, as a per-trial loop draws them; then all of them are solved
-    as one stack of generalized Gaudin families."""
+    as one stack of generalized Gaudin families, whose distinct tuples
+    are counted by one distinct_count call."""
     counted = True
     scaled, trace_devs = [], []
     for n in (2, 3):
@@ -439,9 +443,10 @@ def check_lq(config, rng):
             for _ in range(config.trials)
         ))
         spectra = generalized_spectrum(np.array(zs), np.array(qs), seed=seeds)
-        for z, q, pts in zip(zs, qs, spectra):
-            counted = counted and len(pts) == math.factorial(n)
-            P = np.array([sp.p for sp in pts])
+        families = np.array([[sp.p for sp in pts] for pts in spectra])
+        distinct = distinct_count(families)
+        counted = counted and bool(np.all(distinct == math.factorial(n)))
+        for z, q, P in zip(zs, qs, families):
             scaled.append(cm.lq_residual(z, P, q))
             trace_devs.append(np.abs(P.sum(axis=1) - np.sum(q)))
     return (
@@ -462,12 +467,17 @@ FIBER_CASES = ((2, 0), (1, 1), (2, 1), (2, 2), (3, 1))
     "wronski",
     "Wronski fibers at generic targets carry exactly the irrep dimension "
     "of solutions",
-    {"max_w_residual": TOL.fiber},
+    {"max_w_residual": TOL.fiber, "max_root_distance": TOL.match},
 )
 def check_wronski_degree(config, rng):
-    """Fiber cardinalities of the Wronski map at generic targets."""
+    """Fiber cardinalities of the Wronski map at generic targets.
+
+    Each found tuple's Wronskian, on poly_det, must match the target both
+    in its W_a and in its roots, matched against z as a set: the root gate
+    reads no e_k, so a wrong elementary_symmetric cannot move its target.
+    """
     counted = True
-    w_residuals = []
+    w_residuals, root_distances = [], []
     counts = {}
     targets = 5
     for parts in FIBER_CASES:
@@ -483,14 +493,24 @@ def check_wronski_degree(config, rng):
             )
             found_counts.append(len(sols))
             counted = counted and len(sols) == d
-            w_residuals += [
-                np.abs(wr.wronski_map(lam, sol).w - sigma).max() for sol in sols
-            ]
+            for sol in sols:
+                w = wr.wronski_map(lam, sol)
+                w_residuals.append(np.abs(w.w - sigma).max())
+                roots = w.roots()
+                match = match_points(roots, z, TOL.match)
+                counted = counted and match.ok
+                # a root left unmatched reports its distance to the nearest z
+                stray = roots[list(match.unmatched_a), None]
+                root_distances += [match.max_distance, *np.abs(stray - z).min(axis=1)]
         counts[",".join(map(str, parts))] = {
             "expected": d,
             "found": found_counts,
         }
-    return counted, counts, {"max_w_residual": w_residuals}
+    return (
+        counted,
+        counts,
+        {"max_w_residual": w_residuals, "max_root_distance": root_distances},
+    )
 
 
 @_check(

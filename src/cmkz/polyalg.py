@@ -127,11 +127,31 @@ def require_distinct(values, min_sep_rel: float, what: str) -> np.ndarray:
     return v
 
 
+def _new_point_cutoff(x):
+    """1e-6 * max(1, |x|_inf) over the last axis: the sup distance past
+    which a point counts as apart from x."""
+    return 1e-6 * np.fmax(1.0, np.abs(x).max(axis=-1))
+
+
 def is_new_point(x, kept) -> bool:
     """Whether x lies farther than 1e-6 * max(1, |x|_inf) from every kept
     point in the sup norm: the one rule that deduplicates found roots."""
-    scale = max(1.0, np.abs(x).max())
-    return all(np.abs(x - prev).max() > 1e-6 * scale for prev in kept)
+    cutoff = _new_point_cutoff(x)
+    return all(np.abs(x - prev).max() > cutoff for prev in kept)
+
+
+def distinct_count(points) -> np.ndarray:
+    """How many of the m points of each family in a stack (..., m, L) are
+    new by is_new_point's rule against the points before them.
+
+    One stacked sup-distance matrix per call, no loop over points; a family
+    of pairwise distinct points counts m.
+    """
+    P = np.asarray(points, dtype=complex)
+    dist = np.abs(P[..., :, None, :] - P[..., None, :, :]).max(axis=-1)
+    near = ~(dist > _new_point_cutoff(P)[..., :, None])  # near[j, i]: i is near j
+    earlier = np.tri(P.shape[-2], k=-1, dtype=bool)  # earlier[j, i]: i < j
+    return (~(near & earlier).any(axis=-1)).sum(axis=-1)
 
 
 def match_within(close) -> np.ndarray:

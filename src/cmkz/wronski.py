@@ -19,10 +19,12 @@ amounts to a signed cofactor expansion along that row.
 The operator of a polynomial tuple is multi-affine in the free
 coefficients x: P(x) = sum_T C_T prod_{k in T} x_k, where a term T picks
 per row either the leading monomial or one free slot.  Each C_T is exact:
-on monomial rows every minor is an integer determinant of falling
-factorials times one power of u.  fundamental_operator reads this table,
-cached per partition, and the Wronski map is its row 0; wronskian and
-wronski_map stay on the exact poly_det, as the independent route.
+the operator of monomial rows u^(e_i) is a power of u times the Euler
+operator product prod_i (u d - e_i), whose expansion in u^c d^c has
+integer coefficients (Stirling numbers of the second kind), so every entry
+is an integer over the shift prefactor.  fundamental_operator reads this
+table, cached per partition, and the Wronski map is its row 0; wronskian
+and wronski_map stay on the exact poly_det, as the independent route.
 
 Each identity of the operator is evaluated once per tuple.  The diagonal
 identity (fla_residual) reads the diagonal of P, on which every
@@ -44,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -301,65 +302,48 @@ def _operator_from_rows(rows, n: int, pref: complex) -> DiffOpCoeffs:
     return DiffOpCoeffs(n, P)
 
 
-def _int_det(mat) -> int:
-    """Exact determinant of a square integer matrix.
-
-    Fraction-free Bareiss elimination: each division by the previous pivot
-    is exact, so every entry stays an int.
-    """
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
-
-
 def _exact_operator_terms(lam: Partition) -> list[tuple[frozenset, list]]:
-    """The operator of lam's tuples as exact terms (T, C_T), C_T nonzero.
+    """The operator of lam's tuples as exact terms (T, N_T), each nonzero,
+    with C_T = N_T / pref for the shift prefactor pref.
 
     T picks per row the leading monomial u^d_i or one free slot u^(d_i - j)
     and is returned as its set of free-slot indices k.  On monomial rows of
-    degrees deg_i the derivative table is (deg_i)_c u^(deg_i - c), so the
-    minor without column c is u^(sum deg - sum of the other columns) times
-    the integer det[(deg_i)_k]_{k != c}.  C_T[i][j] is the coefficient of
-    u^(n-j) d^(n-i) as a Fraction over the shift prefactor.  Raises if a
-    nonzero minor has degree above n.
+    distinct degrees e the term is an Euler-operator product:
+    C_T = (V(e)/pref) u^(sum e - n(n+1)/2) prod_i (theta - e_i), theta = u d
+    and V(e) = _pairwise_product(e), since both sides send u^s to
+    (V(e, s)/pref) u^(s + sum e - n(n+1)/2).  With prod_i (s - e_i) =
+    sum_k a_k s^k and theta^k = sum_c S(k, c) u^c d^c, S the Stirling
+    numbers of the second kind, d^c carries V(e) b_c u^power over pref,
+    b_c = sum_k a_k S(k, c) and power = sum e - n(n+1)/2 + c <= c: the
+    integer N_T[n - c][n - power], in the P[i, j] layout.  Each term of a
+    polynomial operator is polynomial, so b_c = 0 wherever power < 0.
     """
     n = lam.n
     entries = shifted(lam)
     slots = free_positions(lam)
-    pref = _pairwise_product(entries)
     choices = [
         [(None, d)] + [(k, d - j) for k, (i, j) in enumerate(slots) if i == i0 + 1]
         for i0, d in enumerate(entries)
     ]
+    S = [[1] + [0] * n]  # S[k][c] = S(k, c) for k, c <= n
+    for k in range(n):
+        S.append([0] + [c * S[k][c] + S[k][c - 1] for c in range(1, n + 1)])
     terms = []
     for pick in itertools.product(*choices):
         degs = [deg for _, deg in pick]
         if len(set(degs)) < n:
-            continue  # two equal monomial rows: every minor vanishes
-        # distinct degrees give rank n, so some minor below is nonzero
-        table = [[math.perm(deg, c) for c in range(n + 1)] for deg in degs]
-        C = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-        for c in range(n + 1):  # the minor without column c gives row n - c
-            minor = _int_det([row[:c] + row[c + 1 :] for row in table])
-            if not minor:
-                continue
-            power = sum(degs) - n * (n + 1) // 2 + c
-            if power > n:
-                raise ValueError(f"{lam!r}: operator minor of degree {power} > {n}")
-            C[n - c][n - power] = Fraction((-1) ** (n + c) * minor, pref)
-        terms.append((frozenset(k for k, _ in pick if k is not None), C))
+            continue  # two equal monomial rows: the term vanishes
+        a = [1]  # prod_i (s - e_i), low degree first
+        for e in degs:
+            a = [lo - e * hi for lo, hi in zip([0] + a, a + [0])]
+        v = _pairwise_product(degs)
+        shift = sum(degs) - n * (n + 1) // 2
+        N = [[0] * (n + 1) for _ in range(n + 1)]
+        for c in range(n + 1):
+            b = sum(a[k] * S[k][c] for k in range(c, n + 1))
+            if b:
+                N[n - c][n - shift - c] = v * b
+        terms.append((frozenset(k for k, _ in pick if k is not None), N))
     return terms
 
 
@@ -369,11 +353,15 @@ def _operator_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (coef, support), read-only: P(x) = sum_T coef[T] prod_k x_k
     over the k with support[T, k], and coef[T, i, j] is the exact C_T
-    entry, correctly rounded.  Row 0 is the monic Wronskian, so
-    W_a = (-1)^a P[0, a].
+    entry, correctly rounded by int true division.  Row 0 is the monic
+    Wronskian, so W_a = (-1)^a P[0, a].
     """
+    pref = _pairwise_product(shifted(lam))
     terms = _exact_operator_terms(lam)
-    coef = np.array([[[float(c) for c in row] for row in C] for _, C in terms])
+    # a zero entry stays +0.0: 0 / pref is -0.0 when pref < 0
+    coef = np.array(
+        [[[v / pref if v else 0.0 for v in row] for row in N] for _, N in terms]
+    )
     support = np.array([[k in T for k in range(lam.n)] for T, _ in terms])
     coef.setflags(write=False)  # cached: shared by every caller
     support.setflags(write=False)

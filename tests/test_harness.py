@@ -23,6 +23,7 @@ from cmkz.harness import (
     run_suite,
 )
 from cmkz.partitions import Partition, irrep_dimension
+from cmkz.polyalg import elementary_symmetric
 from cmkz.serialize import canonical_json
 from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
 from conftest import cli_env
@@ -274,6 +275,53 @@ def test_nan_first_integrals_fail_l0_membership(monkeypatch):
     assert math.isnan(json.loads(body)["max_scaled_residual"])
 
 
+def _first_point_twice_last_dropped(solver):
+    """A mutant of a stacked spectral solver: each family keeps its length,
+    but repeats its first point in place of its last."""
+
+    def mutant(*args, **kwargs):
+        return [pts[:1] + pts[:-1] for pts in solver(*args, **kwargs)]
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "name,check",
+    [
+        ("spectral_points", harness.check_l0_membership),
+        ("generalized_spectrum", harness.check_lq),
+    ],
+)
+def test_a_repeated_point_fails_the_membership_count(monkeypatch, name, check):
+    # every entry still lies on the level set and each family has its full
+    # length, so only counting distinct points sees the lost one
+    mutant = _first_point_twice_last_dropped(getattr(harness, name))
+    monkeypatch.setattr(harness, name, mutant)
+    rec = check(VerificationConfig(trials=2))
+    assert rec.passed is False
+    assert rec.residuals["max_scaled_residual"] <= TOL.residual
+    if name == "spectral_points":
+        assert rec.counts["per_lambda"]["2,1"] == {"expected": 2, "found": [1]}
+        assert rec.counts["weighted_totals_match_factorial"] is False
+
+
+def test_a_wrong_elementary_symmetric_fails_wronski_degree(monkeypatch):
+    # the fiber then solves for a target whose roots are not z, which the W
+    # residual cannot see: it reads the same wrong target
+    def skewed(values):
+        e = elementary_symmetric(values)
+        if e.shape[-1] >= 3:
+            e[..., 2] *= 1.0 + 1e-3
+        return e
+
+    monkeypatch.setattr(harness, "elementary_symmetric", skewed)
+    rec = harness.check_wronski_degree(VerificationConfig())
+    assert rec.passed is False
+    assert all(c["found"] == [c["expected"]] * 5 for c in rec.counts.values())
+    assert rec.residuals["max_w_residual"] <= TOL.fiber
+    assert rec.residuals["max_root_distance"] > TOL.match
+
+
 def test_nan_fla_residual_fails_operator_identities(monkeypatch):
     monkeypatch.setattr(wr, "fla_residual", lambda lam, x: np.nan)
     rep = run_suite(VerificationConfig(suites=("identities",)))
@@ -508,7 +556,7 @@ def test_every_reported_residual_has_a_declared_bound():
         bounds = BOUNDS[rec.check]
         assert set(rec.residuals) - {"tolerance"} == set(bounds)
         declared += len(bounds)
-    assert declared == 15
+    assert declared == 16
 
 
 _BETHE_COUNTS = {
@@ -584,7 +632,7 @@ PINNED_RECORDS = {
         _FIBER_COUNTS,
         {
             "max_w_residual": "0x1.8000000000000p-51",
-            "tolerance": "0x1.12e0be826d695p-30",
+            "max_root_distance": "0x1.0bb9658180c1ep-44",
         },
     ),
     (2024, "operator-identities"): (
@@ -630,7 +678,7 @@ PINNED_RECORDS = {
         _FIBER_COUNTS,
         {
             "max_w_residual": "0x1.07e0f66afed07p-51",
-            "tolerance": "0x1.12e0be826d695p-30",
+            "max_root_distance": "0x1.a2c2943e2867cp-49",
         },
     ),
 }

@@ -9,6 +9,7 @@ from cmkz.master_function import grad_t_q, solve_bethe_q
 from cmkz.partitions import Partition
 from cmkz.polyalg import (
     components_within,
+    distinct_count,
     elementary_symmetric,
     excluded_products,
     from_roots,
@@ -230,6 +231,22 @@ def test_is_new_point_threshold_is_relative():
     assert not is_new_point(x, [x + 5e-4])
     assert is_new_point(x, [x + 2e-3])
     assert not is_new_point(x, [x + 2e-3, x - 5e-4j])
+
+
+def test_distinct_count_follows_is_new_point():
+    x = np.array([1e3, 1.0j])
+    # at sup norm 1e3 the cutoff is 1e-3: x + 5e-4 repeats x, x + 2e-3 does not
+    family = np.stack([x, x + 5e-4, x + 2e-3, x - 2e-3])
+    assert distinct_count(family) == 3
+    kept = []
+    for p in family:
+        if is_new_point(p, kept):
+            kept.append(p)
+    assert len(kept) == 3
+    # one count per family of a stack, and a lone point counts once
+    stack = np.stack([family, family[[0, 2, 3, 2]]])
+    assert distinct_count(stack).tolist() == [3, 3]
+    assert distinct_count(family[:1]) == 1
 
 
 def test_match_within_is_a_maximum_matching():

@@ -16,7 +16,6 @@ from cmkz.wronski import (
     _derivative_rows,
     _exact_operator_terms,
     _expanded_w,
-    _int_det,
     _operator_expansion,
     _w_expansion,
     _w_expansion_q,
@@ -399,13 +398,22 @@ def _fraction_poly_from_roots(roots):
     return out
 
 
+def _exact_terms(lam):
+    """The operator table's terms (T, C_T), each C_T as Fractions."""
+    pref = _pairwise_product(shifted(lam))
+    return [
+        (T, [[Fraction(v, pref) for v in row] for row in N])
+        for T, N in _exact_operator_terms(lam)
+    ]
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_fla_identity_is_exact_on_the_operator_table(n):
     # every term that depends on x has a zero diagonal, and the constant
     # term meets the identity in Fractions: the float residual depends only
     # on the partition, so one tuple per partition checks it
     for lam in enumerate_partitions(n, n):
-        terms = _exact_operator_terms(lam)
+        terms = _exact_terms(lam)
         constant = [C for T, C in terms if not T]
         assert len(constant) == 1
         for T, C in terms:
@@ -433,18 +441,39 @@ def _leibniz(mat):
     return total
 
 
-def test_int_det_matches_leibniz():
-    rng = np.random.default_rng(80)
-    assert _int_det([]) == 1
-    for n in range(1, 8):
-        for trial in range(4):
-            mat = rng.integers(-9, 10, size=(n, n)).tolist()
-            if trial == 0:
-                mat[0] = [0] * n  # a zero pivot column forces the swap path
-                mat[0][-1] = 5
-            if trial == 1 and n > 1:
-                mat[-1] = list(mat[0])  # singular
-            assert _int_det(mat) == _leibniz(mat)
+def test_operator_table_matches_falling_factorial_minors():
+    # the reference takes each term the way a determinant route would: on
+    # monomial rows of degrees e the derivative table is (e_i)_c u^(e_i - c),
+    # and dropping column c leaves an integer minor times one power of u
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n, n):
+            entries = shifted(lam)
+            slots = free_positions(lam)
+            pref = _pairwise_product(entries)
+            choices = [
+                [(None, d)]
+                + [(k, d - j) for k, (i, j) in enumerate(slots) if i == i0 + 1]
+                for i0, d in enumerate(entries)
+            ]
+            ref = []
+            for pick in itertools.product(*choices):
+                degs = [deg for _, deg in pick]
+                if len(set(degs)) < n:
+                    continue
+                table = [[math.perm(deg, c) for c in range(n + 1)] for deg in degs]
+                C = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+                for c in range(n + 1):
+                    minor = _leibniz([row[:c] + row[c + 1 :] for row in table])
+                    if minor:
+                        power = sum(degs) - n * (n + 1) // 2 + c
+                        assert 0 <= power <= n
+                        C[n - c][n - power] = Fraction((-1) ** (n + c) * minor, pref)
+                ref.append((frozenset(k for k, _ in pick if k is not None), C))
+            assert _exact_terms(lam) == ref
+            # and the float table holds each entry correctly rounded
+            coef, _ = _operator_expansion(lam)
+            rounded = [[[float(c) for c in row] for row in C] for _, C in ref]
+            assert coef.tolist() == rounded
 
 
 def test_wronski_fiber_row_pair_closed_form():
