@@ -403,8 +403,13 @@ def check_bethe(config, rng):
             continue
         grad_norms += [c.grad_norm for c in crits]
         pts = spectral_points(lam, z, seed=int(rng.integers(2**31)))
-        res = match_points([c.p for c in crits], [sp.p for sp in pts], TOL.match)
-        distances.append(res.max_distance)
+        crit_p = np.array([c.p for c in crits])
+        spec_p = np.array([sp.p for sp in pts])
+        res = match_points(crit_p, spec_p, TOL.match)
+        # a critical point left unmatched reports its distance to the nearest
+        # spectral point
+        stray = crit_p[list(res.unmatched_a), None, :]
+        distances += [res.max_distance, *np.abs(stray - spec_p).max(axis=2).min(axis=1)]
         counted = counted and res.ok
         if parts == (1, 1):
             t = crits[0].config.t[0][0]

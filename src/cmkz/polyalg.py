@@ -250,9 +250,18 @@ def cap_degree(c, degree: int) -> np.ndarray:
 def poly_det(mat) -> np.ndarray:
     """Determinant of a square matrix of polynomials.
 
-    Subset dynamic programming over row choices: exact in coefficient
-    arithmetic, O(2^n * n) convolutions.  Structurally zero entries are
-    skipped, and partial sums accumulate in place in a fixed order.
+    Dynamic programming over the sets of rows used by the columns taken so
+    far: exact in coefficient arithmetic, division-free, with structurally
+    zero entries skipped and partial sums accumulated in place in a fixed
+    order.  The columns are taken in ascending order of their count of
+    structurally nonzero entries (a stable sort, so a dense matrix keeps
+    index order and its bits), and the result is multiplied once by the
+    sign of that column permutation.  A dense matrix costs n * 2^(n-1)
+    convolutions.  On a nested (staircase) pattern, such as a Wronskian
+    matrix of polynomials of distinct degrees, where column c is nonzero
+    in the rows of degree at least c, the sparsest column comes first and
+    few row sets survive each column: at most n^2 convolutions for every
+    partition with n <= 9.
     """
     n = len(mat)
     if n == 0:
@@ -265,8 +274,9 @@ def poly_det(mat) -> np.ndarray:
         [(r, 1 << r, rows[r][col]) for r in range(n) if rows[r][col].any()]
         for col in range(n)
     ]
+    order = sorted(range(n), key=lambda col: len(nonzero[col]))
     layer = {0: np.ones(1, dtype=complex)}
-    for col in range(n):
+    for col in order:
         nxt: dict[int, np.ndarray] = {}
         for used, acc in layer.items():
             for r, bit, entry in nonzero[col]:
@@ -288,7 +298,10 @@ def poly_det(mat) -> np.ndarray:
         layer = nxt
         if not layer:
             return np.zeros(1, dtype=complex)
-    return layer.get((1 << n) - 1, np.zeros(1, dtype=complex))
+    det = layer.get((1 << n) - 1, np.zeros(1, dtype=complex))
+    # det(M P) = sgn(P) det(M): undo the column order's inversions
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return -det if inversions & 1 else det
 
 
 @dataclass(eq=False)

@@ -25,7 +25,12 @@ from cmkz.harness import (
 from cmkz.partitions import Partition, irrep_dimension
 from cmkz.polyalg import elementary_symmetric
 from cmkz.serialize import canonical_json
-from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
+from cmkz.tensor_gaudin import (
+    SpectralPoint,
+    generalized_spectrum,
+    sample_generic_z,
+    spectral_points,
+)
 from conftest import cli_env
 
 
@@ -260,6 +265,24 @@ def test_starved_bethe_search_undercounts_and_fails_the_check(monkeypatch):
     rec = harness.check_bethe(VerificationConfig())
     assert not rec.passed
     assert rec.counts["2,1,1"]["found"] < rec.counts["2,1,1"]["expected"] == 3
+
+
+def test_an_unmatched_critical_point_reports_its_distance(monkeypatch):
+    # with one spectral point moved off its critical point the matching
+    # fails, and the residual must show the gap, not only the matched pairs
+    real = harness.spectral_points
+
+    def shifted(*args, **kwargs):
+        pts = real(*args, **kwargs)
+        first = pts[0]
+        moved = first.p + np.eye(len(first.p))[0] * 1e-3
+        return [SpectralPoint(first.z, moved, first.residual), *pts[1:]]
+
+    monkeypatch.setattr(harness, "spectral_points", shifted)
+    rec = harness.check_bethe(VerificationConfig())
+    assert rec.passed is False
+    assert all(c["found"] == c["expected"] for c in rec.counts.values())
+    assert rec.residuals["max_match_distance"] >= 1e-3 * (1 - 1e-9)
 
 
 def test_nan_first_integrals_fail_l0_membership(monkeypatch):

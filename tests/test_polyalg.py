@@ -6,7 +6,7 @@ import pytest
 from cmkz.calogero_moser import cm_matrix
 from cmkz.harness import collision_study
 from cmkz.master_function import grad_t_q, solve_bethe_q
-from cmkz.partitions import Partition
+from cmkz.partitions import Partition, enumerate_partitions
 from cmkz.polyalg import (
     components_within,
     distinct_count,
@@ -21,7 +21,16 @@ from cmkz.polyalg import (
     require_distinct,
 )
 from cmkz.tensor_gaudin import gaudin_hamiltonian, generalized_gaudin, singular_basis
-from cmkz.wronski import PolyTuple, QuasiExpTuple, psi, psi_q
+from cmkz.wronski import (
+    PolyTuple,
+    QuasiExpTuple,
+    _derivative_rows,
+    free_positions,
+    poly_tuple_from_vector,
+    psi,
+    psi_q,
+    random_poly_tuple,
+)
 from test_wronski import _fraction_poly_from_roots
 
 
@@ -156,6 +165,63 @@ def test_poly_det_structurally_zero_minor():
         poly_det([[1, 2], [3]])
 
 
+def _wronski_rows(x):
+    """The derivative matrix (f_i^(j)) of a polynomial tuple."""
+    return _derivative_rows(x.polys(), x.lam.n)[1]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_poly_det_matches_leibniz_exactly_on_integer_wronskians(n):
+    # distinct degrees make the column supports nested; every partial sum is
+    # a Gaussian integer far below 2^53, so both sums are exact
+    rng = np.random.default_rng(50 + n)
+    for lam in enumerate_partitions(n, n):
+        m = len(free_positions(lam))
+        vec = rng.integers(-2, 3, m) + 1j * rng.integers(-2, 3, m)
+        mat = _wronski_rows(poly_tuple_from_vector(lam, vec))
+        _assert_same_poly(poly_det(mat), _leibniz_det(mat))
+
+
+def test_poly_det_undoes_an_odd_column_order():
+    # column c is nonzero in the rows r < counts[c]: nested supports taken
+    # in the column order 1, 3, 0, 2, 4, which has three inversions
+    counts = [3, 1, 4, 2, 5]
+    order = sorted(range(5), key=counts.__getitem__)
+    assert sum(a > b for a, b in itertools.combinations(order, 2)) % 2 == 1
+    rng = np.random.default_rng(57)
+    mat = [
+        [
+            rng.integers(-4, 5, size=2) + 1j * rng.integers(-4, 5, size=2)
+            if r < counts[c] else [0]
+            for c in range(5)
+        ]
+        for r in range(5)
+    ]
+    det = poly_det(mat)
+    assert det.any()
+    _assert_same_poly(det, _leibniz_det(mat))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_poly_det_takes_at_most_n_squared_convolutions_on_a_wronskian(
+    monkeypatch, n
+):
+    calls = []
+    convolve = np.convolve
+
+    def counted(a, b):
+        calls.append(1)
+        return convolve(a, b)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    rng = np.random.default_rng(60 + n)
+    for lam in enumerate_partitions(n, n):
+        mat = _wronski_rows(random_poly_tuple(lam, rng))
+        calls.clear()
+        poly_det(mat)
+        assert 0 < len(calls) <= n * n, lam
+
+
 def test_poly_det_frozen_bits():
     # coefficients of the subset-DP determinant of this fixed matrix, as
     # hex floats: the summation order of the DP is part of its contract
@@ -186,7 +252,7 @@ def test_poly_det_frozen_bits():
     assert [(v.real.hex(), v.imag.hex()) for v in det] == [
         ("0x0.0p+0", "0x1.2000000000000p+5"),
         ("-0x1.6800000000000p+9", "-0x1.6800000000000p+7"),
-        ("0x1.0e00000000000p+11", "-0x0.0p+0"),
+        ("0x1.0e00000000000p+11", "0x0.0p+0"),
     ]
 
 
