@@ -91,6 +91,18 @@ MUTANTS = (
         "return det",
     ),
     Mutant(
+        "sign of the diagonal term flipped in the Berkowitz recurrence",
+        "polyalg.py",
+        "series[..., n + 1] = np.diagonal(",
+        "series[..., n + 1] = -np.diagonal(",
+    ),
+    Mutant(
+        "each lockstep Wronski row solved against the previous stream's target",
+        "wronski.py",
+        "- sigma[owner[rows]]",
+        "- sigma[owner[rows] - 1]",
+    ),
+    Mutant(
         "each spectrum repeats its first point in place of its last",
         "tensor_gaudin.py",
         "return [SpectralPoint(z, p, res) for p, _, res in entries]",

@@ -4,16 +4,19 @@ normal-form map into rank-one pairs (Z, Q).
 The matrix Q carries momenta p on the diagonal and 1/(z_a - z_b) off it.
 Writing det(u - Q) = u^n - Q_1 u^{n-1} + ... +- Q_n, the coefficient Q_a
 is the a-th elementary symmetric function of the eigenvalues of Q; these
-are the commuting first integrals.  The zero level set of all Q_a is the
-variety the Gaudin joint spectra fill out.
+are the commuting first integrals, read off det(u - Q) directly by the
+division-free Berkowitz recurrence (polyalg.char_coefficients), with no
+eigensolve.  The zero level set of all Q_a is the variety the Gaudin
+joint spectra fill out.
 
 cm_matrix, xi, rank_one_residual, first_integrals, cm_hamiltonian,
 l0_residual, lq_residual and bivariate_char take leading batch axes: for
 a stack of (z, p), with z and p of shape (..., n), they return one result
 per row, and a single point is the unbatched case of the same code.  The
 two level-set residuals also take a stack of p at one z, such as the
-joint spectrum of one Gaudin family, and bivariate_char takes arrays of u
-and v, such as a whole evaluation grid, in one call.
+joint spectrum of one Gaudin family, lq_residual takes one q per row as
+well as one q for all, and bivariate_char takes arrays of u and v, such
+as a whole evaluation grid, in one call.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import elementary_symmetric, require_distinct
+from .polyalg import char_coefficients, elementary_symmetric, require_distinct
 
 
 def _check_positions(z):
@@ -55,10 +58,10 @@ def first_integrals(z, p) -> np.ndarray:
     """Elementary symmetric functions of the eigenvalues of cm_matrix(z, p):
     an (n, ...) array whose row a holds Q_(a+1) of every point.
 
-    One eigvals call and one elementary_symmetric call take the whole
-    stack; the Vieta recurrence gives each row the bits it gets alone.
+    One char_coefficients call takes the whole stack of matrices; its
+    recurrence gives each row the bits it gets alone.
     """
-    e = elementary_symmetric(np.linalg.eigvals(cm_matrix(z, p)))
+    e = char_coefficients(cm_matrix(z, p))[..., 1:]
     return np.moveaxis(e, -1, 0)
 
 
@@ -76,11 +79,11 @@ def cm_hamiltonian(z, p):
 
 def _scaled_max(values, p, q=()):
     """Row by row, max_a |values[a]| / s^(a+1) over the leading axis a of
-    values, with s = max(1, |p|_inf, |q|_inf); NaN if any value of the row
-    is NaN.  The powers of s are running products, which round alike for a
-    single point and a stack."""
+    values, with s = max(1, |p|_inf, |q|_inf) and q one tuple or one per
+    row; NaN if any value of the row is NaN.  The powers of s are running
+    products, which round alike for a single point and a stack."""
     s = np.maximum(1.0, np.abs(p).max(axis=-1))
-    s = np.maximum(s, np.abs(q).max(initial=0.0))
+    s = np.maximum(s, np.abs(q).max(axis=-1, initial=0.0))
     values = np.abs(values)
     powers = np.cumprod(np.broadcast_to(s, values.shape), axis=0)
     return np.max(values / powers, axis=0)[()]
@@ -101,13 +104,14 @@ def l0_residual(z, p):
 
 def lq_residual(z, p, q):
     """Degree-scaled max_a |Q_a(z, p) - e_a(q)|; q = 0 recovers l0_residual.
-    One q serves every row of a stack."""
+    q of shape (n,) serves every row of a stack; a stack of q, shape
+    (..., n), broadcasts against the rows, so each row can read its own."""
     values, p = _integrals_at(z, p)
-    q = np.asarray(q, dtype=complex).ravel()
-    if len(q) != p.shape[-1]:
+    q = np.atleast_1d(np.asarray(q, dtype=complex))
+    if q.shape[-1] != p.shape[-1]:
         raise ValueError("q must have the same length as p")
-    sigma = elementary_symmetric(q)
-    return _scaled_max([v - sigma[a] for a, v in enumerate(values)], p, q)
+    diff = np.moveaxis(values, 0, -1) - elementary_symmetric(q)
+    return _scaled_max(np.moveaxis(diff, -1, 0), p, q)
 
 
 @dataclass(eq=False)

@@ -242,6 +242,7 @@ class CheckRecord:
     passed: bool
     counts: dict
     residuals: dict
+    bounds: dict  # residual key -> its bound, from BOUNDS
     details: dict = field(default_factory=dict)
     error: str | None = None
 
@@ -259,12 +260,12 @@ def _check(cid: str, suite: str, claim: str, bounds: dict[str, float]):
     whether the points, totals and matchings it found are the expected ones.
     Each list is reported as its largest value, NaN if any value is NaN and
     0.0 if it is empty, and the check passes only when ``counted`` holds and
-    every such value is at most its bound, so a NaN residual fails.  A check
-    with one bound also reports it as ``tolerance``.
+    every such value is at most its bound, so a NaN residual fails.
 
     The registered function takes the config alone: it seeds the generator
-    with check_seed(config.seed, cid) and builds the CheckRecord.  ``bounds``
-    is kept in ``BOUNDS[cid]``.
+    with check_seed(config.seed, cid) and builds the CheckRecord, which
+    carries ``bounds`` beside the residuals.  ``bounds`` is kept in
+    ``BOUNDS[cid]``.
     """
 
     def register(body):
@@ -274,10 +275,10 @@ def _check(cid: str, suite: str, claim: str, bounds: dict[str, float]):
             counted, counts, res, *details = body(config, np.random.default_rng(seed))
             for key in bounds:
                 res[key] = float(np.max(res[key], initial=0.0))
-            if len(bounds) == 1:
-                res["tolerance"] = next(iter(bounds.values()))
             passed = counted and all(res[k] <= b for k, b in bounds.items())
-            return CheckRecord(cid, suite, claim, seed, passed, counts, res, *details)
+            return CheckRecord(
+                cid, suite, claim, seed, passed, counts, res, dict(bounds), *details
+            )
 
         CHECKS[cid] = (suite, check)
         BOUNDS[cid] = bounds
@@ -438,7 +439,8 @@ def check_lq(config, rng):
     For each n the trials are drawn first, z, q and then the probe seed
     per trial, as a per-trial loop draws them; then all of them are solved
     as one stack of generalized Gaudin families, whose distinct tuples
-    are counted by one distinct_count call."""
+    are counted by one distinct_count call and scored by one lq_residual
+    call, each family against its own q."""
     counted = True
     scaled, trace_devs = [], []
     for n in (2, 3):
@@ -447,13 +449,15 @@ def check_lq(config, rng):
              int(rng.integers(2**31)))
             for _ in range(config.trials)
         ))
-        spectra = generalized_spectrum(np.array(zs), np.array(qs), seed=seeds)
+        zs, qs = np.array(zs), np.array(qs)
+        spectra = generalized_spectrum(zs, qs, seed=seeds)
         families = np.array([[sp.p for sp in pts] for pts in spectra])
         distinct = distinct_count(families)
         counted = counted and bool(np.all(distinct == math.factorial(n)))
-        for z, q, P in zip(zs, qs, families):
-            scaled.append(cm.lq_residual(z, P, q))
-            trace_devs.append(np.abs(P.sum(axis=1) - np.sum(q)))
+        scaled.append(cm.lq_residual(zs[:, None], families, qs[:, None]).ravel())
+        trace_devs.append(
+            np.abs(families.sum(axis=-1) - qs.sum(axis=-1)[:, None]).ravel()
+        )
     return (
         counted,
         {"trials": config.trials, "n_values": [2, 3]},
@@ -477,9 +481,12 @@ FIBER_CASES = ((2, 0), (1, 1), (2, 1), (2, 2), (3, 1))
 def check_wronski_degree(config, rng):
     """Fiber cardinalities of the Wronski map at generic targets.
 
-    Each found tuple's Wronskian, on poly_det, must match the target both
-    in its W_a and in its roots, matched against z as a set: the root gate
-    reads no e_k, so a wrong elementary_symmetric cannot move its target.
+    Each partition's five targets are drawn first, z and then the search
+    seed per target, as a per-target loop draws them; then all five are
+    searched as one lockstep wronski_fiber call.  Each found tuple's
+    Wronskian, on poly_det, must match the target both in its W_a and in
+    its roots, matched against z as a set: the root gate reads no e_k, so a
+    wrong elementary_symmetric cannot move its target.
     """
     counted = True
     w_residuals, root_distances = [], []
@@ -489,13 +496,14 @@ def check_wronski_degree(config, rng):
         lam = Partition(parts)
         n = lam.n
         d = irrep_dimension(lam)
+        zs, seeds = zip(*(
+            (sample_generic_z(n, rng), int(rng.integers(2**31)))
+            for _ in range(targets)
+        ))
+        sigmas = elementary_symmetric(np.array(zs))
+        fibers = wr.wronski_fiber(lam, sigmas, tol=TOL.fiber, seed=seeds)
         found_counts = []
-        for _ in range(targets):
-            z = sample_generic_z(n, rng)
-            sigma = elementary_symmetric(z)
-            sols = wr.wronski_fiber(
-                lam, sigma, tol=TOL.fiber, seed=int(rng.integers(2**31))
-            )
+        for z, sigma, sols in zip(zs, sigmas, fibers):
             found_counts.append(len(sols))
             counted = counted and len(sols) == d
             for sol in sols:
@@ -773,6 +781,7 @@ def run_suite(config: VerificationConfig) -> Report:
                     False,
                     {},
                     {},
+                    dict(BOUNDS[cid]),
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )

@@ -374,10 +374,10 @@ def _critical_points(z, sizes, linear, q1, tol, fiber):
     if not starts:
         return []
 
-    def grad(t):
+    def grad(t, _rows):
         return _grad_t_raw(z, sizes, t, linear)
 
-    def hess(t):
+    def hess(t, _rows):
         return _hess_t_raw(z, sizes, t)
 
     found, keys = [], []

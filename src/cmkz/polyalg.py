@@ -10,6 +10,7 @@ are held as :class:`ExpPoly`; differentiation keeps the rate and maps
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -72,6 +73,62 @@ def elementary_symmetric(values) -> np.ndarray:
     row for a stack of value tuples along the last axis."""
     monic = from_roots(values)
     return monic[..., -2::-1] * (-1.0) ** np.arange(1, monic.shape[-1])
+
+
+@lru_cache(maxsize=None)
+def _berkowitz_layout(n: int):
+    """Index tables of char_coefficients at size n: the masks of the leading
+    blocks, below[k, i] = i < k and its complement, and per step k the
+    gather gaps[k][m, i] = n + m - i (m <= k + 1, i <= k) of its Toeplitz
+    matrix out of the zero-padded series."""
+    below = np.tri(n, k=-1, dtype=bool)
+    above = ~below
+    gaps = [n + np.subtract.outer(np.arange(k + 2), np.arange(k + 1)) for k in range(n)]
+    for t in (below, above, *gaps):
+        t.setflags(write=False)  # cached: shared by every caller
+    return below, above, gaps
+
+
+def char_coefficients(A) -> np.ndarray:
+    """e_0, ..., e_n of the eigenvalues of each matrix in a stack (..., n, n),
+    read off det(u - A) = sum_k (-1)^k e_k u^(n-k); e_0 = 1.
+
+    The Samuelson-Berkowitz recurrence (Berkowitz, "On computing the
+    determinant in small parallel time", 1984).  Write the leading block
+    A_(k+1) as [[A_k, c], [r, a]]; a Schur complement gives
+    det(1 + x A_(k+1)) = det(1 + x A_k) (1 + a x - sum_j w_j x^(j+2)) with
+    w_j = r (-A_k)^j c, so e^(k+1)_m = e^(k)_m + a e^(k)_(m-1)
+    - sum_(j <= m-2) w_j e^(k)_(m-2-j) for m <= k + 1.  The Krylov vectors
+    of every leading block, zero-padded to length n, run as one stack, and
+    each step is one product with a lower-triangular Toeplitz matrix.
+    Division-free, in complex arithmetic, with einsum contractions that
+    form no product arrays and ufuncs only (no BLAS, no LAPACK), so a stack
+    and its rows agree bit for bit; Gaussian-integer entries give exact
+    coefficients.
+    """
+    A = np.ascontiguousarray(A, dtype=complex)
+    n = A.shape[-1]
+    lead = A.shape[:-2]
+    if n == 0:
+        return np.ones(lead + (1,), dtype=complex)
+    below, above, gaps = _berkowitz_layout(n)
+    # per block k: n zeros, then the series 1 + a x - sum_j w_j x^(j+2)
+    series = np.zeros(lead + (n, 2 * n + 1), dtype=complex)
+    series[..., n] = 1.0
+    series[..., n + 1] = np.diagonal(A, axis1=-2, axis2=-1)
+    minus = -A
+    r = np.where(below, minus, 0.0)  # -r of each block k: row k left of the diagonal
+    v = np.where(below, np.swapaxes(A, -1, -2), 0.0)  # c: column k above it
+    for j in range(n - 1):
+        if j:
+            v = np.einsum("...il,...kl->...ki", minus, v)  # (-A_k)^j c
+            np.copyto(v, 0.0, where=above)
+        np.einsum("...kl,...kl->...k", r, v, out=series[..., n + 2 + j])  # -w_j
+    e = series[..., 0, n : n + 2]  # e^(1) = (1, a)
+    for k in range(1, n):
+        toeplitz = np.take(series[..., k, :], gaps[k], axis=-1)
+        e = np.einsum("...mi,...i->...m", toeplitz, e)
+    return e
 
 
 def roots(c) -> np.ndarray:

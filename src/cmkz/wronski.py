@@ -39,6 +39,12 @@ minors.  Their Wronski map is multi-affine in the shifts c as well, and
 wronski_fiber_q solves it from a table of principal minors built per q,
 through the same multistart and plain stacked Newton (full steps) as
 wronski_fiber; wronski_map_q stays on poly_det.
+
+wronski_fiber takes a stack of targets, one seed per row, and searches
+them in one lockstep multistart: in each round the next chunk of starts
+of every target still short of d_lambda tuples is one Newton stack, each
+row scored against its own target, so a row follows the iterates it
+follows alone and each target finds the tuples it finds alone.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from .newton import multistart, stacked_newton
 from .partitions import Partition, irrep_dimension, shifted
 from .polyalg import ExpPoly
 from .serialize import pair
-from .tensor_gaudin import SpectralPoint
+from .tensor_gaudin import SpectralPoint, _nested
 
 # starts per fiber search
 WRONSKI_BUDGET = 2720
@@ -519,54 +525,68 @@ def _expanded_w(coef, support, vec, jac: bool = False):
     return w, np.matmul(coef, support * pa.excluded_products(factors))
 
 
-def _fiber(coef, support, sigma_target, tol, seed, expected) -> list[np.ndarray]:
-    """The free coefficients of all tuples whose table W equals the target.
+def _fiber(coef, support, sigma, tol, seeds, expected) -> list[list[np.ndarray]]:
+    """The free coefficients of all tuples whose table W equals a target:
+    one list per row of the (T, n) stack of targets sigma, the search for
+    row t seeded by seeds[t].
 
-    Seeded multistart of stacked_newton, full Newton steps with residual
-    and Jacobian from the table, two small matrix products per call.  The
-    search stops at the expected count or after WRONSKI_BUDGET starts; an
-    undercount is the caller's signal.  The distinct roots then get, as
-    one stack, up to two polish steps each, which take their W residual
-    from the loose tolerance to roundoff.
+    One lockstep multistart of stacked_newton over all targets, full Newton
+    steps with residual and Jacobian from the table, two small matrix
+    products per call; each row of a stack is scored against the target of
+    the stream it came from.  Each target's search stops at the expected
+    count or after WRONSKI_BUDGET starts; an undercount is the caller's
+    signal.  The distinct roots of all targets then get, as one stack, up
+    to two polish steps each, which take their W residual from the loose
+    tolerance to roundoff.
     """
     n = support.shape[1]
-    sigma = np.asarray(sigma_target, dtype=complex).ravel()
-    if len(sigma) != n:
+    if sigma.shape[-1] != n:
         raise ValueError(f"need {n} target coordinates")
-    rng = np.random.default_rng(seed)
+    scale = np.maximum(1.0, np.abs(sigma).max(axis=-1))
 
-    def residual(vec):
-        F = _expanded_w(coef, support, vec) - sigma
-        return F, np.abs(F).max(axis=-1)
+    def stream(seed, radius):
+        rng = np.random.default_rng(seed)
+        return lambda _: radius * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-    def jacobian(vec):
-        return _expanded_w(coef, support, vec, jac=True)[1]
+    def solve(V0, owner, polish=0):
+        def residual(vec, rows):
+            F = _expanded_w(coef, support, vec) - sigma[owner[rows]]
+            return F, np.abs(F).max(axis=-1)
 
-    scale = max(1.0, np.abs(sigma).max())
+        def jacobian(vec, rows):
+            return _expanded_w(coef, support, vec, jac=True)[1]
 
-    def draw(_):
-        return 2.0 * scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-    def solve(V0, polish=0):
         return stacked_newton(residual, jacobian, V0, tol, 60, polish=polish)
 
-    roots = multistart(draw, solve, WRONSKI_BUDGET, expected)
-    if not roots:
-        return []
-    return solve(np.stack(roots), polish=2)
+    streams = [stream(int(seed), 2.0 * s) for seed, s in zip(seeds, scale)]
+    found = multistart(streams, solve, WRONSKI_BUDGET, expected)
+    owner = np.repeat(np.arange(len(found)), [len(roots) for roots in found])
+    if not len(owner):
+        return found
+    polished = iter(solve(np.stack([x for roots in found for x in roots]), owner, 2))
+    return [[next(polished) for _ in roots] for roots in found]
 
 
-def wronski_fiber(
-    lam: Partition, sigma_target, tol: float = 1e-9, seed: int = 0
-) -> list[PolyTuple]:
+def wronski_fiber(lam: Partition, sigma_target, tol: float = 1e-9, seed=0) -> list:
     """All tuples mapping to the target elementary symmetric data.
 
     Solves row 0 of the cached exact operator table (_operator_expansion)
     with _fiber, expecting the Wronski-map degree d_lambda; the gates that
-    check the result evaluate wronski_map, on poly_det.
+    check the result evaluate wronski_map, on poly_det.  A stack of
+    targets, (..., n), with one seed per row (broadcast against the batch
+    axes), is one lockstep search and gives one list of tuples per row,
+    nested like the batch axes; a single target is the unbatched case, and
+    each row finds the tuples it finds alone, bit for bit.
     """
-    vecs = _fiber(*_w_expansion(lam), sigma_target, tol, seed, irrep_dimension(lam))
-    return [poly_tuple_from_vector(lam, v) for v in vecs]
+    sigma = np.atleast_1d(np.asarray(sigma_target, dtype=complex))
+    batch = sigma.shape[:-1]
+    seeds = np.broadcast_to(seed, batch).ravel()
+    found = _fiber(
+        *_w_expansion(lam), sigma.reshape(-1, sigma.shape[-1]), tol, seeds,
+        irrep_dimension(lam),
+    )
+    tuples = [[poly_tuple_from_vector(lam, v) for v in vecs] for vecs in found]
+    return _nested(tuples, batch)
 
 
 def wronski_fiber_q(
@@ -576,7 +596,8 @@ def wronski_fiber_q(
     symmetric data, from the table of _w_expansion_q; n! for a generic
     target."""
     q = pa.require_distinct(q, 1e-12, "exponents q")
-    vecs = _fiber(*_w_expansion_q(q), sigma_target, tol, seed, math.factorial(len(q)))
+    sigma = np.asarray(sigma_target, dtype=complex).reshape(1, -1)
+    [vecs] = _fiber(*_w_expansion_q(q), sigma, tol, [seed], math.factorial(len(q)))
     return [QuasiExpTuple(q, c) for c in vecs]
 
 

@@ -299,3 +299,20 @@ def test_stacked_level_set_residuals_equal_row_calls_bit_for_bit(n):
     Z, P = _stack(n, 25, n)
     assert l0_residual(Z, P).tolist() == [l0_residual(a, b) for a, b in zip(Z, P)]
     assert lq_residual(Z, P, q).tolist() == [lq_residual(a, b, q) for a, b in zip(Z, P)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lq_residual_with_one_q_per_family_equals_the_family_calls_bit_for_bit(n):
+    # trials of (z, q, a family of p), scored in one call with z and q per
+    # trial broadcast over the family, as lq-membership scores them
+    rng = np.random.default_rng(140 + n)
+    Z = np.array([sample_generic_z(n, rng) for _ in range(12)])
+    Q = np.array([sample_generic_z(n, rng, radius=1.5) for _ in range(12)])
+    size = 10 ** rng.uniform(-1.0, 1.5, size=(12, 6, 1))
+    P = (rng.standard_normal((12, 6, n)) + 1j * rng.standard_normal((12, 6, n))) * size
+    got = lq_residual(Z[:, None], P, Q[:, None])
+    assert got.shape == (12, 6)
+    for t in range(12):
+        assert got[t].tobytes() == lq_residual(Z[t], P[t], Q[t]).tobytes()
+    with pytest.raises(ValueError):
+        lq_residual(Z[0], P[0], Q[0, :-1])

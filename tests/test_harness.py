@@ -243,6 +243,7 @@ def test_raising_check_is_recorded_and_the_rest_still_run(monkeypatch):
     bad = by_id.pop("closed-forms")
     assert (bad.suite, bad.seed, bad.passed) == ("l0", check_seed(5, "closed-forms"), False)
     assert bad.error == "RuntimeError: solver diverged"
+    assert (bad.residuals, bad.bounds) == ({}, BOUNDS["closed-forms"])
     assert not rep.passed
     assert all(r.passed and r.error is None for r in by_id.values())
 
@@ -577,7 +578,8 @@ def test_every_reported_residual_has_a_declared_bound():
     declared = 0
     for rec in records:
         bounds = BOUNDS[rec.check]
-        assert set(rec.residuals) - {"tolerance"} == set(bounds)
+        assert set(rec.residuals) == set(bounds)
+        assert rec.bounds == bounds
         declared += len(bounds)
     assert declared == 16
 
@@ -621,8 +623,7 @@ PINNED_RECORDS = {
         True,
         _L0_COUNTS,
         {
-            "max_scaled_residual": "0x1.05156dda4eed6p-47",
-            "tolerance": "0x1.5798ee2308c3ap-27",
+            "max_scaled_residual": "0x1.8291eec96b64ap-48",
         },
     ),
     (2024, "closed-forms"): (
@@ -630,7 +631,6 @@ PINNED_RECORDS = {
         {"n_range": [2, 5]},
         {
             "max_deviation": "0x1.6a09e667f3bcdp-50",
-            "tolerance": "0x1.b7cdfd9d7bdbbp-34",
         },
     ),
     (2024, "bethe-correspondence"): (
@@ -646,7 +646,7 @@ PINNED_RECORDS = {
         True,
         {"trials": 20, "n_values": [2, 3]},
         {
-            "max_scaled_residual": "0x1.3e0d2ac658177p-49",
+            "max_scaled_residual": "0x1.ee9e48f63019ap-51",
             "max_trace_deviation": "0x1.fc60b84dec0fdp-49",
         },
     ),
@@ -672,7 +672,7 @@ PINNED_RECORDS = {
         {"rank_one_trials": 1000, "gradient_trials": 100},
         {
             "max_rank_one_residual": "0x1.99afe5da93ad4p-51",
-            "max_hamiltonian_mismatch": "0x1.24170b0452b65p-45",
+            "max_hamiltonian_mismatch": "0x1.efc47526c983cp-49",
             "max_gradient_fd_mismatch": "0x1.40a36f5e603e1p-29",
         },
     ),
@@ -684,7 +684,6 @@ PINNED_RECORDS = {
         },
         {
             "max_match_distance": "0x1.fa2b05c944fa5p-23",
-            "tolerance": "0x1.a36e2eb1c432dp-14",
         },
     ),
     (1000205, "bethe-correspondence"): (

@@ -8,6 +8,7 @@ from cmkz.harness import collision_study
 from cmkz.master_function import grad_t_q, solve_bethe_q
 from cmkz.partitions import Partition, enumerate_partitions
 from cmkz.polyalg import (
+    char_coefficients,
     components_within,
     distinct_count,
     elementary_symmetric,
@@ -268,6 +269,68 @@ def test_stacked_symmetric_functions_equal_per_row_calls_bit_for_bit(n):
         assert e[row].tobytes() == elementary_symmetric(roots[row]).tobytes()
     grid = from_roots(roots.reshape(40, 50, n))
     assert grid.reshape(2000, n + 1).tobytes() == monic.tobytes()
+
+
+def _principal_minor_sums(A):
+    """e_0..e_n of the integer matrix A as sums of its principal minors,
+    each minor by the Leibniz formula in exact integer arithmetic."""
+    n = len(A)
+    out = [1]
+    for k in range(1, n + 1):
+        total = 0
+        for rows in itertools.combinations(range(n), k):
+            for perm in itertools.permutations(range(k)):
+                inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+                term = (-1) ** inversions
+                for i, j in enumerate(perm):
+                    term *= A[rows[i]][rows[j]]
+                total += term
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_char_coefficients_are_the_principal_minor_sums_on_gaussian_integers(n):
+    rng = np.random.default_rng(110 + n)
+    for _ in range(4 if n < 6 else 2):
+        re, im = rng.integers(-3, 4, (2, n, n))
+        exact = [
+            [complex(int(a), int(b)) for a, b in zip(row_re, row_im)]
+            for row_re, row_im in zip(re, im)
+        ]
+        assert char_coefficients(re + 1j * im).tolist() == _principal_minor_sums(exact)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_char_coefficients_of_a_nilpotent_jordan_block_are_exact(n):
+    e = char_coefficients(np.eye(n, k=1) * (2.0 + 1j))
+    assert e.tolist() == [1.0] + [0.0] * n
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_stacked_char_coefficients_equal_per_matrix_calls_bit_for_bit(n):
+    # a C-ordered stack and one with the batch axes innermost in memory
+    rng = np.random.default_rng(120 + n)
+    scale = 10.0 ** rng.uniform(-2, 2, (300, 1, 1))
+    A = scale * (rng.standard_normal((300, n, n)) + 1j * rng.standard_normal((300, n, n)))
+    e = char_coefficients(A)
+    assert e.shape == (300, n + 1)
+    for row in range(300):
+        assert e[row].tobytes() == char_coefficients(A[row]).tobytes()
+    grid = char_coefficients(A.reshape(15, 20, n, n))
+    assert grid.reshape(300, n + 1).tobytes() == e.tobytes()
+    batch_inner = np.moveaxis(np.moveaxis(A, 0, -1).copy(), -1, 0)
+    assert char_coefficients(batch_inner).tobytes() == e.tobytes()
+
+
+def test_char_coefficients_agree_with_eigenvalues():
+    rng = np.random.default_rng(130)
+    for n in range(1, 8):
+        A = rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n))
+        ref = elementary_symmetric(np.linalg.eigvals(A))
+        e = char_coefficients(A)
+        assert np.all(e[:, 0] == 1.0)
+        assert np.abs(e[:, 1:] - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_from_roots_is_exact_on_integer_roots():

@@ -288,6 +288,45 @@ def test_wronski_fiber_roots_are_polished():
                 assert np.abs(wronski_map(lam, sol).w - sigma).max() <= 1e-12
 
 
+def _vector_bits(fiber):
+    return [x.vector().tobytes() for x in fiber]
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2)])
+def test_stacked_wronski_fiber_equals_the_one_target_calls_bit_for_bit(parts):
+    # five targets in one lockstep search: each row keeps the tuples its
+    # own search finds alone, and a grid of targets nests like its axes
+    lam = Partition(parts)
+    rng = np.random.default_rng(90 + lam.n)
+    sigmas = elementary_symmetric(np.array([sample_generic_z(lam.n, rng) for _ in range(5)]))
+    seeds = rng.integers(2**31, size=5)
+    stacked = wronski_fiber(lam, sigmas, seed=seeds)
+    assert len(stacked) == 5
+    for sigma, seed, sols in zip(sigmas, seeds, stacked):
+        alone = wronski_fiber(lam, sigma, seed=int(seed))
+        assert len(sols) == irrep_dimension(lam)
+        assert _vector_bits(sols) == _vector_bits(alone)
+    grid = wronski_fiber(lam, sigmas[:4].reshape(2, 2, -1), seed=seeds[:4].reshape(2, 2))
+    assert [[_vector_bits(f) for f in row] for row in grid] == [
+        [_vector_bits(stacked[2 * i + j]) for j in range(2)] for i in range(2)
+    ]
+
+
+def test_a_starved_target_undercounts_while_the_others_stay_complete(monkeypatch):
+    # at a budget of 3 starts the third target finds 1 of its 2 tuples alone,
+    # and the other three find both; the lockstep search keeps each count
+    monkeypatch.setattr(wr, "WRONSKI_BUDGET", 3)
+    lam = Partition((2, 1))
+    rng = np.random.default_rng(3)
+    sigmas = elementary_symmetric(np.array([sample_generic_z(3, rng) for _ in range(4)]))
+    stacked = wronski_fiber(lam, sigmas, seed=np.arange(4))
+    assert [len(sols) for sols in stacked] == [2, 2, 1, 2]
+    for t, (sigma, sols) in enumerate(zip(sigmas, stacked)):
+        assert _vector_bits(sols) == _vector_bits(wronski_fiber(lam, sigma, seed=t))
+        for sol in sols:
+            assert np.abs(wronski_map(lam, sol).w - sigma).max() <= 1e-12
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_wronski_expansion_matches_wronski_map(n):
     rng = np.random.default_rng(60 + n)
