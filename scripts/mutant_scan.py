@@ -103,6 +103,12 @@ MUTANTS = (
         "- sigma[owner[rows] - 1]",
     ),
     Mutant(
+        "each q = 0 limit listed once in the collision match, not d_lam times",
+        "harness.py",
+        "for _ in range(irrep_dimension(lam))",
+        "for _ in range(1)",
+    ),
+    Mutant(
         "each spectrum repeats its first point in place of its last",
         "tensor_gaudin.py",
         "return [SpectralPoint(z, p, res) for p, _, res in entries]",

@@ -253,24 +253,6 @@ def match_within(close) -> np.ndarray:
     return np.array(partner, dtype=np.intp)
 
 
-def components_within(close) -> list[np.ndarray]:
-    """Connected components of the symmetric graph ``close`` (close[i, j]
-    true where points i and j are joined), in order of their smallest
-    member, each as its sorted member indices.
-
-    The reachability matrix is squared until it stops changing; each point
-    is then labelled by the smallest point it reaches.
-    """
-    reach = np.asarray(close, dtype=bool) | np.eye(len(close), dtype=bool)
-    while True:
-        grown = reach @ reach
-        if (grown == reach).all():
-            break
-        reach = grown
-    first = reach.argmax(axis=1)
-    return [np.flatnonzero(first == r) for r in np.unique(first)]
-
-
 def excluded_products(values: np.ndarray) -> np.ndarray:
     """Products of all entries but one along the last axis.
 

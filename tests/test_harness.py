@@ -88,6 +88,19 @@ def test_match_points_lists_what_each_side_left_unmatched():
     assert res.unmatched_a == (1,) and res.unmatched_b == (1,)
 
 
+def test_match_points_reports_each_stray_distance_to_the_nearest_entry():
+    # A_1 and A_2 are left unmatched, 0.3 and 0.5 from their nearest B entry
+    # of the same length; the length-3 entry is never nearest
+    A = [np.array([0.0, 0.0]), np.array([0.3, 0.0]), np.array([2.0, 1j])]
+    B = [np.array([0.0, 0.1]), np.array([2.0, 1.5j]), np.zeros(3)]
+    res = match_points(A, B, tol=0.2)
+    assert res.unmatched_a == (1, 2)
+    assert res.stray_distances == pytest.approx((0.3, 0.5))
+    assert match_points(A, A, 1e-12).stray_distances == ()
+    empty = match_points(A, [], 1e-6)
+    assert not empty.ok and empty.stray_distances == (np.inf,) * 3
+
+
 def test_match_points_never_joins_tuples_of_different_length():
     res = match_points([np.zeros(2)], [np.zeros(3)], tol=1.0)
     assert not res.ok
@@ -144,27 +157,53 @@ def test_collision_study_three_particles():
     assert rep.per_lambda_sizes[(1, 1, 1)] == [1]
 
 
-def test_collision_study_unresolved_when_the_clusters_miss_the_limits():
-    # at s = 1e-3 the first-order drift keeps every centroid about 2.36e-4
-    # from its limit, past TOL.collision_match
+def test_collision_study_unresolved_when_the_tuples_miss_the_limits():
+    # at s = 1e-3 the first-order drift keeps every tuple 2.4e-4 to 5.3e-4
+    # from its limit, past TOL.collision_match: each is its own record
     q0 = np.array([1.0 + 0.3j, -0.7 + 0.1j, 0.2 - 0.9j])
     rep = collision_study(3, q0, s=1e-3, seed=5)
     assert not rep.resolved
-    assert [c.size for c in rep.clusters] == [2, 1, 1, 2]
+    assert [c.size for c in rep.clusters] == [1] * 6
     assert rep.per_lambda_sizes == {}
     for c in rep.clusters:
         assert c.lam is None and c.eigenspace_dim == 0
-        assert TOL.collision_match < c.match_distance < 3e-4
+        assert TOL.collision_match < c.match_distance < 1e-3
 
 
-def test_collision_study_unresolved_when_every_tuple_is_one_cluster():
+def test_collision_study_unresolved_far_from_the_limits():
     q0 = np.array([1.0 + 0.3j, -0.7 + 0.1j, 0.2 - 0.9j])
     rep = collision_study(3, q0, s=1.0, seed=5)
     assert not rep.resolved
-    assert [c.size for c in rep.clusters] == [6]
-    (c,) = rep.clusters
-    assert c.lam is None and c.eigenspace_dim == 0
-    assert c.match_distance > TOL.collision_match
+    assert [c.size for c in rep.clusters] == [1] * 6
+    for c in rep.clusters:
+        assert c.lam is None and c.eigenspace_dim == 0
+        assert c.match_distance > TOL.collision_match
+
+
+def test_collision_study_unresolved_when_a_tuple_lands_on_the_wrong_limit(
+    monkeypatch,
+):
+    # one tuple of a (2,1) limit moved onto the (3) limit: every tuple lies
+    # on some limit, but (3) has room for one tuple only
+    real = harness.generalized_spectrum
+
+    def moved(z, q, **kw):
+        pts = real(z, q, **kw)
+        top = np.array([np.sum(1.0 / (z[a] - np.delete(z, a))) for a in range(3)])
+        near = spectral_points(Partition((2, 1)), z, seed=0)[0].p
+        k = int(np.argmin([np.abs(sp.p - near).max() for sp in pts]))
+        pts[k] = SpectralPoint(pts[k].z, top, pts[k].residual)
+        return pts
+
+    monkeypatch.setattr(harness, "generalized_spectrum", moved)
+    q0 = np.array([1.0 + 0.3j, -0.7 + 0.1j, 0.2 - 0.9j])
+    rep = collision_study(3, q0, seed=5)
+    assert not rep.resolved
+    assert sum(c.size for c in rep.clusters) == 6
+    (stray,) = [c for c in rep.clusters if c.lam is None]
+    assert stray.match_distance < TOL.collision_match
+    assert rep.per_lambda_sizes[(3,)] == [1]
+    assert sorted(rep.per_lambda_sizes[(2, 1)]) == [1, 2]
 
 
 def test_collision_study_solves_only_the_smallest_scale(monkeypatch):
@@ -683,7 +722,7 @@ PINNED_RECORDS = {
             "per_lambda": {"3": [1], "2,1": [2, 2], "1,1,1": [1]},
         },
         {
-            "max_match_distance": "0x1.fa2b05c944fa5p-23",
+            "max_match_distance": "0x1.e9389d38d858bp-21",
         },
     ),
     (1000205, "bethe-correspondence"): (

@@ -9,7 +9,6 @@ from cmkz.master_function import grad_t_q, solve_bethe_q
 from cmkz.partitions import Partition, enumerate_partitions
 from cmkz.polyalg import (
     char_coefficients,
-    components_within,
     distinct_count,
     elementary_symmetric,
     excluded_products,
@@ -437,42 +436,3 @@ def test_match_within_follows_one_long_augmenting_path():
     close[idx, idx] = close[idx, idx + 1] = True
     close[n - 1, 0] = True
     assert match_within(close).tolist() == list(range(1, n)) + [0]
-
-
-def _bfs_components(close):
-    seen, groups = set(), []
-    for root in range(len(close)):
-        if root in seen:
-            continue
-        seen.add(root)
-        group, queue = [], [root]
-        for i in queue:
-            group.append(i)
-            for j in np.flatnonzero(close[i]).tolist():
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        groups.append(sorted(group))
-    return groups
-
-
-def test_components_within_joins_a_chain():
-    # a ~ b ~ c with a and c apart is one group; d stands alone
-    close = np.array(
-        [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=bool
-    )
-    assert [g.tolist() for g in components_within(close)] == [[0, 1, 2], [3]]
-    # the chain 0 ~ 3 ~ 1 is labelled before 2, its smallest member first
-    close = np.eye(4, dtype=bool)
-    close[[0, 3, 1, 3], [3, 0, 3, 1]] = True
-    assert [g.tolist() for g in components_within(close)] == [[0, 1, 3], [2]]
-
-
-def test_components_within_equals_breadth_first_search():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        n = rng.integers(1, 13)
-        upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.4), 1)
-        close = upper | upper.T | np.eye(n, dtype=bool)
-        groups = [g.tolist() for g in components_within(close)]
-        assert groups == _bfs_components(close)
