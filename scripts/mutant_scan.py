@@ -109,6 +109,24 @@ MUTANTS = (
         "for _ in range(1)",
     ),
     Mutant(
+        "adjacent-level charge -1 scaled by 1.001 in the Bethe charge matrix",
+        "master_function.py",
+        "[1.0, 2.0, -1.0]",
+        "[1.0, 2.0, -1.001]",
+    ),
+    Mutant(
+        "own-level charge 2 scaled by 1.001 in the Bethe charge matrix",
+        "master_function.py",
+        "[1.0, 2.0, -1.0]",
+        "[1.0, 2.002, -1.0]",
+    ),
+    Mutant(
+        "position-pair charge 1 scaled by 1.001 in the Bethe charge matrix",
+        "master_function.py",
+        "[1.0, 2.0, -1.0]",
+        "[1.001, 2.0, -1.0]",
+    ),
+    Mutant(
         "each spectrum repeats its first point in place of its last",
         "tensor_gaudin.py",
         "return [SpectralPoint(z, p, res) for p, _, res in entries]",

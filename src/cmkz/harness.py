@@ -364,13 +364,7 @@ def check_closed_forms(config, rng):
     )
 
 
-BETHE_CASES = (
-    (2, (1, 1)),
-    (3, (2, 1)),
-    (4, (2, 2)),
-    (4, (3, 1)),
-    (4, (2, 1, 1)),
-)
+BETHE_CASES = ((1, 1), (2, 1), (2, 2), (3, 1), (2, 1, 1))
 
 
 @_check(
@@ -389,10 +383,10 @@ def check_bethe(config, rng):
     counted = True
     grad_norms, distances, midpoint = [], [], []
     counts = {}
-    for n, parts in BETHE_CASES:
+    for parts in BETHE_CASES:
         lam = Partition(parts)
         d = irrep_dimension(lam)
-        z = sample_generic_z(n, rng)
+        z = sample_generic_z(lam.n, rng)
         crits = mf.solve_bethe(lam, z, tol=TOL.bethe, seed=int(rng.integers(2**31)))
         counts[",".join(map(str, parts))] = {"expected": d, "found": len(crits)}
         if len(crits) != d:

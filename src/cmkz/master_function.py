@@ -13,8 +13,9 @@ Only level 1 interacts with z, and cross terms couple adjacent levels
 only.  Critical points in t solve the Bethe equations; the momenta are
 p_a = dPhi/dz_a.  The deformed variant adds linear terms
 (q_{k+1} - q_k) per level-k variable and q_1 per z_a, with level sizes
-fixed at (n-1, n-2, ..., 1).  The gradient in t, its Hessian and the
-domain check all read one pole list, _pole_table.
+fixed at (n-1, n-2, ..., 1).  Phi is one sum over x = concat(z, t),
+sum_{u<v} K_uv log(x_u - x_v), with the charges K_uv of _charges; the
+gradients in z and t, the Hessian in t and the domain check all read K.
 
 Critical points are not searched for directly.  They are read off the
 populations of a Wronski fiber (Mukhin and Varchenko, "Critical points
@@ -25,12 +26,12 @@ quasi-exponentials e^(q_i u)(u + c_i) for the deformed case.  So the
 d_lambda fiber points give the d_lambda critical points, and plain
 Newton on dPhi/dt (full steps, newton.stacked_newton) only polishes them.
 
-Phi itself is defined modulo 2*pi*i.  The value and dPhi/dz below are
-plain loops, kept apart from _pole_table as finite-difference references;
-the value uses principal-branch logarithms, not branch-consistent ones.
+Phi itself is defined modulo 2*pi*i.  The value below is plain loops,
+kept apart from K as the finite-difference reference for both gradients;
+it uses principal-branch logarithms, not branch-consistent ones.
 The value and gradient functions also take stacks of (z, t), z of shape
 (..., n) and each level of shape (..., l_k) with the same leading axes,
-and evaluate every row in one pass of the same loops; a single point is
+and evaluate every row in one pass of the same code; a single point is
 the unbatched case.  The deformed ones also take a stack of q, shape
 (..., n), whose leading axes broadcast against z's; one q serves every
 row.
@@ -94,80 +95,52 @@ def _split(flat: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pole_table(nz: int, sizes: tuple[int, ...]):
-    """Poles and charges of each critical equation, the one list of them.
+def _charges(nz: int, sizes: tuple[int, ...]):
+    """The charge matrix K of Phi over x = concat(z, t), and the level of
+    each t.
 
-    Row r (the variable t_r, level 1 first) lists its poles as indices into
-    concat(z, t) in the order z, own level, next level, previous level,
-    padded to a common width.  Level 1 sees z with charge -1; every level
-    sees itself with charge 2 and its neighbours with charge -1.  Returns
-    (idx, coef, mask, level): pole indices, charges, the mask of real
-    (unpadded) slots, and each row's level.
+    Phi = sum_{u<v} K_uv log(x_u - x_v), with z at level 0 and level k of
+    t at level k: K_uv is 1 between two positions, and otherwise 2 within
+    a level, -1 between adjacent levels and 0 else.  K is symmetric with
+    zero diagonal, and row u of grad Phi is sum_v K_uv / (x_u - x_v).
     """
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    L = len(sizes)
-    rows: list[list[tuple[int, float]]] = []
-    level = []
-    for k, s in enumerate(sizes):
-        for i in range(s):
-            poles = [(a, -1.0) for a in range(nz)] if k == 0 else []
-            poles += [(nz + offs[k] + j, 2.0) for j in range(s) if j != i]
-            for kk in (k + 1, k - 1):
-                if 0 <= kk < L:
-                    poles += [(nz + v, -1.0) for v in range(offs[kk], offs[kk + 1])]
-            rows.append(poles)
-            level.append(k)
-    width = max((len(p) for p in rows), default=0)
-    idx = np.zeros((len(rows), width), dtype=int)
-    coef = np.zeros((len(rows), width))
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for r, poles in enumerate(rows):
-        if poles:
-            m = len(poles)
-            idx[r, :m], coef[r, :m] = zip(*poles)
-            mask[r, :m] = True
-    table = (idx, coef, mask, np.array(level, dtype=int))
-    for arr in table:
+    level = np.repeat(np.arange(len(sizes) + 1), (nz, *sizes))
+    lu = level[:, None]
+    apart = np.abs(lu - level)
+    K = np.select([lu + level == 0, apart == 0, apart == 1], [1.0, 2.0, -1.0])
+    np.fill_diagonal(K, 0.0)
+    out = (K, level[nz:])
+    for arr in out:
         arr.setflags(write=False)  # cached: shared by every caller
-    return table
+    return out
 
 
-def _poles(z, sizes, t, linear=None):
-    """Pole distances and charges of the critical equations at flat t, or
-    at each row of a stack of flat t.
+def _poles(z, sizes, t, rows: slice):
+    """The charges K[rows] and the distances d[..., u, v] = x_u - x_v over
+    x = concat(z, t) for the coordinates u in rows, at flat t or at each
+    row of a stack of (z, t).
 
-    Returns (d, coef, delta, idx, mask): d[..., r, u] = t_r - (pole u of
-    row r), with d = 1 and charge 0 in padded slots; the charges; each
-    row's linear term delta_r; and the pole indices and real-slot mask of
-    _pole_table.  Row r of dPhi/dt is sum_u coef_u / d_u + delta_r; a
-    stack of linear terms, shape (..., levels), gives one delta per row.
+    d = 1 wherever K = 0, the diagonal included, so that K / d is 0 there.
     """
     nz = z.shape[-1]
-    idx, coef, mask, level = _pole_table(nz, sizes)
-    delta = (
-        np.zeros(t.shape[-1], dtype=complex)
-        if linear is None
-        else np.asarray(linear, dtype=complex)[..., level]
-    )
-    args = np.empty(t.shape[:-1] + (nz + t.shape[-1],), dtype=complex)
-    args[..., :nz] = z
-    args[..., nz:] = t
-    # C order, so that sums over a row's poles run in one order, stacked or
-    # not; filled in place, so a stack's table is its only large temporary
-    d = np.take(args, idx, axis=-1)
-    np.subtract(t[..., :, None], d, out=d)
-    d[..., ~mask] = 1.0
-    return d, coef, delta, idx, mask
+    K, _ = _charges(nz, sizes)
+    x = np.empty(t.shape[:-1] + K.shape[-1:], dtype=complex)
+    x[..., :nz] = z
+    x[..., nz:] = t
+    K = K[rows]
+    # C order, so that the sums over a row run in one order, stacked or not
+    d = x[..., rows, None] - x[..., None, :]
+    d[..., K == 0] = 1.0
+    return K, d
 
 
-def _spaced(z, t, d, mask):
+def _spaced(z, t, d, K):
     """The domain rule of Phi, row by row: every argument pair, read off
-    the pole distances d of _poles and the gaps of z, lies at least
+    the t rows of _poles and the gaps of z, lies at least
     1e-8 * max(1, |z|, |t|) apart."""
-    z_gap = min_gap(z)
     dist = np.abs(d)
-    dist[..., ~mask] = np.inf  # padded slots
-    gap = np.minimum(dist.min(axis=(-2, -1), initial=np.inf), z_gap)
+    dist[..., K == 0] = np.inf  # pairs that do not interact
+    gap = np.minimum(dist.min(axis=(-2, -1), initial=np.inf), min_gap(z))
     scale = np.maximum(
         np.maximum(1.0, np.abs(z).max(axis=-1, initial=0.0)),
         np.abs(t).max(axis=-1, initial=0.0),
@@ -177,49 +150,42 @@ def _spaced(z, t, d, mask):
 
 def _grad_t_raw(z, sizes, t, linear=None):
     """dPhi/dt at flat t and its sup norm, row by row for a stack of t, or
-    of (z, t).
+    of (z, t): the t rows of grad Phi, plus the linear term (q_{k+1} - q_k)
+    of each level k from a stack of them, shape (..., levels).
 
     The norm is inf outside the domain of Phi (_spaced); the gradient there
     is not meaningful.
     """
-    d, coef, delta, _, mask = _poles(z, sizes, t, linear)
-    ok = _spaced(z, t, d, mask)
+    nz = z.shape[-1]
+    K, d = _poles(z, sizes, t, slice(nz, None))
+    ok = _spaced(z, t, d, K)
+    level = _charges(nz, sizes)[1]
+    delta = 0.0 if linear is None else np.asarray(linear, dtype=complex)[..., level - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.divide(coef, d, out=d).sum(axis=-1) + delta
+        g = np.divide(K, d, out=d).sum(axis=-1) + delta
     norm = np.where(ok, np.abs(g).max(axis=-1, initial=0.0), np.inf)
     return g, norm[()]  # a scalar norm for a single t
 
 
 def _hess_t_raw(z, sizes, t) -> np.ndarray:
-    """d(dPhi/dt)/dt at flat t, row by row for a stack of t.
-
-    Every pole distance d_u of row r moves with t_r; a pole that is some
-    t_v moves against t_v, and the fixed z have no column.
-    """
-    d, coef, _, idx, mask = _poles(z, sizes, t)
-    dG = -coef / d**2  # d/dd_u of coef_u / d_u, 0 in padded slots
+    """d(dPhi/dt)/dt at flat t, row by row for a stack of t: K / d^2 on
+    the t columns, less each row's sum on the diagonal.  The fixed z have
+    no column."""
     nz, l = z.shape[-1], t.shape[-1]
-    H = np.zeros(dG.shape[:-1] + (nz + l,), dtype=complex)
-    H[..., np.nonzero(mask)[0], idx[mask]] = -dG[..., mask]
-    H = H[..., nz:]
+    K, d = _poles(z, sizes, t, slice(nz, None))
+    A = np.divide(K, np.square(d, out=d), out=d)
+    H = A[..., nz:]
     diag = np.arange(l)
-    H[..., diag, diag] += dG.sum(axis=-1)
+    H[..., diag, diag] -= A.sum(axis=-1)
     return H
 
 
 def _grad_z_raw(z, tlevels, q1=0.0) -> np.ndarray:
-    """dPhi/dz, row by row for stacks of z, t and q1."""
-    n = z.shape[-1]
-    p = np.zeros(z.shape, dtype=complex)
-    t1 = tlevels[0] if tlevels else np.zeros(z.shape[:-1] + (0,), dtype=complex)
-    for a in range(n):
-        za = z[..., a, None]
-        if n > 1:
-            p[..., a] += np.sum(1.0 / (za - np.delete(z, a, axis=-1)), axis=-1)
-        if t1.shape[-1]:
-            p[..., a] += np.sum(1.0 / (t1 - za), axis=-1)
-        p[..., a] += q1
-    return p
+    """dPhi/dz, the z rows of grad Phi plus q1, row by row for stacks of z,
+    t and q1."""
+    sizes = tuple(tk.shape[-1] for tk in tlevels)
+    K, d = _poles(z, sizes, _flat(tlevels, z.shape[:-1]), slice(z.shape[-1]))
+    return np.divide(K, d, out=d).sum(axis=-1) + np.asarray(q1)[..., None]
 
 
 def _value_raw(z, tlevels, linear=None, qz=0.0):
@@ -275,8 +241,8 @@ def in_domain(z, t, sizes) -> np.ndarray:
     """Whether Phi is defined at each row of a stack of z and flat t with
     the given level sizes, by the domain rule every function here applies
     (_spaced), which no linear term changes."""
-    d, _, _, _, mask = _poles(z, tuple(sizes), t)
-    return _spaced(z, t, d, mask)
+    K, d = _poles(z, tuple(sizes), t, slice(z.shape[-1], None))
+    return _spaced(z, t, d, K)
 
 
 def _coerce_levels(lam: Partition, z, t):

@@ -730,7 +730,7 @@ PINNED_RECORDS = {
         _BETHE_COUNTS,
         {
             "max_grad_norm": "0x1.e8368ba3e13b2p-46",
-            "max_match_distance": "0x1.31adf859f9e5ep-46",
+            "max_match_distance": "0x1.2071b0abcd838p-46",
             "midpoint_deviation": "0x0.0p+0",
         },
     ),

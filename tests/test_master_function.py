@@ -7,6 +7,7 @@ import pytest
 from cmkz.calogero_moser import lq_residual
 from cmkz.harness import TOL, match_points
 from cmkz.master_function import (
+    _charges,
     _checked_q,
     _critical_points,
     _grad_t_raw,
@@ -110,6 +111,58 @@ def test_grad_z_closed_forms():
         zz = sample_generic_z(n, rng)
         expected = np.array([np.sum(1.0 / (zz[a] - np.delete(zz, a))) for a in range(n)])
         assert np.abs(grad_z(Partition((n,)), zz, []) - expected).max() < 1e-13
+    # with two levels: only level 1 meets z
+    z4 = sample_generic_z(4, rng)
+    t = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in (2, 1)]
+    expected = np.array(
+        [np.sum(1.0 / (z4[a] - np.delete(z4, a))) + np.sum(1.0 / (t[0] - z4[a]))
+         for a in range(4)]
+    )
+    assert np.abs(grad_z(Partition((2, 1, 1)), z4, t) - expected).max() < 1e-13
+
+
+def _assert_charge_blocks(K, nz, sizes):
+    """K over concat(z, t): 1 between positions, -1 between z and level 1,
+    2 within a level, -1 between adjacent levels, 0 else; symmetric with
+    zero diagonal."""
+    bounds = np.cumsum((0, nz, *sizes))
+    blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    for i, rows in enumerate(blocks):
+        for j, cols in enumerate(blocks):
+            if i == j:
+                charge = 1.0 if i == 0 else 2.0
+            else:
+                charge = -1.0 if abs(i - j) == 1 else 0.0
+            expected = np.full((rows.stop - rows.start, cols.stop - cols.start), charge)
+            if i == j:
+                np.fill_diagonal(expected, 0.0)
+            assert np.array_equal(K[rows, cols], expected), (i, j)
+    assert np.array_equal(K, K.T)
+    assert not np.diagonal(K).any()
+
+
+def test_charge_matrix_pairs_the_levels():
+    # x = (z_1..z_4, t^(1)_1, t^(1)_2, t^(2)_1)
+    K, level = _charges(4, (2, 1))
+    expected = np.array(
+        [
+            [0, 1, 1, 1, -1, -1, 0],
+            [1, 0, 1, 1, -1, -1, 0],
+            [1, 1, 0, 1, -1, -1, 0],
+            [1, 1, 1, 0, -1, -1, 0],
+            [-1, -1, -1, -1, 0, 2, -1],
+            [-1, -1, -1, -1, 2, 0, -1],
+            [0, 0, 0, 0, -1, -1, 0],
+        ],
+        dtype=float,
+    )
+    assert np.array_equal(K, expected)
+    assert level.tolist() == [1, 1, 2]
+    for n in (3, 5):
+        K, level = _charges(n, q_level_sizes(n))
+        assert K.shape == (n * (n + 1) // 2,) * 2
+        assert level.tolist() == [k for k in range(1, n) for _ in range(n - k)]
+        _assert_charge_blocks(K, n, q_level_sizes(n))
 
 
 def test_gradients_match_finite_differences():
@@ -175,8 +228,8 @@ def _bits(*arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
-# one auxiliary variable gives a one-row pole table, whose stacked layout
-# numpy would otherwise lay out differently
+# one auxiliary variable gives one t row of the charge matrix, whose stacked
+# layout numpy would otherwise lay out differently
 STACK_CASES = POLE_CASES + [((1,), 4, None), ((1,), 2, (0.7 - 0.2j,))]
 # one-point stacks are repeated: a loop that rounds differently shows on
 # some inputs only
@@ -589,9 +642,9 @@ BETHE_Q_PINS = {
             "-0x1.a6f3eea22cc89p+0 -0x1.0df91cbe5cdbbp+1",
         ),
         (
-            "-0x1.ccd716ede34fdp-1 -0x1.15b72537907bdp+1",
-            "0x1.d1a97074d5801p-1 0x1.a0497b45c9eb0p-6",
-            "-0x1.5ffcd36bf100ep+0 -0x1.0de14249fc3a9p+1",
+            "-0x1.ccd716ede34fcp-1 -0x1.15b72537907bfp+1",
+            "0x1.d1a97074d5801p-1 0x1.a0497b45c9eafp-6",
+            "-0x1.5ffcd36bf100ep+0 -0x1.0de14249fc3abp+1",
         ),
         (
             "-0x1.567568ccff019p-4 -0x1.01121869dbd04p+1",
@@ -604,14 +657,14 @@ BETHE_Q_PINS = {
             "0x1.ea1aac96c4c54p-2 -0x1.cc7ad84727b78p-4",
         ),
         (
-            "0x1.389d73b3e4cf7p-1 -0x1.27366d32d3c85p-1",
-            "0x1.1fa61a4c4a73ap+0 -0x1.edb6a42d228dep-3",
-            "-0x1.8c1a9634adcc9p-5 -0x1.ec4a4bed2d660p-2",
+            "0x1.389d73b3e4cf6p-1 -0x1.27366d32d3c84p-1",
+            "0x1.1fa61a4c4a73bp+0 -0x1.edb6a42d228e0p-3",
+            "-0x1.8c1a9634adcd0p-5 -0x1.ec4a4bed2d660p-2",
         ),
         (
-            "0x1.46e5db44b839cp-1 -0x1.4d107c39829b7p-3",
-            "0x1.27b67024bab24p+0 -0x1.76cd803a25fd0p-1",
-            "0x1.97346b8ac404ep-7 -0x1.109a83e4da154p-2",
+            "0x1.46e5db44b839cp-1 -0x1.4d107c39829b5p-3",
+            "0x1.27b67024bab25p+0 -0x1.76cd803a25fd0p-1",
+            "0x1.97346b8ac4055p-7 -0x1.109a83e4da153p-2",
         ),
     ],
 }
