@@ -79,10 +79,22 @@ MUTANTS = (
         " * np.where(np.arange(1, monic.shape[-1]) == 3, 1.0 + 1e-3, 1.0)",
     ),
     Mutant(
-        "sign of the roots flipped in the Wronski operator table",
+        "sign of the roots flipped in the Wronski operator table, (c - e) -> (c + e)",
         "wronski.py",
-        "a = [lo - e * hi for lo, hi in zip([0] + a, a + [0])]",
-        "a = [lo + e * hi for lo, hi in zip([0] + a, a + [0])]",
+        "[lo + (c - e) * hi for",
+        "[lo + (c + e) * hi for",
+    ),
+    Mutant(
+        "power-basis coefficients read as falling-factorial ones in the operator table",
+        "wronski.py",
+        "[lo + (c - e) * hi for",
+        "[lo + (0 - e) * hi for",
+    ),
+    Mutant(
+        "falling-factorial weight (x + 1)_k for (x)_k in the annihilation gather",
+        "wronski.py",
+        "math.perm(x, k)",
+        "math.perm(x + 1, k)",
     ),
     Mutant(
         "poly_det without the sign of its column order",

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 
 def as_poly(c) -> np.ndarray:
+    if type(c) is np.ndarray and c.ndim == 1 and c.dtype == complex:
+        return c  # what the conversion below returns for it anyway
     arr = np.atleast_1d(np.asarray(c, dtype=complex))
     if arr.ndim != 1:
         raise ValueError("polynomial coefficients must form a 1-D sequence")
@@ -32,10 +33,6 @@ def padd(a, b) -> np.ndarray:
     return out
 
 
-def pmul(a, b) -> np.ndarray:
-    return np.convolve(as_poly(a), as_poly(b))
-
-
 def pder(c, order: int = 1) -> np.ndarray:
     c = as_poly(c)
     for _ in range(order):
@@ -44,10 +41,6 @@ def pder(c, order: int = 1) -> np.ndarray:
         else:
             c = c[1:] * np.arange(1, len(c), dtype=float)
     return c
-
-
-def peval(c, x):
-    return npp.polyval(x, as_poly(c))
 
 
 def from_roots(roots) -> np.ndarray:
@@ -300,7 +293,9 @@ def poly_det(mat) -> np.ndarray:
     matrix of polynomials of distinct degrees, where column c is nonzero
     in the rows of degree at least c, the sparsest column comes first and
     few row sets survive each column: at most n^2 convolutions for every
-    partition with n <= 9.
+    partition with n <= 9.  An entry that is already a 1-D complex array
+    passes through as_poly unchanged, and an entry is structurally zero
+    when np.count_nonzero finds no nonzero coefficient in it.
     """
     n = len(mat)
     if n == 0:
@@ -310,7 +305,11 @@ def poly_det(mat) -> np.ndarray:
         raise ValueError("matrix must be square")
     # per column, the rows with a nonzero entry there, in row order
     nonzero = [
-        [(r, 1 << r, rows[r][col]) for r in range(n) if rows[r][col].any()]
+        [
+            (r, 1 << r, rows[r][col])
+            for r in range(n)
+            if np.count_nonzero(rows[r][col])
+        ]
         for col in range(n)
     ]
     order = sorted(range(n), key=lambda col: len(nonzero[col]))

@@ -20,11 +20,22 @@ The operator of a polynomial tuple is multi-affine in the free
 coefficients x: P(x) = sum_T C_T prod_{k in T} x_k, where a term T picks
 per row either the leading monomial or one free slot.  Each C_T is exact:
 the operator of monomial rows u^(e_i) is a power of u times the Euler
-operator product prod_i (u d - e_i), whose expansion in u^c d^c has
-integer coefficients (Stirling numbers of the second kind), so every entry
-is an integer over the shift prefactor.  fundamental_operator reads this
-table, cached per partition, and the Wronski map is its row 0; wronskian
-and wronski_map stay on the exact poly_det, as the independent route.
+operator product prod_i (u d - e_i).  Since u^c d^c sends u^s to the
+falling factorial s (s-1) ... (s-c+1) times u^s, the product's coefficient
+of u^c d^c is the integer coefficient of prod_i (s - e_i) in the
+falling-factorial basis, built one factor at a time, so every entry is an
+integer over the shift prefactor.  fundamental_operator reads this table,
+cached per partition, and the Wronski map is its row 0; wronskian and
+wronski_map stay on the exact poly_det, as the independent route.
+
+The forward route works on whole coefficient arrays: the derivative rows
+of a polynomial tuple are views of one zero-padded table, the annihilation
+residual is one gather of the polynomial and one einsum, the root polish
+evaluates c and c' in one Horner loop, and the momenta reduce one row of
+root differences per root.  Each keeps the operations and reduction order
+of the loop it replaced, so z, p, W and the fla residual keep their bits;
+the annihilation residual alone is summed in a new order, with no BLAS
+call.
 
 Each identity of the operator is evaluated once per tuple.  The diagonal
 identity (fla_residual) reads the diagonal of P, on which every
@@ -208,8 +219,25 @@ class MonicPoly:
 def _derivative_rows(funcs, n_cols: int):
     """Coefficient rows (g, g', ..., g^(n_cols-1)) with exponential rates split off.
 
-    Returns (rates, rows); plain polynomials carry rate 0.
+    Returns (rates, rows); plain polynomials carry rate 0.  Plain
+    polynomials take their rows from one zero-padded table, one slice
+    multiply per derivative order for all of them, the elementwise product
+    pder takes; each row is a view of the table at its true length.
     """
+    if not any(isinstance(f, ExpPoly) for f in funcs):
+        polys = [pa.as_poly(f) for f in funcs]
+        width = max((len(c) for c in polys), default=1)
+        table = np.zeros((len(polys), n_cols, width), dtype=complex)
+        for r, c in enumerate(polys):
+            table[r, 0, : len(c)] = c
+        steps = np.arange(1, width, dtype=float)
+        for k in range(1, n_cols):
+            table[:, k, :-1] = table[:, k - 1, 1:] * steps
+        rows = [
+            [table[r, k, : max(len(c) - k, 1)] for k in range(n_cols)]
+            for r, c in enumerate(polys)
+        ]
+        return np.zeros(len(polys), dtype=complex), rows
     rates = []
     rows = []
     for f in funcs:
@@ -280,15 +308,56 @@ class DiffOpCoeffs:
         return self.P[i, ::-1].copy()
 
     def annihilation_residual(self, f) -> float:
-        """max |D f| coefficient over the scale of the summed terms."""
+        """max |D f| coefficient over the scale of the summed terms.
+
+        D f = sum_i P_i(u) f^(n-i), P_i the coefficient polynomial of
+        d^(n-i); an ExpPoly e^(qu) g gives e^(qu) sum_i P_i (d + q)^(n-i) g.
+        The scale is the larger of 1 and the largest coefficient of any
+        term P_i f^(n-i).  One gather of the coefficients of f (or g) with
+        cached falling-factorial weights lays out every term's product, and
+        one einsum takes them all: no np.convolve, so no BLAS kernel enters.
+        """
         n = self.n
-        _, [derivs] = _derivative_rows([f], n + 1)
-        terms = [pa.pmul(self.coefficient_poly(i), derivs[n - i]) for i in range(n + 1)]
-        scale = max(max(np.abs(t).max() for t in terms), 1.0)
-        acc = np.zeros(1, dtype=complex)
-        for t in terms:
-            acc = pa.padd(acc, t)
-        return float(np.abs(acc).max() / scale)
+        if isinstance(f, ExpPoly):
+            rate, g = complex(f.rate), f.coeffs
+        else:
+            rate, g = 0j, pa.as_poly(f)
+        index, weight = _annihilation_gather(n, len(g))
+        windows = g[index] * weight
+        if rate:
+            # (d + q)^k g = sum_j C(k, j) q^(k-j) g^(j), for k = n - i, j = n - l
+            mix = np.zeros((n + 1, n + 1), dtype=complex)
+            for i in range(n + 1):
+                for l in range(i, n + 1):
+                    mix[i, l] = math.comb(n - i, n - l) * rate ** (l - i)
+            windows = np.einsum("il,lma->ima", mix, windows)
+        terms = np.einsum("ia,ima->im", self.P, windows)
+        scale = max(np.abs(terms).max(), 1.0)
+        return float(np.abs(terms.sum(axis=0)).max() / scale)
+
+
+@lru_cache(maxsize=None)
+def _annihilation_gather(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table of DiffOpCoeffs.annihilation_residual at order n for a
+    polynomial g of the given length, read-only.
+
+    The u^m coefficient of P_i(u) g^(n-i) sums P[i, a] times coefficient
+    b = m + a - n of g^(n-i), which is g[b + n - i] (b + n - i)_(n-i), with
+    (x)_k = x! / (x - k)!.  Returns (index, weight), each of shape
+    (n + 1, n + length, n + 1) over (i, m, a): g[index] * weight holds
+    those coefficients, and weight is 0 where b falls outside g^(n-i).
+    """
+    i, m, a = np.ogrid[: n + 1, : n + length, : n + 1]
+    src = m + a - i
+    valid = (m + a >= n) & (src < length)
+    index = np.where(valid, src, 0)
+    falling = np.array(
+        [[math.perm(x, k) for k in range(n + 1)] for x in range(length)], dtype=float
+    )
+    weight = np.where(valid, falling[index, n - i], 0.0)
+    index.setflags(write=False)  # cached: shared by every caller
+    weight.setflags(write=False)
+    return index, weight
 
 
 def _operator_from_rows(rows, n: int, pref: complex) -> DiffOpCoeffs:
@@ -308,21 +377,26 @@ def _operator_from_rows(rows, n: int, pref: complex) -> DiffOpCoeffs:
     return DiffOpCoeffs(n, P)
 
 
-def _exact_operator_terms(lam: Partition) -> list[tuple[frozenset, list]]:
+def _exact_operator_terms(lam: Partition) -> list[tuple[frozenset, dict]]:
     """The operator of lam's tuples as exact terms (T, N_T), each nonzero,
     with C_T = N_T / pref for the shift prefactor pref.
 
     T picks per row the leading monomial u^d_i or one free slot u^(d_i - j)
-    and is returned as its set of free-slot indices k.  On monomial rows of
+    and is returned as its set of free-slot indices k; the picks are
+    enumerated depth first, row by row, skipping a degree an earlier row
+    took (two equal monomial rows make a zero term).  On monomial rows of
     distinct degrees e the term is an Euler-operator product:
     C_T = (V(e)/pref) u^(sum e - n(n+1)/2) prod_i (theta - e_i), theta = u d
     and V(e) = _pairwise_product(e), since both sides send u^s to
-    (V(e, s)/pref) u^(s + sum e - n(n+1)/2).  With prod_i (s - e_i) =
-    sum_k a_k s^k and theta^k = sum_c S(k, c) u^c d^c, S the Stirling
-    numbers of the second kind, d^c carries V(e) b_c u^power over pref,
-    b_c = sum_k a_k S(k, c) and power = sum e - n(n+1)/2 + c <= c: the
-    integer N_T[n - c][n - power], in the P[i, j] layout.  Each term of a
-    polynomial operator is polynomial, so b_c = 0 wherever power < 0.
+    (V(e, s)/pref) u^(s + sum e - n(n+1)/2).  As u^c d^c sends u^s to
+    s^(c) u^s, with s^(c) = s (s-1) ... (s-c+1), prod_i (theta - e_i) =
+    sum_c b_c u^c d^c for the coefficients b_c of prod_i (s - e_i) in the
+    falling-factorial basis, built one factor at a time by
+    (s - e) s^(c) = s^(c+1) + (c - e) s^(c).  So d^c carries V(e) b_c
+    u^power over pref, power = sum e - n(n+1)/2 + c <= c: the integer
+    N_T[n - c][n - power] in the P[i, j] layout, and N_T is the dict
+    {(i, j): integer} of the nonzero entries.  Each term of a polynomial
+    operator is polynomial, so b_c = 0 wherever power < 0.
     """
     n = lam.n
     entries = shifted(lam)
@@ -331,25 +405,28 @@ def _exact_operator_terms(lam: Partition) -> list[tuple[frozenset, list]]:
         [(None, d)] + [(k, d - j) for k, (i, j) in enumerate(slots) if i == i0 + 1]
         for i0, d in enumerate(entries)
     ]
-    S = [[1] + [0] * n]  # S[k][c] = S(k, c) for k, c <= n
-    for k in range(n):
-        S.append([0] + [c * S[k][c] + S[k][c - 1] for c in range(1, n + 1)])
+    base = n * (n + 1) // 2
     terms = []
-    for pick in itertools.product(*choices):
-        degs = [deg for _, deg in pick]
-        if len(set(degs)) < n:
-            continue  # two equal monomial rows: the term vanishes
-        a = [1]  # prod_i (s - e_i), low degree first
-        for e in degs:
-            a = [lo - e * hi for lo, hi in zip([0] + a, a + [0])]
-        v = _pairwise_product(degs)
-        shift = sum(degs) - n * (n + 1) // 2
-        N = [[0] * (n + 1) for _ in range(n + 1)]
-        for c in range(n + 1):
-            b = sum(a[k] * S[k][c] for k in range(c, n + 1))
-            if b:
-                N[n - c][n - shift - c] = v * b
-        terms.append((frozenset(k for k, _ in pick if k is not None), N))
+
+    def extend(row, picked, degs, b, v):
+        # b: falling-factorial coefficients of prod (s - e) over degs; v = V(degs)
+        if row == n:
+            shift = sum(degs) - base
+            N = {(n - c, n - shift - c): v * bc for c, bc in enumerate(b) if bc}
+            terms.append((frozenset(picked), N))
+            return
+        for k, e in choices[row]:
+            if e in degs:
+                continue
+            extend(
+                row + 1,
+                picked if k is None else picked + [k],
+                degs + [e],
+                [lo + (c - e) * hi for c, (lo, hi) in enumerate(zip([0] + b, b + [0]))],
+                v * math.prod([e - d for d in degs]),
+            )
+
+    extend(0, [], [], [1], 1)
     return terms
 
 
@@ -364,10 +441,11 @@ def _operator_expansion(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
     """
     pref = _pairwise_product(shifted(lam))
     terms = _exact_operator_terms(lam)
-    # a zero entry stays +0.0: 0 / pref is -0.0 when pref < 0
-    coef = np.array(
-        [[[v / pref if v else 0.0 for v in row] for row in N] for _, N in terms]
-    )
+    # only the nonzero entries are written: a zero entry stays +0.0, where
+    # 0 / pref would be -0.0 for pref < 0
+    coef = np.zeros((len(terms), lam.n + 1, lam.n + 1))
+    where = [(t, i, j) for t, (_, N) in enumerate(terms) for i, j in N]
+    coef[tuple(zip(*where))] = [v / pref for _, N in terms for v in N.values()]
     support = np.array([[k in T for k in range(lam.n)] for T, _ in terms])
     coef.setflags(write=False)  # cached: shared by every caller
     support.setflags(write=False)
@@ -397,10 +475,13 @@ def fla_residual(lam: Partition, x: PolyTuple) -> float:
     """
     n = lam.n
     diag = np.diagonal(fundamental_operator(lam, x).P)
-    lhs = diag[:1]
+    # lhs in acc[1:], behind a zero that each product by (s + i) shifts in
+    acc = np.zeros(n + 2, dtype=complex)
+    acc[1] = diag[0]
     for i in range(1, n + 1):
-        lhs = np.append(0.0, lhs) + np.append(i * lhs, 0.0)  # times (s + i)
-        lhs[0] += diag[i]
+        acc[1 : i + 2] = acc[: i + 1] + i * acc[1 : i + 2]  # times (s + i)
+        acc[1] += diag[i]
+    lhs = acc[1:]
     parts = lam.padded(n)
     rhs = pa.from_roots([parts[j - 1] - j for j in range(1, n + 1)])
     return float(np.abs(lhs - rhs).max())
@@ -409,16 +490,25 @@ def fla_residual(lam: Partition, x: PolyTuple) -> float:
 def _momenta_from_operator(
     z: np.ndarray, n2_poly: np.ndarray, trace_shift: complex
 ) -> np.ndarray:
-    """p_a = trace_shift - N_2(z_a)/prod_{b!=a}(z_a-z_b) + sum_{b!=a} 1/(z_a-z_b)."""
+    """p_a = trace_shift - N_2(z_a)/prod_{b!=a}(z_a-z_b) + sum_{b!=a} 1/(z_a-z_b).
+
+    Row a of the differences holds z_a - z_b over b != a in increasing b,
+    and each product and sum reduces one row.  Each N_2(z_a) is a Horner
+    loop in Python complex arithmetic, whose products round as numpy's
+    scalar ones do (an array product may fuse its multiply and add).
+    """
     n = len(z)
-    p = np.zeros(n, dtype=complex)
-    for a in range(n):
-        others = np.delete(z, a)
-        denom = np.prod(z[a] - others) if len(others) else 1.0
-        p[a] = trace_shift - pa.peval(n2_poly, z[a]) / denom
-        if len(others):
-            p[a] += np.sum(1.0 / (z[a] - others))
-    return p
+    diffs = (z[:, None] - z[None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    coeffs = n2_poly.tolist()
+    values = []
+    for x in z.tolist():
+        v = coeffs[-1] + x * 0
+        for c in coeffs[-2::-1]:
+            v = c + v * x
+        values.append(v)
+    return (trace_shift - np.array(values) / np.prod(diffs, axis=1)) + np.sum(
+        1.0 / diffs, axis=1
+    )
 
 
 def _checked_roots(monic: MonicPoly) -> np.ndarray:
@@ -426,9 +516,16 @@ def _checked_roots(monic: MonicPoly) -> np.ndarray:
     # the momenta divide by root differences, which amplify the eigensolve's
     # root error; two Newton steps on the polynomial take it to roundoff
     c = monic.coeffs()
-    dc = pa.pder(c)
+    # c and c' as two rows of one Horner loop, by polyval's elementwise
+    # operations; c' is padded by a leading zero, so its row starts with
+    # c'[-1] + (0 z) z, which equals polyval's c'[-1] + 0 z bit for bit,
+    # since c'[-1] = n is real and nonzero
+    rows = np.stack([c, np.append(pa.pder(c), 0.0)])[:, :, None]
     for _ in range(2):
-        z = z - pa.peval(c, z) / pa.peval(dc, z)
+        acc = rows[:, -1] + z * 0
+        for k in range(2, len(c) + 1):
+            acc = rows[:, -k] + acc * z
+        z = z - acc[0] / acc[1]
     return pa.lexsorted(z)
 
 

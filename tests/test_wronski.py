@@ -1,20 +1,33 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from cmkz import wronski as wr
 from cmkz.calogero_moser import l0_residual, lq_residual
 from cmkz.harness import FIBER_CASES, match_points
 from cmkz.partitions import Partition, enumerate_partitions, irrep_dimension, shifted
-from cmkz.polyalg import ExpPoly, elementary_symmetric, from_roots, padd, peval
+from cmkz.polyalg import (
+    ExpPoly,
+    elementary_symmetric,
+    from_roots,
+    lexsorted,
+    padd,
+    pder,
+    require_distinct,
+)
 from cmkz.tensor_gaudin import generalized_spectrum, sample_generic_z, spectral_points
 from cmkz.wronski import (
     PolyTuple,
+    MIN_SEP_REL,
+    _checked_roots,
     _derivative_rows,
     _exact_operator_terms,
+    _momenta_from_operator,
     _expanded_w,
     _operator_expansion,
     _w_expansion,
@@ -144,6 +157,60 @@ def test_operator_annihilates_tuple():
             assert abs(P[i, j]) < 1e-12
 
 
+def _annihilation_by_convolution(op, f):
+    """The annihilation residual as a loop of convolutions over the
+    derivative rows, as reference."""
+    n = op.n
+    _, [derivs] = _derivative_rows([f], n + 1)
+    terms = [np.convolve(op.coefficient_poly(i), derivs[n - i]) for i in range(n + 1)]
+    scale = max(max(np.abs(t).max() for t in terms), 1.0)
+    acc = np.zeros(1, dtype=complex)
+    for t in terms:
+        acc = padd(acc, t)
+    return float(np.abs(acc).max() / scale)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gathered_annihilation_matches_the_convolution_loop(n):
+    # on the annihilated tuple the two differ at roundoff only; a perturbed
+    # polynomial is far from annihilated, so a kernel that returns 0 fails
+    rng = np.random.default_rng(110 + n)
+    for lam in enumerate_partitions(n, n):
+        x = random_poly_tuple(lam, rng)
+        op = fundamental_operator(lam, x)
+        for f in x.polys():
+            ref = _annihilation_by_convolution(op, f)
+            assert abs(op.annihilation_residual(f) - ref) <= 1e-15
+        g = x.polys()[0] + rng.standard_normal(len(x.polys()[0]))
+        residual = op.annihilation_residual(g)
+        assert residual > 1e-3
+        assert abs(residual - _annihilation_by_convolution(op, g)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quasi_exponential_annihilation_matches_the_convolution_loop(n):
+    rng = np.random.default_rng(120 + n)
+    q, c = _random_q_shifts(n, rng)
+    x = QuasiExpTuple(q, c)
+    op = fundamental_operator_q(x)
+    for f in x.functions() + [ExpPoly(q[0], [c[0] + 0.5, 1.0])]:
+        ref = _annihilation_by_convolution(op, f)
+        assert abs(op.annihilation_residual(f) - ref) <= 1e-15
+    assert ref > 1e-3  # the moved shift is not annihilated
+
+
+def test_derivative_rows_equal_repeated_pder_bit_for_bit():
+    rng = np.random.default_rng(13)
+    polys = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (1, 4, 2, 7)]
+    for n_cols in (1, 3, 8):
+        rates, rows = _derivative_rows(polys, n_cols)
+        assert not rates.any()
+        for f, row in zip(polys, rows):
+            assert len(row) == n_cols
+            for k, entry in enumerate(row):
+                assert entry.tobytes() == pder(f, k).tobytes()
+
+
 def test_fla_identity_frozen_and_random():
     lam = Partition((2, 0))
     x = PolyTuple(lam, {(1, 1): 1.7, (1, 2): -0.4})
@@ -220,6 +287,51 @@ def test_psi_outputs_lie_on_zero_level_and_match_spectra():
         assert l0_residual(sp.z, sp.p) < 1e-10
         ref = spectral_points(lam, sp.z, seed=7)
         assert min(np.abs(sp.p - r.p).max() for r in ref) < 1e-6
+
+
+def _polished_roots_by_polyval(monic):
+    """_checked_roots with each polish step as two polyval calls."""
+    z = require_distinct(monic.roots(), MIN_SEP_REL, "Wronskian roots")
+    c = monic.coeffs()
+    for _ in range(2):
+        z = z - npp.polyval(z, c) / npp.polyval(z, pder(c))
+    return lexsorted(z)
+
+
+def _momenta_one_root_at_a_time(z, n2_poly, trace_shift):
+    n = len(z)
+    p = np.zeros(n, dtype=complex)
+    for a in range(n):
+        others = np.delete(z, a)
+        p[a] = trace_shift - npp.polyval(z[a], n2_poly) / np.prod(z[a] - others)
+        p[a] += np.sum(1.0 / (z[a] - others))
+    return p
+
+
+def _fla_by_appends(lam, x):
+    n = lam.n
+    diag = np.diagonal(fundamental_operator(lam, x).P)
+    lhs = diag[:1]
+    for i in range(1, n + 1):
+        lhs = np.append(0.0, lhs) + np.append(i * lhs, 0.0)
+        lhs[0] += diag[i]
+    rhs = from_roots([lam.padded(n)[j - 1] - j for j in range(1, n + 1)])
+    return float(np.abs(lhs - rhs).max())
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_roots_momenta_and_fla_equal_their_loops_bit_for_bit(n):
+    rng = np.random.default_rng(130 + n)
+    for lam in enumerate_partitions(n, n):
+        x = random_poly_tuple(lam, rng)
+        monic = wronski_map(lam, x)
+        z = _checked_roots(monic)
+        assert z.tobytes() == _polished_roots_by_polyval(monic).tobytes()
+        n2 = fundamental_operator(lam, x).coefficient_poly(2)
+        for shift in (0.0, complex(rng.standard_normal(), rng.standard_normal())):
+            p = _momenta_from_operator(z, n2, shift)
+            assert p.tobytes() == _momenta_one_root_at_a_time(z, n2, shift).tobytes()
+        assert float(fla_residual(lam, x)).hex() == float(_fla_by_appends(lam, x)).hex()
 
 
 def test_psi_rejects_multiple_roots_and_n1():
@@ -438,10 +550,12 @@ def _fraction_poly_from_roots(roots):
 
 
 def _exact_terms(lam):
-    """The operator table's terms (T, C_T), each C_T as Fractions."""
+    """The operator table's terms (T, C_T), each C_T as a full matrix of
+    Fractions."""
     pref = _pairwise_product(shifted(lam))
+    size = range(lam.n + 1)
     return [
-        (T, [[Fraction(v, pref) for v in row] for row in N])
+        (T, [[Fraction(N.get((i, j), 0), pref) for j in size] for i in size])
         for T, N in _exact_operator_terms(lam)
     ]
 
@@ -515,6 +629,21 @@ def test_operator_table_matches_falling_factorial_minors():
             assert coef.tolist() == rounded
 
 
+def test_operator_table_is_pinned():
+    # one sha256 over coef and support of every partition with n <= 8; the
+    # entries are int true divisions, so no BLAS kernel enters
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n, n):
+            coef, support = _operator_expansion(lam)
+            digest.update(repr(coef.shape).encode())
+            digest.update(coef.tobytes())
+            digest.update(support.tobytes())
+    assert digest.hexdigest() == (
+        "07f8bc47b94102bbae640aa45833cf72760e4c54d622e2d5d2f80b6587a8fbef"
+    )
+
+
 def test_wronski_fiber_row_pair_closed_form():
     lam = Partition((2, 0))
     sigma = np.array([0.8 - 0.2j, -0.5 + 0.9j])
@@ -549,7 +678,7 @@ def test_quasi_exponential_pair_wronskian_formula():
     for _ in range(5):
         u = complex(rng.standard_normal(), rng.standard_normal())
         expected = (u + c[0]) * (u + c[1]) + shift
-        assert abs(peval(w.coeffs(), u) - expected) < 1e-12
+        assert abs(npp.polyval(u, w.coeffs()) - expected) < 1e-12
 
 
 def test_psi_q_against_joint_spectrum():
